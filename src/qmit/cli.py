@@ -85,10 +85,6 @@ def _load_noise(path: str):
         return noise.loads(fh.read())
 
 
-def _per_layer_models(circuit, model):
-    return [model] * len(circuit.two_qubit_layer_indices())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -133,7 +129,7 @@ def _cmd_pec(args, out):
     obs = _parse_observable(args.observable, circuit.n_qubits)
     estimate = pec.pec_estimate(
         circuit,
-        _per_layer_models(circuit, model),
+        model,
         obs,
         samples=args.samples,
         seed=args.seed,

@@ -117,10 +117,6 @@ def trotter_circuit(chain: SpinChainHamiltonian, t: float, steps: int, order: in
     return QuantumCircuit(n, layers)
 
 
-def cnot_count(circuit: QuantumCircuit) -> int:
-    return circuit.cnot_count()
-
-
 def _restrict(p: PauliString, support: list[int]) -> PauliString:
     x = z = 0
     for local, q in enumerate(support):

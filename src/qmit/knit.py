@@ -258,26 +258,17 @@ def execute_plan(
     if samples is None or seed is None:
         raise ValueError("sampled mode requires samples and seed")
     rng = philox_rng(seed)
-    probs = np.array([abs(c) for _, _, c in CUT_TERMS]) / 2.0  # sum(|c|) = 4 -> /4 each cut... per-cut normalization
-    probs = probs / probs.sum()
-    values = np.empty(samples)
-    for s in range(samples):
-        assignment = []
-        sign = 1.0
-        for _ in range(n_cuts):
-            k = int(rng.choice(len(CUT_TERMS), p=probs))
-            basis, prep, c = CUT_TERMS[k]
-            sign *= 1.0 if c > 0 else -1.0
-            assignment.append((basis, prep, c))
-        measures = {i: a[0] for i, a in enumerate(assignment)}
-        preps = {i: a[1] for i, a in enumerate(assignment)}
-        total = 0.0
-        for obs_coeff, pauli in observable.terms:
-            prod = 1.0
-            for frag in plan.fragments:
-                prod *= _fragment_value(frag, pauli, measures, preps, cache)
-            total += obs_coeff * prod
-        values[s] = sign * total
+    weights = np.array([abs(c) for _, _, c in CUT_TERMS])
+    picks = rng.choice(len(CUT_TERMS), size=(samples, n_cuts), p=weights / weights.sum())
+    distinct, which = np.unique(picks, axis=0, return_inverse=True)
+    # record of a sample: its term's value over prod |c|, i.e. sign * total;
+    # the remaining factor gamma_cut is applied to the mean
+    records = np.array([
+        _term_value(plan, observable, [CUT_TERMS[k] for k in row], cache)
+        / np.prod(weights[row])
+        for row in distinct
+    ])
+    values = records[which.reshape(-1)]
     scale = plan.gamma_cut
     mean = float(values.mean())
     std_error = scale * float(values.std(ddof=1)) / np.sqrt(samples) if samples > 1 else 0.0

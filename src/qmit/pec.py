@@ -5,6 +5,16 @@ extrapolation.
 Sampling is deterministic and worker-count independent: samples are split
 into fixed-size chunks, chunk c draws from Philox stream (seed, c), and
 chunk results are merged in chunk order.
+
+A chunk is sampled as a whole. Every sample consumes a fixed number of
+uniforms (two per generator of each noisy layer, plus one per observable
+term in shot mode), so the chunk draws them as one (count, draws) Philox
+block whose rows are exactly the numbers a sample-by-sample loop would draw.
+The samples are then evolved together as the columns of one (2^n, B)
+amplitude array, with each layer's Pauli insertions applied as one signed
+gather. B is set by AMPLITUDE_BUDGET; a wider chunk is processed in
+consecutive row slices of the same uniform block. Which worker runs a chunk
+therefore changes nothing in its result.
 """
 from __future__ import annotations
 
@@ -19,6 +29,8 @@ from .pauli import Observable, PauliString
 from .simulator import (
     DensityMatrix,
     _apply_unitary,
+    _check_statevector_size,
+    _popcount,
     apply_pauli_array,
     density_run,
     expectation_array,
@@ -27,6 +39,7 @@ from .simulator import (
 )
 
 CHUNK_SIZE = 1024
+AMPLITUDE_BUDGET = 2 ** 20  # amplitudes evolved at once: 16 MiB of complex128
 
 
 @dataclass(frozen=True)
@@ -67,15 +80,23 @@ class MitigatedEstimate:
     mode: str
 
 
+def per_layer(circuit: QuantumCircuit, per_layer_models) -> list:
+    """One model per two-qubit layer of the circuit; a single
+    PauliLindbladModel applies to every two-qubit layer."""
+    count = len(circuit.two_qubit_layer_indices())
+    if isinstance(per_layer_models, PauliLindbladModel):
+        return [per_layer_models] * count
+    models = list(per_layer_models)
+    if len(models) != count:
+        raise ValueError("expected %d per-layer models, got %d" % (count, len(models)))
+    return models
+
+
 def _compile(circuit: QuantumCircuit, per_layer_models):
     """Flatten the circuit into per-layer gate ops plus the noise/inverse
     insertion table attached to each two-qubit layer."""
-    two_q = circuit.two_qubit_layer_indices()
-    if len(per_layer_models) != len(two_q):
-        raise ValueError(
-            "expected %d per-layer models, got %d" % (len(two_q), len(per_layer_models))
-        )
-    model_for_layer = dict(zip(two_q, per_layer_models))
+    model_for_layer = dict(zip(circuit.two_qubit_layer_indices(),
+                               per_layer(circuit, per_layer_models)))
     compiled = []
     for i, layer in enumerate(circuit.layers):
         ops = [(gate_matrix(g), g.qubits) for g in layer.gates]
@@ -89,34 +110,57 @@ def _compile(circuit: QuantumCircuit, per_layer_models):
     return compiled
 
 
-def _one_sample(compiled, n, obs, mode, rng):
-    amps = np.zeros(2 ** n, dtype=complex)
+def _insert_paulis(amps, x, z):
+    """Column s of amps times the Pauli with masks (x[s], z[s]), as one
+    signed gather. The canonical phase i^(popcount(x & z)) is left out: it
+    is a global phase of the sample, which no expectation value sees."""
+    src = np.arange(amps.shape[0])[:, None] ^ x
+    signs = 1.0 - 2.0 * (_popcount(src & z) & 1)
+    return signs * np.take_along_axis(amps, src, axis=0)
+
+
+def _column_expectations(amps, p):
+    """<psi_s|P|psi_s> for every column s of amps."""
+    return np.einsum("ij,ij->j", amps.conj(), apply_pauli_array(amps, p))
+
+
+def _sample_block(compiled, n, obs, mode, uniforms):
+    """Signed records of len(uniforms) samples, evolved as the columns of
+    one (2^n, B) array; row s of uniforms holds sample s's draws."""
+    width = len(uniforms)
+    amps = np.zeros((2 ** n, width), dtype=complex)
     amps[0] = 1.0
-    sign = 1.0
+    sign = np.ones(width)
+    col = 0
     for ops, gens in compiled:
         for mat, qubits in ops:
             amps = _apply_unitary(amps, mat, qubits, n)
         if gens is None:
             continue
-        draws = rng.random(2 * len(gens))
-        x = z = 0
-        for k, (p, q_ins) in enumerate(gens):
-            if draws[k] < q_ins:  # stochastic noise realization
-                x ^= p.x_mask
-                z ^= p.z_mask
-            if draws[len(gens) + k] < q_ins:  # signed inverse sample
-                x ^= p.x_mask
-                z ^= p.z_mask
-                sign = -sign
-        if x or z:
-            amps = apply_pauli_array(amps, PauliString(n, x, z))
+        g = len(gens)
+        x_masks = np.array([p.x_mask for p, _ in gens], dtype=np.int64)
+        z_masks = np.array([p.z_mask for p, _ in gens], dtype=np.int64)
+        q_ins = np.array([q for _, q in gens])
+        noise = uniforms[:, col:col + g] < q_ins  # stochastic noise realization
+        inverse = uniforms[:, col + g:col + 2 * g] < q_ins  # signed inverse sample
+        col += 2 * g
+        inserted = noise ^ inverse  # a generator inserted twice cancels
+        x = np.bitwise_xor.reduce(np.where(inserted, x_masks, 0), axis=1)
+        z = np.bitwise_xor.reduce(np.where(inserted, z_masks, 0), axis=1)
+        sign *= 1.0 - 2.0 * (inverse.sum(axis=1) & 1)
+        amps = _insert_paulis(amps, x, z)
     if mode == "analytic":
-        return sign * expectation_array(amps, obs)
+        total = np.zeros(width, dtype=complex)
+        for coeff, p in obs.terms:
+            total += coeff * _column_expectations(amps, p)
+        if np.any(np.abs(total.imag) > 1e-10):
+            raise ValueError("expectation has non-negligible imaginary part")
+        return sign * total.real
     # shot mode: one +-1 eigenvalue draw per observable term
-    value = 0.0
-    for coeff, p in obs.terms:
-        ev = float(np.vdot(amps, apply_pauli_array(amps, p)).real)
-        outcome = 1.0 if rng.random() < (1.0 + ev) / 2.0 else -1.0
+    value = np.zeros(width)
+    for t, (coeff, p) in enumerate(obs.terms):
+        ev = _column_expectations(amps, p).real
+        outcome = np.where(uniforms[:, col + t] < (1.0 + ev) / 2.0, 1.0, -1.0)
         value += coeff * outcome
     return sign * value
 
@@ -124,9 +168,15 @@ def _one_sample(compiled, n, obs, mode, rng):
 def _pec_chunk(args):
     compiled, n, obs, mode, seed, chunk_index, count = args
     rng = philox_rng(seed, chunk_index)
+    draws = sum(2 * len(gens) for _, gens in compiled if gens is not None)
+    if mode == "shot":
+        draws += len(obs.terms)
+    uniforms = rng.random((count, draws))
+    width = max(1, AMPLITUDE_BUDGET >> n)
     out = np.empty(count)
-    for i in range(count):
-        out[i] = _one_sample(compiled, n, obs, mode, rng)
+    for start in range(0, count, width):
+        stop = min(start + width, count)
+        out[start:stop] = _sample_block(compiled, n, obs, mode, uniforms[start:stop])
     return chunk_index, out
 
 
@@ -140,13 +190,15 @@ def pec_estimate(
     workers: int = 1,
 ) -> MitigatedEstimate:
     """Unbiased PEC estimator: gamma_total times the mean of signed
-    per-sample observable records."""
+    per-sample observable records. `per_layer_models` follows `per_layer`."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if mode not in ("analytic", "shot"):
         raise ValueError("mode must be 'analytic' or 'shot'")
-    compiled = _compile(circuit, per_layer_models)
     n = circuit.n_qubits
+    _check_statevector_size(n)
+    per_layer_models = per_layer(circuit, per_layer_models)
+    compiled = _compile(circuit, per_layer_models)
     gamma = gamma_total(per_layer_models)
     chunks = []
     start = 0
@@ -263,14 +315,11 @@ def noisy_expectation(
     circuit: QuantumCircuit, per_layer_models, observable: Observable
 ) -> float:
     """Exact (density-matrix) expectation with the channel applied after
-    every two-qubit layer."""
-    if isinstance(per_layer_models, PauliLindbladModel):
-        per_layer_models = [per_layer_models] * len(circuit.two_qubit_layer_indices())
-    two_q = circuit.two_qubit_layer_indices()
-    if len(per_layer_models) != len(two_q):
-        raise ValueError("one model per two-qubit layer required")
+    every two-qubit layer. `per_layer_models` follows `per_layer`."""
     channels = {
-        i: model.apply_to_matrix for i, model in zip(two_q, per_layer_models)
+        i: model.apply_to_matrix
+        for i, model in zip(circuit.two_qubit_layer_indices(),
+                            per_layer(circuit, per_layer_models))
     }
     n = circuit.n_qubits
     rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)

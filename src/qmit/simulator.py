@@ -125,14 +125,19 @@ def observable_matrix(obs: Observable) -> np.ndarray:
     return mat
 
 
+def _check_statevector_size(n_qubits: int) -> None:
+    """Reject oversized statevectors before any amplitude is allocated."""
+    if n_qubits > MAX_STATEVECTOR_QUBITS:
+        raise ValueError("statevector capped at %d qubits" % MAX_STATEVECTOR_QUBITS)
+
+
 @dataclass(frozen=True)
 class Statevector:
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits > MAX_STATEVECTOR_QUBITS:
-            raise ValueError("statevector capped at %d qubits" % MAX_STATEVECTOR_QUBITS)
+        _check_statevector_size(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** self.n_qubits,):
             raise ValueError("amplitude vector has wrong length")
@@ -142,25 +147,20 @@ class Statevector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> "Statevector":
+        _check_statevector_size(n_qubits)
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "Statevector":
+        _check_statevector_size(n_qubits)
         amps = np.zeros(2 ** n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
     def fidelity(self, other: "Statevector") -> float:
         return abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2
-
-    def to_csv(self) -> str:
-        """Amplitude dump (index, re, im) for debugging."""
-        lines = ["index,re,im"]
-        for b, a in enumerate(self.amplitudes):
-            lines.append("%d,%r,%r" % (b, float(a.real), float(a.imag)))
-        return "\n".join(lines) + "\n"
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:

@@ -66,6 +66,15 @@ def test_validation_error(bell_file):
     assert "validation error" in result.stderr
 
 
+def test_oversized_circuit_is_a_validation_error(tmp_path):
+    big = tmp_path / "big.qc"
+    big.write_text("qubits 40;\nh 0;\n")
+    result = run_cli("simulate", str(big))
+    assert result.returncode == 3
+    assert "validation error" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_pec_deterministic(bell_file, noise_file):
     args = ("pec", "--circuit", bell_file, "--noise", noise_file,
             "--observable", "ZZ", "--samples", "2000", "--seed", "7")

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import bell_circuit, random_circuit
 from qmit.circuits import Gate, Layer, QuantumCircuit
-from qmit.knit import CUT_TERMS, PREP_STATES, execute_plan, plan_wire_cut
+from qmit.knit import CUT_TERMS, PREP_STATES, _fragment_value, execute_plan, plan_wire_cut
 from qmit.pauli import Observable, parse_pauli
-from qmit.simulator import expectation, run
+from qmit.simulator import expectation, philox_rng, run
 
 
 def test_cut_terms_table():
@@ -132,3 +132,54 @@ def test_fragment_sizes_respect_partition():
     sizes = sorted(f.circuit.n_qubits for f in plan.fragments)
     assert sizes == [2, 2]  # {q0, q1-upstream} and {q1-downstream, q2}
     assert sum(sizes) == 3 + len(plan.cuts)
+
+
+def reference_sampled(plan, observable, samples, seed):
+    """Sampled recombination one sample at a time: one scalar term draw per
+    cut and a fresh fragment recombination per sample."""
+    rng = philox_rng(seed)
+    probs = np.array([abs(c) for _, _, c in CUT_TERMS])
+    probs = probs / probs.sum()
+    cache = {}
+    values = np.empty(samples)
+    for s in range(samples):
+        measures, preps, sign = {}, {}, 1.0
+        for cut in range(len(plan.cuts)):
+            basis, prep, c = CUT_TERMS[int(rng.choice(len(CUT_TERMS), p=probs))]
+            sign *= 1.0 if c > 0 else -1.0
+            measures[cut], preps[cut] = basis, prep
+        total = 0.0
+        for obs_coeff, pauli in observable.terms:
+            prod = 1.0
+            for frag in plan.fragments:
+                prod *= _fragment_value(frag, pauli, measures, preps, cache)
+            total += obs_coeff * prod
+        values[s] = sign * total
+    scale = plan.gamma_cut
+    std_error = scale * float(values.std(ddof=1)) / np.sqrt(samples) if samples > 1 else 0.0
+    return scale * float(values.mean()), std_error
+
+
+@pytest.mark.parametrize("cuts, samples, seed", [
+    ([(0, 1)], 1, 3),
+    ([(1, 2)], 777, 8),
+    ([(1, 2), (2, 3)], 1500, 21),  # 64 assignments, most drawn many times
+])
+def test_sampled_mode_matches_reference(cuts, samples, seed):
+    def ry_all(angles):
+        return Layer([Gate("ry", (q,), a) for q, a in enumerate(angles)])
+
+    circuit = QuantumCircuit(4, [
+        ry_all([0.3, -1.2, 0.7, 2.1]),
+        Layer([Gate("cx", (0, 1))]),
+        Layer([Gate("cx", (1, 2))]),
+        Layer([Gate("cx", (2, 3))]),
+        ry_all([0.5, 0.9, -0.4, 1.1]),
+    ])
+    plan = plan_wire_cut(circuit, cuts)
+    obs = Observable.from_terms(4, [(0.5, parse_pauli("ZZZZ")),
+                                    (-1.5, parse_pauli("XIYZ"))])
+    result = execute_plan(plan, obs, mode="sampled", samples=samples, seed=seed)
+    value, std_error = reference_sampled(plan, obs, samples, seed)
+    assert result["value"] == value
+    assert result["std_error"] == std_error

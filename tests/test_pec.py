@@ -9,7 +9,8 @@ from conftest import (
 )
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.noise import PauliLindbladModel
-from qmit.pauli import Observable, parse_pauli
+from qmit.pauli import Observable, PauliString, parse_pauli
+from qmit import pec
 from qmit.pec import (
     enumerate_signed,
     gamma_total,
@@ -21,7 +22,14 @@ from qmit.pec import (
     sampling_overhead,
     zne_estimate,
 )
-from qmit.simulator import expectation, run
+from qmit.simulator import (
+    _apply_unitary,
+    apply_pauli_array,
+    expectation,
+    expectation_array,
+    philox_rng,
+    run,
+)
 
 
 def two_layer_instance():
@@ -148,6 +156,124 @@ def test_noisy_expectation_broadcast_single_model():
     obs = Observable.from_label("ZZ")
     assert noisy_expectation(circuit, models[0], obs) == pytest.approx(
         noisy_expectation(circuit, models, obs))
+    assert pec_estimate(circuit, models[0], obs, samples=500, seed=2) == pec_estimate(
+        circuit, models, obs, samples=500, seed=2)
+    with pytest.raises(ValueError, match="per-layer models"):
+        noisy_expectation(circuit, models[:1], obs)
+
+
+# -- batched chunk sampler against the sample-by-sample reference -------------
+
+def reference_sample(compiled, n, obs, mode, rng):
+    """One PEC sample drawn and evolved on its own: the sampler the batched
+    chunk must reproduce."""
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0] = 1.0
+    sign = 1.0
+    for ops, gens in compiled:
+        for mat, qubits in ops:
+            amps = _apply_unitary(amps, mat, qubits, n)
+        if gens is None:
+            continue
+        draws = rng.random(2 * len(gens))
+        x = z = 0
+        for k, (p, q_ins) in enumerate(gens):
+            if draws[k] < q_ins:  # stochastic noise realization
+                x ^= p.x_mask
+                z ^= p.z_mask
+            if draws[len(gens) + k] < q_ins:  # signed inverse sample
+                x ^= p.x_mask
+                z ^= p.z_mask
+                sign = -sign
+        if x or z:
+            amps = apply_pauli_array(amps, PauliString(n, x, z))
+    if mode == "analytic":
+        return sign * expectation_array(amps, obs)
+    value = 0.0
+    for coeff, p in obs.terms:
+        ev = float(np.vdot(amps, apply_pauli_array(amps, p)).real)
+        outcome = 1.0 if rng.random() < (1.0 + ev) / 2.0 else -1.0
+        value += coeff * outcome
+    return sign * value
+
+
+def reference_values(circuit, models, obs, samples, seed, mode):
+    compiled = pec._compile(circuit, models)
+    values = []
+    for start in range(0, samples, pec.CHUNK_SIZE):
+        rng = philox_rng(seed, start // pec.CHUNK_SIZE)
+        for _ in range(min(pec.CHUNK_SIZE, samples - start)):
+            values.append(reference_sample(compiled, circuit.n_qubits, obs, mode, rng))
+    return np.array(values)
+
+
+def batched_values(circuit, models, obs, samples, seed, mode):
+    compiled = pec._compile(circuit, models)
+    chunks = [pec._pec_chunk((compiled, circuit.n_qubits, obs, mode, seed, c,
+                              min(pec.CHUNK_SIZE, samples - start)))[1]
+              for c, start in enumerate(range(0, samples, pec.CHUNK_SIZE))]
+    return np.concatenate(chunks)
+
+
+def wide_instance(n):
+    """Layered brickwork on n qubits with weight-1 and weight-2 generators
+    (including Y factors, so insertions carry phases) and a two-term
+    observable."""
+    rng = np.random.default_rng(n)
+    layers = []
+    for r in range(3):
+        layers.append(Layer([Gate("ry", (q,), float(rng.uniform(-np.pi, np.pi)))
+                             for q in range(n)]))
+        layers.append(Layer([Gate("cx", (q, q + 1)) for q in range(r % 2, n - 1, 2)]))
+    circuit = QuantumCircuit(n, layers)
+    labels = ["X", "Y", "Z"]
+    gens = []
+    for q in range(n - 1):
+        a, b = labels[q % 3], labels[(q + 1) % 3]
+        gens.append((parse_pauli("I" * q + a + "I" * (n - q - 1)), 0.03))
+        gens.append((parse_pauli("I" * q + a + b + "I" * (n - q - 2)), 0.02))
+    model = PauliLindbladModel(n, tuple(gens))
+    obs = Observable.from_terms(n, [
+        (0.75, parse_pauli("Z" + "I" * (n - 2) + "Z")),
+        (-0.5, parse_pauli("X" + "Y" + "I" * (n - 2))),
+    ])
+    return circuit, [model] * len(circuit.two_qubit_layer_indices()), obs
+
+
+@pytest.mark.parametrize("n, samples", [
+    (4, pec.CHUNK_SIZE + 37),  # a full chunk and a partial one
+    (12, 300),  # the amplitude budget splits the chunk into row slices
+])
+def test_batched_chunks_match_reference(n, samples):
+    assert n < 12 or pec.AMPLITUDE_BUDGET >> n < samples
+    circuit, models, obs = wide_instance(n)
+    shot = batched_values(circuit, models, obs, samples, 17, "shot")
+    assert np.array_equal(shot, reference_values(circuit, models, obs, samples, 17, "shot"))
+    analytic = batched_values(circuit, models, obs, samples, 17, "analytic")
+    reference = reference_values(circuit, models, obs, samples, 17, "analytic")
+    assert np.abs(analytic - reference).max() < 1e-12
+    assert np.unique(analytic).size > 1  # insertions actually happened
+
+
+def test_batched_estimate_matches_reference():
+    circuit, models, obs = wide_instance(4)
+    samples = pec.CHUNK_SIZE + 5
+    gamma = gamma_total(models)
+    for mode in ("analytic", "shot"):
+        est = pec_estimate(circuit, models, obs, samples, seed=29, mode=mode)
+        values = reference_values(circuit, models, obs, samples, 29, mode)
+        assert est.value == pytest.approx(gamma * values.mean(), abs=1e-12)
+        assert est.std_error == pytest.approx(
+            gamma * values.std(ddof=1) / np.sqrt(samples), abs=1e-12)
+        if mode == "shot":
+            assert est.value == gamma * float(values.mean())
+
+
+def test_pec_rejects_oversized_circuit_before_allocating():
+    circuit = QuantumCircuit(40, [Layer([Gate("cx", (0, 1))])])
+    model = PauliLindbladModel(40, ((PauliString.single(40, 0, "X"), 0.01),))
+    with pytest.raises(ValueError, match="capped"):
+        pec_estimate(circuit, model, Observable.from_label("Z" * 40), samples=1, seed=0)
 
 
 def test_sampling_overhead():
