@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except circuit_io.ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         sys.stderr.write("validation error: %s\n" % exc)
         return 3
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -4,7 +4,8 @@ distillation.
 
 The channel factorizes over generators because each generator acts
 diagonally in the Pauli basis: generator (P, lam) maps
-rho -> w rho + (1 - w) P rho P with w = (1 + exp(-2 lam)) / 2.
+rho -> w rho + (1 - w) P rho P with w = (1 + exp(-2 lam)) / 2. P rho P is
+the signed gather `pauli_gather` on rho read as a 2n-qubit vector.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from .simulator import (
     DensityMatrix,
     Statevector,
     apply_pauli_array,
-    pauli_matrix,
+    expectation_array,
+    pauli_gather,
     philox_rng,
 )
 
@@ -74,11 +76,15 @@ class PauliLindbladModel:
 
     def apply_to_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Exact channel action on a raw density matrix."""
+        n = self.n_qubits
+        if mat.shape != (1 << n, 1 << n):
+            raise ValueError("density matrix and model sizes differ")
+        vec = mat.reshape(-1)  # row qubits q + n, column qubits q
         for p, lam in self.generators:
             w = (1.0 + np.exp(-2.0 * lam)) / 2.0
-            pm = pauli_matrix(p)
-            mat = w * mat + (1.0 - w) * (pm @ mat @ pm.conj().T)
-        return mat
+            vec = w * vec + (1.0 - w) * pauli_gather(
+                vec, p.x_mask | p.x_mask << n, p.z_mask | p.z_mask << n)
+        return vec.reshape(mat.shape)
 
 
 def pauli_fidelity(model: PauliLindbladModel, q: PauliString) -> float:
@@ -118,15 +124,11 @@ def apply_exact(rho: DensityMatrix, model: PauliLindbladModel) -> DensityMatrix:
 
 
 def virtual_distillation_expectation(rho: DensityMatrix, obs: Observable) -> float:
-    """Tr(O rho^2) / Tr(rho^2)."""
+    """Tr(O rho^2) / Tr(rho^2); for Hermitian rho, Tr(P rho^2) = <rho|P rho>."""
     purity = rho.purity()
     if purity < 1e-12:
         raise ValueError("state purity too small for virtual distillation")
-    rho2 = rho.matrix @ rho.matrix
-    total = 0j
-    for coeff, p in obs.terms:
-        total += coeff * np.trace(pauli_matrix(p) @ rho2)
-    return float(total.real) / purity
+    return expectation_array(rho.matrix, obs) / purity
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,14 @@ from .noise import PauliLindbladModel
 from .pauli import Observable, PauliString
 from .simulator import (
     DensityMatrix,
+    Statevector,
     _apply_unitary,
     _check_statevector_size,
-    _popcount,
     apply_pauli_array,
     density_run,
     expectation_array,
     gate_matrix,
+    pauli_gather,
     philox_rng,
 )
 
@@ -85,10 +86,13 @@ def per_layer(circuit: QuantumCircuit, per_layer_models) -> list:
     PauliLindbladModel applies to every two-qubit layer."""
     count = len(circuit.two_qubit_layer_indices())
     if isinstance(per_layer_models, PauliLindbladModel):
-        return [per_layer_models] * count
-    models = list(per_layer_models)
+        models = [per_layer_models] * count
+    else:
+        models = list(per_layer_models)
     if len(models) != count:
         raise ValueError("expected %d per-layer models, got %d" % (count, len(models)))
+    if any(m.n_qubits != circuit.n_qubits for m in models):
+        raise ValueError("circuit and noise model sizes differ")
     return models
 
 
@@ -108,15 +112,6 @@ def _compile(circuit: QuantumCircuit, per_layer_models):
             ]
         compiled.append((ops, gens))
     return compiled
-
-
-def _insert_paulis(amps, x, z):
-    """Column s of amps times the Pauli with masks (x[s], z[s]), as one
-    signed gather. The canonical phase i^(popcount(x & z)) is left out: it
-    is a global phase of the sample, which no expectation value sees."""
-    src = np.arange(amps.shape[0])[:, None] ^ x
-    signs = 1.0 - 2.0 * (_popcount(src & z) & 1)
-    return signs * np.take_along_axis(amps, src, axis=0)
 
 
 def _column_expectations(amps, p):
@@ -148,7 +143,7 @@ def _sample_block(compiled, n, obs, mode, uniforms):
         x = np.bitwise_xor.reduce(np.where(inserted, x_masks, 0), axis=1)
         z = np.bitwise_xor.reduce(np.where(inserted, z_masks, 0), axis=1)
         sign *= 1.0 - 2.0 * (inverse.sum(axis=1) & 1)
-        amps = _insert_paulis(amps, x, z)
+        amps = pauli_gather(amps, x, z)  # phase i^popcount(x & z) is global per sample
     if mode == "analytic":
         total = np.zeros(width, dtype=complex)
         for coeff, p in obs.terms:
@@ -321,10 +316,8 @@ def noisy_expectation(
         for i, model in zip(circuit.two_qubit_layer_indices(),
                             per_layer(circuit, per_layer_models))
     }
-    n = circuit.n_qubits
-    rho0 = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    rho0[0, 0] = 1.0
-    rho = density_run(circuit, DensityMatrix(n, rho0), channels)
+    rho0 = DensityMatrix.from_statevector(Statevector.zero(circuit.n_qubits))
+    rho = density_run(circuit, rho0, channels)
     return rho.expectation(observable)
 
 

@@ -4,6 +4,12 @@ Amplitude ordering: basis index b carries qubit k in bit k of b, matching
 the Pauli-mask convention. Soft caps: 24 qubits for statevectors, 10 for
 density matrices.
 
+A density matrix is read as the 2n-qubit vector rho.reshape(-1): row index
+in bits n..2n-1, column index in bits 0..n-1, so U rho U^dag is U on qubits
+q + n and conj(U) on qubits q through the statevector gate kernel. Every
+Pauli action is the signed gather `pauli_gather`; with masks
+(x | x << n, z | z << n) it is P rho P^dag, whose phases cancel.
+
 RNG: all sampling uses the counter-based Philox generator. Independent
 streams are derived from (seed, stream) key pairs; parallel workers use
 their stream id as the second key word.
@@ -95,17 +101,27 @@ def _popcount(values: np.ndarray) -> np.ndarray:
     return count
 
 
+def pauli_gather(arr: np.ndarray, x, z) -> np.ndarray:
+    """out[j] = (-1)^popcount((j ^ x) & z) * arr[j ^ x] along axis 0: the
+    Pauli with masks (x, z) without its phase. x and z are ints, or integer
+    arrays holding one mask per column of a (2^n, B) block."""
+    idx = np.arange(arr.shape[0])
+    if isinstance(x, np.ndarray):
+        src = idx[:, None] ^ x
+        signs = 1.0 - 2.0 * (_popcount(src & z) & 1)
+        return signs * np.take_along_axis(arr, src, axis=0)
+    src = idx ^ x
+    signs = 1.0 - 2.0 * (_popcount(src & z) & 1)
+    return (signs if arr.ndim == 1 else signs[:, None]) * arr[src]
+
+
 def apply_pauli_array(arr: np.ndarray, p: PauliString) -> np.ndarray:
     """P|psi> including the canonical phase i^(popcount(x & z))."""
-    n = p.n_qubits
-    idx = np.arange(2 ** n)
-    signs = 1.0 - 2.0 * (_popcount(idx & p.z_mask) & 1)
-    phase = 1j ** ((p.x_mask & p.z_mask).bit_count() % 4)
-    out = np.empty_like(arr)
-    out[idx ^ p.x_mask] = (phase * signs) * arr[idx] if arr.ndim == 1 else (
-        phase * signs
-    )[:, None] * arr[idx]
-    return out
+    if arr.shape[0] != 1 << p.n_qubits:
+        raise ValueError("array and Pauli sizes differ")
+    out = pauli_gather(arr, p.x_mask, p.z_mask)
+    k = (p.x_mask & p.z_mask).bit_count() % 4
+    return out if k == 0 else 1j ** k * out
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -131,6 +147,12 @@ def _check_statevector_size(n_qubits: int) -> None:
         raise ValueError("statevector capped at %d qubits" % MAX_STATEVECTOR_QUBITS)
 
 
+def _check_density_size(n_qubits: int) -> None:
+    """Reject oversized density matrices before any entry is allocated."""
+    if n_qubits > MAX_DENSITY_QUBITS:
+        raise ValueError("density matrix capped at %d qubits" % MAX_DENSITY_QUBITS)
+
+
 @dataclass(frozen=True)
 class Statevector:
     n_qubits: int
@@ -147,10 +169,7 @@ class Statevector:
 
     @classmethod
     def zero(cls, n_qubits: int) -> "Statevector":
-        _check_statevector_size(n_qubits)
-        amps = np.zeros(2 ** n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
+        return cls.basis(n_qubits, 0)
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "Statevector":
@@ -161,11 +180,6 @@ class Statevector:
 
     def fidelity(self, other: "Statevector") -> float:
         return abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2
-
-
-def apply_gate(state: Statevector, gate: Gate) -> Statevector:
-    amps = _apply_unitary(state.amplitudes, gate_matrix(gate), gate.qubits, state.n_qubits)
-    return Statevector(state.n_qubits, amps)
 
 
 def run_array(circuit: QuantumCircuit, amps: np.ndarray) -> np.ndarray:
@@ -182,11 +196,7 @@ def run(circuit: QuantumCircuit, initial: Statevector | None = None) -> Statevec
         initial = Statevector.zero(circuit.n_qubits)
     if initial.n_qubits != circuit.n_qubits:
         raise ValueError("state and circuit sizes differ")
-    state = initial
-    for layer in circuit.layers:
-        for gate in layer.gates:
-            state = apply_gate(state, gate)
-    return state
+    return Statevector(circuit.n_qubits, run_array(circuit, initial.amplitudes))
 
 
 def expectation(state: Statevector, obs: Observable) -> float:
@@ -238,8 +248,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits > MAX_DENSITY_QUBITS:
-            raise ValueError("density matrix capped at %d qubits" % MAX_DENSITY_QUBITS)
+        _check_density_size(self.n_qubits)
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2 ** self.n_qubits
         if mat.shape != (dim, dim):
@@ -254,25 +263,19 @@ class DensityMatrix:
 
     @classmethod
     def from_statevector(cls, state: Statevector) -> "DensityMatrix":
+        _check_density_size(state.n_qubits)
         return cls(state.n_qubits, np.outer(state.amplitudes, state.amplitudes.conj()))
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(np.vdot(self.matrix, self.matrix).real)
 
     def expectation(self, obs: Observable) -> float:
         total = 0j
         for coeff, p in obs.terms:
-            total += coeff * np.trace(pauli_matrix(p) @ self.matrix)
+            total += coeff * np.trace(apply_pauli_array(self.matrix, p))
         if abs(total.imag) > 1e-10:
             raise ValueError("expectation has non-negligible imaginary part")
         return float(total.real)
-
-
-def _conjugate_matrix(mat_rho: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    # rho -> U rho U^dag, applying U to columns then rows
-    out = _apply_unitary(mat_rho, u, qubits, n)
-    out = _apply_unitary(out.conj().T, u, qubits, n)
-    return out.conj().T
 
 
 def density_run(circuit: QuantumCircuit, rho0: DensityMatrix, channels=None) -> DensityMatrix:
@@ -284,8 +287,10 @@ def density_run(circuit: QuantumCircuit, rho0: DensityMatrix, channels=None) -> 
     mat = rho0.matrix
     channels = channels or {}
     for i, layer in enumerate(circuit.layers):
-        for gate in layer.gates:
-            mat = _conjugate_matrix(mat, gate_matrix(gate), gate.qubits, n)
+        for gate in layer.gates:  # U on the row qubits q + n, conj(U) on the columns
+            u = gate_matrix(gate)
+            vec = _apply_unitary(mat.reshape(-1), u, tuple(q + n for q in gate.qubits), 2 * n)
+            mat = _apply_unitary(vec, u.conj(), gate.qubits, 2 * n).reshape(mat.shape)
         if i in channels:
             mat = channels[i](mat)
             if abs(np.trace(mat).real - 1.0) > 1e-10:

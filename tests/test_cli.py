@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from qmit import cli, pec
+
 BELL = "qubits 2;\nh 0;\n\ncx 0, 1;\n"
 NOISE = "qubits 2\nXI 0.01\nIY 0.02\n"
 
@@ -123,3 +125,37 @@ def test_noise_learn(noise_file):
     result = run_cli("noise-learn", "--noise", noise_file, "--format", "records")
     assert result.returncode == 0
     assert "generator=XI" in result.stdout
+
+
+def test_oversized_density_matrix_is_a_validation_error(tmp_path):
+    # 20 qubits fit a statevector but not a 4^20-entry density matrix
+    big = tmp_path / "big.qc"
+    big.write_text("qubits 20;\nh 0;\n\ncx 0, 1;\n")
+    model = tmp_path / "big.noise"
+    model.write_text("qubits 20\n%s 0.01\n" % ("X" + "I" * 19))
+    result = run_cli("zne", "--circuit", str(big), "--noise", str(model),
+                     "--observable", "Z" + "I" * 19)
+    assert result.returncode == 3
+    assert "validation error" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_memory_error_is_a_validation_error(bell_file, noise_file, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB")
+
+    monkeypatch.setattr(pec, "noisy_expectation", out_of_memory)
+    code = cli.main(["zne", "--circuit", bell_file, "--noise", noise_file,
+                     "--observable", "ZZ"])
+    assert code == 3
+    assert "validation error: Unable to allocate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["qubits 1\nZ 0.1\n", "qubits 3\nZZZ 0.1\n"])
+@pytest.mark.parametrize("command", ["zne", "pec"])
+def test_noise_model_size_mismatch_is_a_validation_error(bell_file, tmp_path, model, command):
+    noise = tmp_path / "mismatch.noise"
+    noise.write_text(model)
+    code = cli.main([command, "--circuit", bell_file, "--noise", str(noise),
+                     "--observable", "XX"])
+    assert code == 3

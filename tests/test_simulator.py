@@ -4,12 +4,11 @@ from scipy.linalg import expm
 
 from conftest import bell_circuit, random_circuit
 from qmit.circuits import Gate, Layer, QuantumCircuit
-from qmit.noise import PauliLindbladModel
+from qmit.noise import PauliLindbladModel, virtual_distillation_expectation
 from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit.simulator import (
     DensityMatrix,
     Statevector,
-    apply_gate,
     apply_pauli_array,
     density_run,
     evolve_exact,
@@ -19,6 +18,7 @@ from qmit.simulator import (
     pauli_matrix,
     philox_rng,
     run,
+    run_array,
     sample_counts,
 )
 
@@ -106,7 +106,7 @@ def test_statevector_norm_check():
 
 def test_qubit_bit_convention():
     # X on qubit 0 of |00> flips basis bit 0
-    state = apply_gate(Statevector.zero(2), Gate("x", (0,)))
+    state = run(QuantumCircuit(2, [Layer([Gate("x", (0,))])]))
     assert abs(state.amplitudes[0b01] - 1.0) < 1e-12
 
 
@@ -184,3 +184,60 @@ def test_zero_rate_channel_is_identity():
                                {1: model.apply_to_matrix})
     without = density_run(circuit, DensityMatrix(2, rho0), {})
     assert np.abs(with_channel.matrix - without.matrix).max() < 1e-12
+
+
+def test_density_path_matches_dense_oracles():
+    # full-rank 3-qubit rho; Y in the generators and the observable makes
+    # the Pauli phases matter
+    n, dim = 3, 8
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    model = PauliLindbladModel(n, ((parse_pauli("YXI"), 0.07), (parse_pauli("IYZ"), 0.04),
+                                   (parse_pauli("YIY"), 0.11), (parse_pauli("ZZX"), 0.02)))
+    obs = Observable.from_terms(n, [(0.6, parse_pauli("XYZ")), (-0.3, parse_pauli("YIY")),
+                                    (0.2, parse_pauli("ZZI")), (0.5, parse_pauli("IYI"))])
+
+    def dense_channel(mat):
+        for p, lam in model.generators:
+            w = (1.0 + np.exp(-2.0 * lam)) / 2.0
+            pm = pauli_matrix(p)
+            mat = w * mat + (1.0 - w) * (pm @ mat @ pm.conj().T)
+        return mat
+
+    assert np.abs(model.apply_to_matrix(rho) - dense_channel(rho)).max() < 1e-12
+    dm = DensityMatrix(n, rho)
+    o = observable_matrix(obs)
+    purity = np.trace(rho @ rho).real
+    assert abs(dm.expectation(obs) - np.trace(o @ rho).real) < 1e-12
+    assert abs(dm.purity() - purity) < 1e-12
+    assert abs(virtual_distillation_expectation(dm, obs)
+               - np.trace(o @ rho @ rho).real / purity) < 1e-12
+    # density_run with the channel after every layer against U rho U^dag
+    circuit = random_circuit(rng, n, 5)
+    channels = {i: model.apply_to_matrix for i in range(len(circuit.layers))}
+    expected = rho
+    for layer in circuit.layers:
+        u = run_array(QuantumCircuit(n, [layer]), np.eye(dim, dtype=complex))
+        expected = dense_channel(u @ expected @ u.conj().T)
+    assert np.abs(density_run(circuit, dm, channels).matrix - expected).max() < 1e-12
+    u = run_array(circuit, np.eye(dim, dtype=complex))
+    assert np.abs(density_run(circuit, dm).matrix - u @ rho @ u.conj().T).max() < 1e-12
+
+
+def test_size_mismatches_are_validation_errors():
+    # the Pauli kernel is a gather, so a wrong-sized operand would not fail
+    # by itself: every entry point checks sizes
+    rho = DensityMatrix.from_statevector(run(bell_circuit()))
+    for obs in (Observable.from_label("Z"), Observable.from_label("ZZZ")):
+        with pytest.raises(ValueError):
+            rho.expectation(obs)
+        with pytest.raises(ValueError):
+            virtual_distillation_expectation(rho, obs)
+        with pytest.raises(ValueError):
+            apply_pauli_array(rho.matrix, obs.terms[0][1])
+    for model in (PauliLindbladModel(1, ((parse_pauli("Z"), 0.1),)),
+                  PauliLindbladModel(3, ((parse_pauli("ZZZ"), 0.1),))):
+        with pytest.raises(ValueError):
+            model.apply_to_matrix(rho.matrix)
