@@ -271,7 +271,7 @@ def execute_plan(
     values = records[which.reshape(-1)]
     scale = plan.gamma_cut
     mean = float(values.mean())
-    std_error = scale * float(values.std(ddof=1)) / np.sqrt(samples) if samples > 1 else 0.0
+    std_error = float(scale * values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return {
         "value": scale * mean,
         "std_error": std_error,

@@ -213,7 +213,7 @@ def pec_estimate(
     mean = float(values.mean())
     if samples > 1:
         std = float(values.std(ddof=1))
-        std_error = gamma * std / np.sqrt(samples)
+        std_error = float(gamma * std / np.sqrt(samples))
     else:
         std_error = 0.0
     return MitigatedEstimate(

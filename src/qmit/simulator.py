@@ -8,7 +8,9 @@ A density matrix is read as the 2n-qubit vector rho.reshape(-1): row index
 in bits n..2n-1, column index in bits 0..n-1, so U rho U^dag is U on qubits
 q + n and conj(U) on qubits q through the statevector gate kernel. Every
 Pauli action is the signed gather `pauli_gather`; with masks
-(x | x << n, z | z << n) it is P rho P^dag, whose phases cancel.
+(x | x << n, z | z << n) it is P rho P^dag, whose phases cancel. A Pauli
+sum is compiled once per call by `pauli_sum` into one signed diagonal per
+distinct X mask, so applying it costs one gather per mask, not per term.
 
 RNG: all sampling uses the counter-based Philox generator. Independent
 streams are derived from (seed, stream) key pairs; parallel workers use
@@ -17,7 +19,7 @@ their stream id as the second key word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import ceil, cos, sin, sqrt
 
 import numpy as np
 
@@ -124,6 +126,37 @@ def apply_pauli_array(arr: np.ndarray, p: PauliString) -> np.ndarray:
     return out if k == 0 else 1j ** k * out
 
 
+def pauli_sum(obs: Observable) -> list[tuple[int, np.ndarray]]:
+    """Compile obs into [(x, d_x)], one entry per distinct X mask, such that
+    (O psi)[j] = sum_x d_x[j ^ x] * psi[j ^ x]. d_x[k] sums
+    c * i^popcount(x & z) * (-1)^popcount(k & z) over the terms with X mask x."""
+    idx = np.arange(1 << obs.n_qubits)
+    groups: dict[int, np.ndarray] = {}
+    for coeff, p in obs.terms:
+        signs = 1.0 - 2.0 * (_popcount(idx & p.z_mask) & 1)
+        d = groups.setdefault(p.x_mask, np.zeros(idx.size, dtype=complex))
+        d += coeff * 1j ** ((p.x_mask & p.z_mask).bit_count() % 4) * signs
+    return list(groups.items())
+
+
+def apply_pauli_sum(arr: np.ndarray, groups: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """O arr along axis 0 for O compiled by `pauli_sum`; trailing axes are a
+    batch. The x = 0 group is a diagonal and needs no gather."""
+    idx = np.arange(arr.shape[0])
+    out = None
+    for x, d in groups:
+        if d.size != arr.shape[0]:
+            raise ValueError("array and observable sizes differ")
+        term = d.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr
+        if x:
+            term = term[idx ^ x]
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros(arr.shape, dtype=complex) if out is None else out
+
+
 def pauli_matrix(p: PauliString) -> np.ndarray:
     n = p.n_qubits
     idx = np.arange(2 ** n)
@@ -206,9 +239,8 @@ def expectation(state: Statevector, obs: Observable) -> float:
 
 
 def expectation_array(amps: np.ndarray, obs: Observable) -> float:
-    total = 0j
-    for coeff, p in obs.terms:
-        total += coeff * np.vdot(amps, apply_pauli_array(amps, p))
+    """<amps|O|amps>; for a (2^n, B) block, the sum over its columns."""
+    total = np.vdot(amps, apply_pauli_sum(amps, pauli_sum(obs)))
     if abs(total.imag) > 1e-10:
         raise ValueError("expectation has non-negligible imaginary part")
     return float(total.real)
@@ -219,10 +251,17 @@ def evolve_exact(hamiltonian: Observable, state: Statevector, t: float) -> State
         raise ValueError("exact evolution capped at 12 qubits")
     if state.n_qubits != hamiltonian.n_qubits:
         raise ValueError("state and Hamiltonian sizes differ")
-    mat = observable_matrix(hamiltonian)
-    evals, evecs = np.linalg.eigh(mat)
-    phases = np.exp(-1j * t * evals)
-    amps = evecs @ (phases * (evecs.conj().T @ state.amplitudes))
+    # ceil(|t| * bound) steps keep ||H t / steps|| <= 1, so the Taylor terms
+    # of each step fall like 1 / k! and are summed until negligible
+    h = pauli_sum(hamiltonian)
+    steps = ceil(abs(t) * hamiltonian.bound())
+    amps = state.amplitudes
+    for _ in range(steps):
+        term, k = amps, 0
+        while np.linalg.norm(term) > 1e-17:
+            k += 1
+            term = apply_pauli_sum(term, h) * (-1j * t / (steps * k))
+            amps = amps + term
     return Statevector(state.n_qubits, amps)
 
 
@@ -270,9 +309,13 @@ class DensityMatrix:
         return float(np.vdot(self.matrix, self.matrix).real)
 
     def expectation(self, obs: Observable) -> float:
+        """Tr(O rho) = sum_x sum_k d_x[k] rho[k, k ^ x]: O(2^n) per X mask."""
+        if obs.n_qubits != self.n_qubits:
+            raise ValueError("density matrix and observable sizes differ")
+        idx = np.arange(1 << self.n_qubits)
         total = 0j
-        for coeff, p in obs.terms:
-            total += coeff * np.trace(apply_pauli_array(self.matrix, p))
+        for x, d in pauli_sum(obs):
+            total += d @ self.matrix[idx, idx ^ x]
         if abs(total.imag) > 1e-10:
             raise ValueError("expectation has non-negligible imaginary part")
         return float(total.real)

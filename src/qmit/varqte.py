@@ -31,9 +31,10 @@ from .simulator import (
     Statevector,
     _apply_unitary,
     apply_pauli_array,
+    apply_pauli_sum,
     evolve_exact,
-    expectation_array,
     gate_matrix,
+    pauli_sum,
 )
 
 
@@ -123,13 +124,6 @@ def state_and_derivatives(ansatz: Ansatz, theta):
     return Statevector(n, prefixes[-1]), derivs
 
 
-def _obs_apply(obs: Observable, amps: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(amps)
-    for coeff, p in obs.terms:
-        out += coeff * apply_pauli_array(amps, p)
-    return out
-
-
 def compute_M(derivs) -> np.ndarray:
     """M_pq = Im<d_p phi | d_q phi>; antisymmetric."""
     k = len(derivs)
@@ -142,7 +136,7 @@ def compute_M(derivs) -> np.ndarray:
 
 def compute_V(derivs, state: Statevector, hamiltonian: Observable) -> np.ndarray:
     """V_p = -Re<d_p phi | H | phi>."""
-    h_phi = _obs_apply(hamiltonian, state.amplitudes)
+    h_phi = apply_pauli_sum(state.amplitudes, pauli_sum(hamiltonian))
     return np.array([-np.vdot(d, h_phi).real for d in derivs])
 
 
@@ -155,7 +149,7 @@ def compute_mclachlan(derivs, state: Statevector, hamiltonian: Observable):
     for p in range(k):
         for q in range(p, k):
             a[p, q] = a[q, p] = np.vdot(derivs[p], derivs[q]).real - b[p] * b[q]
-    h_phi = _obs_apply(hamiltonian, amps)
+    h_phi = apply_pauli_sum(amps, pauli_sum(hamiltonian))
     energy = np.vdot(amps, h_phi).real
     c = np.array([np.vdot(d, h_phi).imag - b[p] * energy
                   for p, d in enumerate(derivs)])
@@ -235,11 +229,15 @@ def evolve(
     residuals.append(0.0 if not residuals else residuals[-1])
     fidelities = None
     if ansatz.n_qubits <= 12:
+        # the exact state is carried from one time point to the next, so the
+        # Taylor work grows with t_final, not with its square
         fids = []
-        psi0, _ = state_and_derivatives(ansatz, thetas[0])
+        exact, _ = state_and_derivatives(ansatz, thetas[0])
+        previous = 0.0
         for t, th in zip(times, thetas):
             state, _ = state_and_derivatives(ansatz, th)
-            exact = evolve_exact(hamiltonian, psi0, t)
+            exact = evolve_exact(hamiltonian, exact, t - previous)
+            previous = t
             fids.append(min(1.0, abs(np.vdot(exact.amplitudes, state.amplitudes)) ** 2))
         fidelities = np.array(fids)
     return VarQTETrajectory(

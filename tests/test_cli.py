@@ -159,3 +159,15 @@ def test_noise_model_size_mismatch_is_a_validation_error(bell_file, tmp_path, mo
     code = cli.main([command, "--circuit", bell_file, "--noise", str(noise),
                      "--observable", "XX"])
     assert code == 3
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "records"])
+def test_std_error_prints_as_a_float(bell_file, noise_file, fmt, capsys):
+    # a numpy scalar would print as np.float64(...) under numpy 2
+    for command in (["pec", "--circuit", bell_file, "--noise", noise_file],
+                    ["cut", "--circuit", bell_file, "--cut", "0:1", "--mode", "sampled"]):
+        code = cli.main(command + ["--observable", "ZZ", "--samples", "300", "--seed", "5",
+                                   "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "np.float64(" not in out

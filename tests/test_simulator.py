@@ -10,12 +10,15 @@ from qmit.simulator import (
     DensityMatrix,
     Statevector,
     apply_pauli_array,
+    apply_pauli_sum,
     density_run,
     evolve_exact,
     expectation,
+    expectation_array,
     gate_matrix,
     observable_matrix,
     pauli_matrix,
+    pauli_sum,
     philox_rng,
     run,
     run_array,
@@ -241,3 +244,62 @@ def test_size_mismatches_are_validation_errors():
                   PauliLindbladModel(3, ((parse_pauli("ZZZ"), 0.1),))):
         with pytest.raises(ValueError):
             model.apply_to_matrix(rho.matrix)
+
+
+def random_observable(rng, n, n_terms):
+    """A single Y (complex matrix entries) plus terms drawn from three X
+    masks, so that several terms share one."""
+    xs = [0] + [int(x) for x in rng.integers(1, 2 ** n, size=2)]
+    terms = [(float(rng.normal()), PauliString.single(n, int(rng.integers(n)), "Y"))]
+    for _ in range(n_terms - 1):
+        x = xs[int(rng.integers(3))]
+        terms.append((float(rng.normal()), PauliString(n, x, int(rng.integers(2 ** n)))))
+    return Observable.from_terms(n, terms)
+
+
+def random_state(rng, shape):
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps, axis=0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pauli_sum_matches_dense_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 3 + seed % 3
+    obs = random_observable(rng, n, 12)
+    groups = pauli_sum(obs)
+    assert sorted(x for x, _ in groups) == sorted({p.x_mask for _, p in obs.terms})
+    o = observable_matrix(obs)
+    for shape in ((2 ** n,), (2 ** n, 5)):
+        amps = random_state(rng, shape)
+        assert np.abs(apply_pauli_sum(amps, groups) - o @ amps).max() < 1e-12
+    amps = random_state(rng, (2 ** n,))
+    assert abs(expectation_array(amps, obs) - np.vdot(amps, o @ amps).real) < 1e-12
+    # a (2^n, B) block: the sum over columns, as virtual distillation uses it
+    block = random_state(rng, (2 ** n, 5))
+    assert abs(expectation_array(block, obs) - np.trace(block.conj().T @ o @ block).real) < 1e-12
+
+
+def test_density_expectation_with_shared_x_masks():
+    rng = np.random.default_rng(31)
+    n = 4
+    a = rng.normal(size=(2 ** n,) * 2) + 1j * rng.normal(size=(2 ** n,) * 2)
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    obs = random_observable(rng, n, 14)
+    got = DensityMatrix(n, rho).expectation(obs)
+    assert abs(got - np.trace(observable_matrix(obs) @ rho).real) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evolve_exact_matches_expm_on_random_hamiltonians(seed):
+    rng = np.random.default_rng(200 + seed)
+    n = 3 + seed
+    h = random_observable(rng, n, 10)
+    assert np.abs(observable_matrix(h).imag).max() > 0
+    psi = Statevector(n, random_state(rng, (2 ** n,)))
+    long_t = 20.5 / h.bound()  # |t| * bound >= 20: many Taylor steps
+    for t in (0.0, -0.37, 0.81, long_t, -long_t):
+        got = evolve_exact(h, psi, t).amplitudes
+        expected = expm(-1j * t * observable_matrix(h)) @ psi.amplitudes
+        assert np.abs(got - expected).max() < 1e-12
