@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import circuit_io, hamiltonian, knit, noise, pec, resources, varqte
 from .pauli import Observable, parse_pauli
-from .simulator import Statevector, run, expectation, sample_counts
+from .simulator import Statevector, expectation, philox_rng, run, sample_counts
 
 
 def _default_seed() -> int:
@@ -184,7 +184,9 @@ def _cmd_cut(args, out):
 def _cmd_varqte(args, out):
     chain = hamiltonian.build(args.n, seed=args.seed if args.random_fields else None)
     ansatz = varqte.hardware_efficient_ansatz(args.n, args.layers)
-    theta0 = np.zeros(ansatz.n_params)
+    # |0...0> is an eigenstate of the chain, so start away from it; stream 1
+    # leaves --random-fields' stream 0 untouched
+    theta0 = philox_rng(args.seed, 1).uniform(-0.5, 0.5, size=ansatz.n_params)
     trajectory = varqte.evolve(
         ansatz, theta0, chain.observable(), args.t_final, args.dt,
         method=args.method, regularization=args.regularization,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .pauli import Observable, PauliString, format_pauli, parse_pauli
 from .simulator import (
@@ -192,6 +191,14 @@ def anticommutation_matrix(probes, candidates) -> np.ndarray:
             if not p.commutes(q):
                 a[i, j] = 1.0
     return a
+
+
+def nnls(a, b):
+    """scipy.optimize.nnls, imported on first use: noise learning is the one
+    scipy user, and the import dominates a cold CLI start."""
+    from scipy.optimize import nnls as solve
+
+    return solve(a, b)
 
 
 def learn_rates(decay_data, candidates, n_qubits: int):

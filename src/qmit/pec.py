@@ -18,7 +18,6 @@ therefore changes nothing in its result.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +203,8 @@ def pec_estimate(
         start += count
         index += 1
     if workers > 1 and len(chunks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pec_chunk, chunks))
         results.sort(key=lambda item: item[0])

@@ -95,6 +95,18 @@ def _apply_element(amps: np.ndarray, element, theta) -> np.ndarray:
     return cos(t / 2) * amps - 1j * sin(t / 2) * apply_pauli_array(amps, element.generator)
 
 
+def _prefix_states(ansatz: Ansatz, theta) -> list[np.ndarray]:
+    """|0...0> followed by the state after each element; the last is
+    |phi(theta)>."""
+    amps = np.zeros(2 ** ansatz.n_qubits, dtype=complex)
+    amps[0] = 1.0
+    prefixes = [amps]
+    for element in ansatz.elements:
+        amps = _apply_element(amps, element, theta)
+        prefixes.append(amps)
+    return prefixes
+
+
 def state_and_derivatives(ansatz: Ansatz, theta):
     """|phi(theta)> and the exact derivative vectors d|phi>/d theta_p.
 
@@ -107,12 +119,7 @@ def state_and_derivatives(ansatz: Ansatz, theta):
             "expected %d parameters, got shape %r" % (ansatz.n_params, theta.shape)
         )
     n = ansatz.n_qubits
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[0] = 1.0
-    prefixes = [amps]
-    for element in ansatz.elements:
-        amps = _apply_element(amps, element, theta)
-        prefixes.append(amps)
+    prefixes = _prefix_states(ansatz, theta)
     derivs = [np.zeros(2 ** n, dtype=complex) for _ in range(ansatz.n_params)]
     for j, element in enumerate(ansatz.elements):
         if not isinstance(element, RotationElement):
@@ -230,15 +237,16 @@ def evolve(
     fidelities = None
     if ansatz.n_qubits <= 12:
         # the exact state is carried from one time point to the next, so the
-        # Taylor work grows with t_final, not with its square
+        # Taylor work grows with t_final, not with its square; only the states
+        # are needed, so no derivative vectors are built
         fids = []
-        exact, _ = state_and_derivatives(ansatz, thetas[0])
+        exact = Statevector(ansatz.n_qubits, _prefix_states(ansatz, thetas[0])[-1])
         previous = 0.0
         for t, th in zip(times, thetas):
-            state, _ = state_and_derivatives(ansatz, th)
+            state = _prefix_states(ansatz, th)[-1]
             exact = evolve_exact(hamiltonian, exact, t - previous)
             previous = t
-            fids.append(min(1.0, abs(np.vdot(exact.amplitudes, state.amplitudes)) ** 2))
+            fids.append(min(1.0, abs(np.vdot(exact.amplitudes, state)) ** 2))
         fidelities = np.array(fids)
     return VarQTETrajectory(
         times=np.array(times),

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from qmit import cli, pec
+from qmit import cli, noise, pec
 
 BELL = "qubits 2;\nh 0;\n\ncx 0, 1;\n"
 NOISE = "qubits 2\nXI 0.01\nIY 0.02\n"
@@ -119,6 +119,41 @@ def test_varqte_csv_schema():
     header = body[0].split(",")
     assert header[0] == "t" and header[-1] == "fidelity"
     assert len(body) == 1 + 3  # t = 0, 0.05, 0.1
+
+
+def test_varqte_trajectory_moves():
+    # |0...0> is an eigenstate of the chain, so theta0 is drawn away from 0
+    argv = ("varqte", "--n", "3", "--layers", "1", "--t-final", "0.05",
+            "--dt", "0.01", "--seed", "7", "--format", "csv")
+    result = run_cli(*argv)
+    assert result.returncode == 0
+    body = [ln for ln in result.stdout.splitlines() if not ln.startswith("#")]
+    header = body[0].split(",")
+    first = dict(zip(header, map(float, body[1].split(","))))
+    last = dict(zip(header, map(float, body[-1].split(","))))
+    thetas = [c for c in header if c.startswith("theta")]
+    assert any(first[c] != last[c] for c in thetas)
+    assert first["fidelity"] == pytest.approx(1.0, abs=1e-12)
+    assert run_cli(*argv).stdout == result.stdout
+
+
+def test_cli_import_leaves_scipy_and_process_pool_unloaded():
+    # a cold start pays for scipy only when noise learning runs
+    code = (
+        "import sys, qmit.cli\n"
+        "print(sorted(m for m in ('scipy', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+        "from qmit import noise\n"
+        "model = noise.loads(%r)\n"
+        "learned, _ = noise.learn_rates_from_model(model, shots=2000, seed=3)\n"
+        "print([lam for _, lam in learned.generators])\n" % NOISE
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded, rates = result.stdout.splitlines()
+    assert loaded == "[]"
+    learned, _ = noise.learn_rates_from_model(noise.loads(NOISE), shots=2000, seed=3)
+    assert rates == repr([lam for _, lam in learned.generators])
 
 
 def test_noise_learn(noise_file):

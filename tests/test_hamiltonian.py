@@ -5,14 +5,16 @@ from scipy.linalg import expm
 from qmit.circuits import Layer, QuantumCircuit
 from qmit.hamiltonian import (
     SpinChainHamiltonian,
+    _bond_block,
     _bond_template,
+    _field_layer,
     build,
     choose_steps,
     commutator_norm_sum,
     trotter_bound_order1,
     trotter_circuit,
 )
-from qmit.pauli import Observable, parse_pauli
+from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit.simulator import observable_matrix, run_array
 
 
@@ -125,3 +127,82 @@ def test_invalid_args():
         trotter_circuit(chain, 1.0, 1, order=3)
     with pytest.raises(ValueError):
         choose_steps(chain, 1.0, 0.0)
+
+
+def reference_trotter_circuit(chain, t, steps, order):
+    """Per-step builder: every block rebuilt inside the step loop."""
+    n = chain.n
+    dt = t / steps
+    even = [j for j in range(n - 1) if j % 2 == 0]
+    odd = [j for j in range(n - 1) if j % 2 == 1]
+    layers = []
+    for step in range(steps):
+        if order == 1:
+            layers.extend(_bond_block(even, dt))
+            if odd:
+                layers.extend(_bond_block(odd, dt))
+            layers.append(_field_layer(chain.fields, dt))
+        else:
+            blocks = [even, odd] if step % 2 == 0 else [odd, even]
+            layers.append(_field_layer(chain.fields, dt / 2))
+            for bonds in blocks:
+                if bonds:
+                    layers.extend(_bond_block(bonds, dt))
+            layers.append(_field_layer(chain.fields, dt / 2))
+    return QuantumCircuit(n, layers)
+
+
+def gate_tuples(circuit):
+    return [[(g.name, g.qubits, g.param) for g in layer.gates] for layer in circuit.layers]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("order", [1, 2])
+def test_trotter_circuit_matches_per_step_builder(n, order):
+    chain = build(n, seed=5)
+    for steps in (1, 2, 3):
+        circuit = trotter_circuit(chain, 0.7, steps, order)
+        assert gate_tuples(circuit) == gate_tuples(
+            reference_trotter_circuit(chain, 0.7, steps, order))
+        # steps share Gates but no Layer object or gate list
+        assert len({id(layer) for layer in circuit.layers}) == len(circuit.layers)
+        assert len({id(layer.gates) for layer in circuit.layers}) == len(circuit.layers)
+
+
+def dense_commutator_norm_sum(obs):
+    """Spectral norm of each overlapping pair's commutator, from dense
+    matrices on the pair's joint support."""
+    def restrict(p, support):
+        x = z = 0
+        for local, q in enumerate(support):
+            x |= ((p.x_mask >> q) & 1) << local
+            z |= ((p.z_mask >> q) & 1) << local
+        return PauliString(len(support), x, z)
+
+    terms = obs.terms
+    total = 0.0
+    for i, (ci, pi) in enumerate(terms):
+        for cj, pj in terms[i + 1:]:
+            joint = pi.x_mask | pi.z_mask | pj.x_mask | pj.z_mask
+            if not (pi.x_mask | pi.z_mask) & (pj.x_mask | pj.z_mask):
+                continue
+            support = [q for q in range(obs.n_qubits) if (joint >> q) & 1]
+            a = observable_matrix(Observable.from_terms(
+                len(support), [(ci, restrict(pi, support))]))
+            b = observable_matrix(Observable.from_terms(
+                len(support), [(cj, restrict(pj, support))]))
+            total += float(np.linalg.norm(a @ b - b @ a, 2))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_commutator_norm_sum_matches_dense_svd(seed):
+    rng = np.random.default_rng(seed)
+    n = 4
+    labels = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(10)]
+    # overlapping commuting (XXII/YYII) and anticommuting (XIII/ZIII) pairs
+    labels += ["XXII", "YYII", "XIII", "ZIII"]
+    terms = [(rng.normal(), parse_pauli(lab)) for lab in labels if set(lab) != {"I"}]
+    obs = Observable.from_terms(n, terms)
+    assert commutator_norm_sum(obs) == pytest.approx(dense_commutator_norm_sum(obs),
+                                                     abs=1e-12, rel=0)

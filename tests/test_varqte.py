@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmit import varqte
 from qmit.circuits import Gate
 from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit.varqte import (
@@ -183,6 +184,23 @@ def test_heisenberg_heuristic_run():
     assert np.all(np.isfinite(traj.residuals))
     assert traj.fidelities is not None
     assert np.all((traj.fidelities >= 0) & (traj.fidelities <= 1 + 1e-9))
+
+
+def test_fidelity_tracking_builds_no_derivatives(monkeypatch):
+    # only the 4 RK4 stages per step need derivative vectors
+    calls = []
+    original = varqte.state_and_derivatives
+
+    def counting(ansatz, theta):
+        calls.append(1)
+        return original(ansatz, theta)
+
+    monkeypatch.setattr(varqte, "state_and_derivatives", counting)
+    ansatz = hardware_efficient_ansatz(2, 1)
+    h = Observable.from_terms(2, [(1.0, parse_pauli("XX")), (0.5, parse_pauli("ZI"))])
+    traj = evolve(ansatz, np.full(ansatz.n_params, 0.3), h, 0.03, 0.01)
+    assert traj.fidelities is not None and traj.fidelities[0] == pytest.approx(1.0)
+    assert len(calls) == 4 * 3
 
 
 def test_evolve_validation():
