@@ -31,9 +31,9 @@ from .simulator import (
     _apply_unitary,
     _check_statevector_size,
     apply_pauli_array,
+    compile_ops,
     density_run,
     expectation_array,
-    gate_matrix,
     pauli_gather,
     philox_rng,
 )
@@ -96,21 +96,14 @@ def per_layer(circuit: QuantumCircuit, per_layer_models) -> list:
 
 
 def _compile(circuit: QuantumCircuit, per_layer_models):
-    """Flatten the circuit into per-layer gate ops plus the noise/inverse
-    insertion table attached to each two-qubit layer."""
-    model_for_layer = dict(zip(circuit.two_qubit_layer_indices(),
-                               per_layer(circuit, per_layer_models)))
-    compiled = []
-    for i, layer in enumerate(circuit.layers):
-        ops = [(gate_matrix(g), g.qubits) for g in layer.gates]
-        gens = None
-        if i in model_for_layer:
-            gens = [
-                (p, (1.0 - np.exp(-2.0 * lam)) / 2.0)
-                for p, lam in model_for_layer[i].generators
-            ]
-        compiled.append((ops, gens))
-    return compiled
+    """[(ops, gens)]: the fused gate ops of each segment that ends at a
+    two-qubit (noisy) layer, with that layer's insertion table; the last
+    segment, after the final noisy layer, has gens None."""
+    tables = [
+        [(p, (1.0 - np.exp(-2.0 * lam)) / 2.0) for p, lam in model.generators]
+        for model in per_layer(circuit, per_layer_models)
+    ]
+    return list(zip(compile_ops(circuit, circuit.two_qubit_layer_indices()), tables + [None]))
 
 
 def _column_expectations(amps, p):
@@ -279,8 +272,10 @@ def runtime_estimate(n: int, d: int, lambda_bar: float, beta: float) -> float:
     """Total runtime d * (e^{4 lambda_bar})^{d n} * beta in units of beta."""
     if n < 0 or d < 0 or lambda_bar < 0 or beta < 0:
         raise ValueError("inputs must be nonnegative")
-    gamma_bar = np.exp(4.0 * lambda_bar)
-    return float(d * gamma_bar ** (d * n) * beta)
+    if beta == 0:
+        return 0.0  # not inf * 0 = nan where the overhead factor overflows
+    with np.errstate(over="ignore"):  # a cost beyond the float range is inf
+        return float(d * np.exp(4.0 * lambda_bar) ** (d * n) * beta)
 
 
 def overhead_table(
@@ -302,7 +297,8 @@ def overhead_table(
     for steps in steps_list:
         for lam in grid:
             d = layers_per_step * steps
-            instances = float(np.exp(4.0 * lam * d * n)) / eps ** 2
+            with np.errstate(over="ignore"):  # a count beyond the float range is inf
+                instances = float(np.exp(4.0 * lam * d * n)) / eps ** 2
             rows.append({"lambda": lam, "steps": steps, "layers": d, "instances": instances})
     return rows
 

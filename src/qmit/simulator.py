@@ -12,6 +12,13 @@ Pauli action is the signed gather `pauli_gather`; with masks
 sum is compiled once per call by `pauli_sum` into one signed diagonal per
 distinct X mask, so applying it costs one gather per mask, not per term.
 
+Gates are applied as fused ops: `compile_ops(circuit, stops)` multiplies, once
+per call, each run of gates on one or two qubits into one 2x2 or 4x4 matrix.
+The ops come in segments that end at the layer indices in `stops`, where
+something other than a gate must see the state: `density_run` stops at its
+channel layers, PEC at its noisy two-qubit layers, and `run_array` nowhere.
+Nothing is fused across a stop.
+
 RNG: all sampling uses the counter-based Philox generator. Independent
 streams are derived from (seed, stream) key pairs; parallel workers use
 their stream id as the second key word.
@@ -90,6 +97,60 @@ def _apply_unitary(arr: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n:
     # tensordot puts the gate output axes first (MSB..LSB); restore positions
     out = np.moveaxis(out, list(range(m)), axes_in)
     return np.ascontiguousarray(out).reshape((2 ** n,) + batch)
+
+
+_SWAPPED = [0, 2, 1, 3]  # 4x4 index with the two local bits exchanged
+_EYE4 = np.eye(4, dtype=complex)
+
+
+def _left(u: np.ndarray, mat: np.ndarray, bit: int) -> np.ndarray:
+    """(u on local bit `bit`) @ mat for a 4x4 mat, without a kron."""
+    if bit:
+        return (u @ mat.reshape(2, 8)).reshape(4, 4)
+    return (u @ mat.reshape(2, 2, 4)).reshape(4, 4)
+
+
+def compile_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
+    """The circuit's gates as fused (matrix, qubits) ops, one list per segment:
+    a segment ends after each layer whose index is in `stops`, and the last
+    one holds the layers after the final stop. Within a segment, a 1q gate
+    folds into the last op on its qubit, a 2q gate on the pair of the last op
+    on both its qubits folds into that op, and a new 2q op absorbs the 1q ops
+    still pending on its qubits. Nothing is fused across a stop."""
+    stops = set(stops)
+    segments = []
+    ops: list = []
+    last: dict[int, int] = {}  # qubit -> index in ops of the last op on it
+    for i, layer in enumerate(circuit.layers):
+        for gate in layer.gates:
+            g = gate_matrix(gate)
+            qs = gate.qubits
+            k = last.get(qs[0])
+            if len(qs) == 1:
+                if k is None:
+                    last[qs[0]] = len(ops)
+                    ops.append([g, qs])
+                elif len(ops[k][1]) == 1:
+                    ops[k][0] = g @ ops[k][0]
+                else:
+                    ops[k][0] = _left(g, ops[k][0], ops[k][1].index(qs[0]))
+            elif k is not None and k == last.get(qs[1]):
+                if ops[k][1] != qs:  # same pair, reversed local order
+                    g = g[_SWAPPED][:, _SWAPPED]
+                ops[k][0] = g @ ops[k][0]
+            else:
+                for bit, q in enumerate(qs):
+                    j = last.get(q)
+                    if j is not None and len(ops[j][1]) == 1:  # pending 1q op on q
+                        g = g @ _left(ops[j][0], _EYE4, bit)
+                        ops[j] = None
+                    last[q] = len(ops)
+                ops.append([g, qs])
+        if i in stops:
+            segments.append([tuple(op) for op in ops if op is not None])
+            ops, last = [], {}
+    segments.append([tuple(op) for op in ops if op is not None])
+    return segments
 
 
 def _popcount(values: np.ndarray) -> np.ndarray:
@@ -218,9 +279,9 @@ class Statevector:
 def run_array(circuit: QuantumCircuit, amps: np.ndarray) -> np.ndarray:
     """Gate application on a raw amplitude array (no per-gate norm checks)."""
     n = circuit.n_qubits
-    for layer in circuit.layers:
-        for gate in layer.gates:
-            amps = _apply_unitary(amps, gate_matrix(gate), gate.qubits, n)
+    (ops,) = compile_ops(circuit, ())
+    for mat, qubits in ops:
+        amps = _apply_unitary(amps, mat, qubits, n)
     return amps
 
 
@@ -329,13 +390,13 @@ def density_run(circuit: QuantumCircuit, rho0: DensityMatrix, channels=None) -> 
     n = circuit.n_qubits
     mat = rho0.matrix
     channels = channels or {}
-    for i, layer in enumerate(circuit.layers):
-        for gate in layer.gates:  # U on the row qubits q + n, conj(U) on the columns
-            u = gate_matrix(gate)
-            vec = _apply_unitary(mat.reshape(-1), u, tuple(q + n for q in gate.qubits), 2 * n)
-            mat = _apply_unitary(vec, u.conj(), gate.qubits, 2 * n).reshape(mat.shape)
-        if i in channels:
-            mat = channels[i](mat)
+    stops = [i for i in range(len(circuit.layers)) if i in channels]
+    for ops, stop in zip(compile_ops(circuit, stops), stops + [None]):
+        for u, qubits in ops:  # U on the row qubits q + n, conj(U) on the columns
+            vec = _apply_unitary(mat.reshape(-1), u, tuple(q + n for q in qubits), 2 * n)
+            mat = _apply_unitary(vec, u.conj(), qubits, 2 * n).reshape(mat.shape)
+        if stop is not None:
+            mat = channels[stop](mat)
             if abs(np.trace(mat).real - 1.0) > 1e-10:
                 raise ValueError("channel did not preserve the trace")
     return DensityMatrix(n, mat)

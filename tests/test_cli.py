@@ -111,6 +111,29 @@ def test_overhead_table_csv():
     assert body[1].startswith("0.0001,100,200,")
 
 
+def test_overhead_table_overflow_prints_inf_quietly():
+    result = run_cli("overhead-table", "--n", "100000000", "--steps", "100000000",
+                     "--lambdas", "1e-3", "--format", "csv")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == "0.001,100000000,200000000,inf"
+
+
+def test_overhead_table_values_unchanged():
+    result = run_cli("overhead-table", "--n", "100", "--steps", "50,100",
+                     "--lambdas", "1e-4,2.3e-4,3e-4", "--eps", "0.01", "--format", "csv")
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.splitlines()[3:] == [
+        "lambda,steps,layers,instances",
+        "0.0001,50,100,545981.5003314423",
+        "0.00023,50,100,98971290.58743909",
+        "0.0003,50,100,1627547914.1900392",
+        "0.0001,100,200,29809579.870417282",
+        "0.00023,100,200,979531636054.3308",
+        "0.0003,100,200,264891221298434.7",
+    ]
+
+
 def test_varqte_csv_schema():
     result = run_cli("varqte", "--n", "2", "--layers", "0", "--t-final", "0.1",
                      "--dt", "0.05", "--format", "csv")

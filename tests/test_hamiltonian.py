@@ -206,3 +206,41 @@ def test_commutator_norm_sum_matches_dense_svd(seed):
     obs = Observable.from_terms(n, terms)
     assert commutator_norm_sum(obs) == pytest.approx(dense_commutator_norm_sum(obs),
                                                      abs=1e-12, rel=0)
+
+
+def all_pairs_commutator_norm_sum(obs):
+    """Every term pair, i then j > i: the loop the overlap index must
+    reproduce bit for bit."""
+    terms = obs.terms
+    total = 0.0
+    for i, (ci, pi) in enumerate(terms):
+        for cj, pj in terms[i + 1:]:
+            if not pi.commutes(pj):
+                total += 2 * abs(ci * cj)
+    return total
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_commutator_norm_sum_equals_the_all_pairs_loop(n):
+    for chain in (build(n), build(n, seed=n), build(n, seed=1000 + n)):
+        obs = chain.observable()
+        assert commutator_norm_sum(obs) == all_pairs_commutator_norm_sum(obs)
+    # random observables, identity and repeated terms included
+    rng = np.random.default_rng(n)
+    labels = ["".join(rng.choice(list("IXYZ"), size=n, p=[0.7, 0.1, 0.1, 0.1]))
+              for _ in range(3 * n)] + ["I" * n, "X" + "I" * (n - 1)] * 2
+    obs = Observable.from_terms(n, [(rng.normal(), parse_pauli(lab)) for lab in labels])
+    assert commutator_norm_sum(obs) == all_pairs_commutator_norm_sum(obs)
+
+
+def test_commutator_norm_sum_visits_only_overlapping_pairs(monkeypatch):
+    obs = build(100, seed=5).observable()
+    calls = []
+    commutes = PauliString.commutes
+    monkeypatch.setattr(PauliString, "commutes",
+                        lambda self, other: calls.append(1) or commutes(self, other))
+    expected = all_pairs_commutator_norm_sum(obs)
+    calls.clear()
+    assert commutator_norm_sum(obs) == expected
+    # each term shares a qubit with at most 13 later ones; all pairs would be 78,606
+    assert len(obs.terms) == 397 and len(calls) <= 13 * len(obs.terms)

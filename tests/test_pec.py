@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from qmit.simulator import (
     apply_pauli_array,
     expectation,
     expectation_array,
+    gate_matrix,
     philox_rng,
     run,
 )
@@ -197,14 +200,29 @@ def reference_sample(compiled, n, obs, mode, rng):
     return sign * value
 
 
-def reference_values(circuit, models, obs, samples, seed, mode):
-    compiled = pec._compile(circuit, models)
+def reference_values(circuit, models, obs, samples, seed, mode, compiler=pec._compile):
+    compiled = compiler(circuit, models)
     values = []
     for start in range(0, samples, pec.CHUNK_SIZE):
         rng = philox_rng(seed, start // pec.CHUNK_SIZE)
         for _ in range(min(pec.CHUNK_SIZE, samples - start)):
             values.append(reference_sample(compiled, circuit.n_qubits, obs, mode, rng))
     return np.array(values)
+
+
+def unfused_compile(circuit, models):
+    """Per-layer gate ops, one gate_matrix per gate, with each noisy layer's
+    insertion table: the compile before fusion, as an independent reference."""
+    model_for_layer = dict(zip(circuit.two_qubit_layer_indices(),
+                               pec.per_layer(circuit, models)))
+    compiled = []
+    for i, layer in enumerate(circuit.layers):
+        gens = None
+        if i in model_for_layer:
+            gens = [(p, (1.0 - np.exp(-2.0 * lam)) / 2.0)
+                    for p, lam in model_for_layer[i].generators]
+        compiled.append(([(gate_matrix(g), g.qubits) for g in layer.gates], gens))
+    return compiled
 
 
 def batched_values(circuit, models, obs, samples, seed, mode):
@@ -255,6 +273,28 @@ def test_batched_chunks_match_reference(n, samples):
     assert np.unique(analytic).size > 1  # insertions actually happened
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_fused_samples_match_the_unfused_compile(n):
+    circuit, models, obs = wide_instance(n)
+    # a 1q layer absorbed by a reversed cx in one more noisy layer, then 1q
+    # gates after the last noisy layer
+    circuit = circuit.concat(QuantumCircuit(n, [
+        Layer([Gate("rx", (q,), 0.3 + q) for q in range(n)]),
+        Layer([Gate("cx", (1, 0))]),
+        Layer([Gate("h", (0,)), Gate("s", (1,))]),
+    ]))
+    models = models + models[:1]
+    compiled = pec._compile(circuit, models)
+    assert sum(len(ops) for ops, _ in compiled) < circuit.gate_count()
+    assert [gens is not None for _, gens in compiled] == [True] * len(models) + [False]
+    samples = 300
+    fused = batched_values(circuit, models, obs, samples, 5, "analytic")
+    unfused = reference_values(circuit, models, obs, samples, 5, "analytic",
+                               compiler=unfused_compile)
+    assert np.abs(fused - unfused).max() < 1e-12
+    assert np.unique(unfused).size > 1
+
+
 def test_batched_estimate_matches_reference():
     circuit, models, obs = wide_instance(4)
     samples = pec.CHUNK_SIZE + 5
@@ -291,6 +331,17 @@ def test_runtime_estimate_values():
     assert runtime_estimate(50, 20, 0.0, 2.0) == pytest.approx(40.0)
     with pytest.raises(ValueError):
         runtime_estimate(-1, 1, 0.1, 1.0)
+
+
+def test_cost_models_overflow_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert runtime_estimate(10 ** 8, 10 ** 8, 1e-3, 1.0) == np.inf
+        assert runtime_estimate(10 ** 8, 10 ** 8, 1e-3, 0.0) == 0.0
+        (row,) = overhead_table(10 ** 8, [10 ** 8], [1e-3])
+        assert row["instances"] == np.inf
+        (row,) = overhead_table(10 ** 8, [10 ** 8], [0.0], eps=1e-3)
+        assert row["instances"] == pytest.approx(1e6)
 
 
 def test_overhead_table_crossing():

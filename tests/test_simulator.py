@@ -3,14 +3,17 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import bell_circuit, random_circuit
-from qmit.circuits import Gate, Layer, QuantumCircuit
+from qmit.circuits import PARAMETRIC_GATES, Gate, Layer, QuantumCircuit
+from qmit.hamiltonian import _bond_template, build, trotter_circuit
 from qmit.noise import PauliLindbladModel, virtual_distillation_expectation
 from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit.simulator import (
     DensityMatrix,
     Statevector,
+    _apply_unitary,
     apply_pauli_array,
     apply_pauli_sum,
+    compile_ops,
     density_run,
     evolve_exact,
     expectation,
@@ -303,3 +306,127 @@ def test_evolve_exact_matches_expm_on_random_hamiltonians(seed):
         got = evolve_exact(h, psi, t).amplitudes
         expected = expm(-1j * t * observable_matrix(h)) @ psi.amplitudes
         assert np.abs(got - expected).max() < 1e-12
+
+
+# -- fused ops against the gate-by-gate reference -----------------------------
+
+def gate_by_gate(n, layers, amps):
+    """Unfused reference: one gate_matrix and one _apply_unitary per gate."""
+    for layer in layers:
+        for g in layer.gates:
+            amps = _apply_unitary(amps, gate_matrix(g), g.qubits, n)
+    return amps
+
+
+def apply_ops(n, ops, amps):
+    for mat, qubits in ops:
+        assert mat.shape == (2 ** len(qubits),) * 2
+        amps = _apply_unitary(amps, mat, qubits, n)
+    return amps
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_gate(rng, name, qubits):
+    if name == "u":
+        return Gate("u", qubits, matrix=random_unitary(rng, 2 ** len(qubits)))
+    if name in PARAMETRIC_GATES:
+        return Gate(name, qubits, float(rng.uniform(-np.pi, np.pi)))
+    return Gate(name, qubits)
+
+
+def fusion_circuit(rng, n, n_layers):
+    """Every gate kind. Two-qubit gates sit on a few pairs, in both qubit
+    orders, so that runs on one pair, reversed pairs and pending 1q gates
+    all occur; qubit n - 1 only ever gets 1q gates."""
+    one_q = ["h", "s", "sdg", "x", "y", "z", "rx", "ry", "rz", "u"]
+    two_q = ["cx", "swap", "rxx", "ryy", "rzz", "u"]
+    pairs = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0)]
+    layers = []
+    for _ in range(n_layers):
+        gates, used = [], ()
+        if rng.random() < 0.6:
+            used = pairs[int(rng.integers(len(pairs)))]
+            gates.append(random_gate(rng, str(rng.choice(two_q)), used))
+        for q in range(n):
+            if q not in used and rng.random() < 0.5:
+                gates.append(random_gate(rng, str(rng.choice(one_q)), (q,)))
+        layers.append(Layer(gates))
+    return QuantumCircuit(n, layers)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_run_matches_gate_by_gate(seed):
+    rng = np.random.default_rng(300 + seed)
+    n = 4
+    circuit = fusion_circuit(rng, n, 20)
+    (ops,) = compile_ops(circuit, ())
+    assert len(ops) < circuit.gate_count()
+    assert any(len(q) == 1 and q[0] == n - 1 for _, q in ops)  # never meets a 2q gate
+    for shape in ((2 ** n,), (2 ** n, 3)):
+        amps = random_state(rng, shape)
+        expected = gate_by_gate(n, circuit.layers, amps)
+        assert np.abs(run_array(circuit, amps) - expected).max() < 1e-12
+        assert np.abs(apply_ops(n, ops, amps) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compile_ops_never_fuses_across_a_stop(seed):
+    rng = np.random.default_rng(400 + seed)
+    n = 4
+    circuit = fusion_circuit(rng, n, 16)
+    stops = sorted(int(i) for i in rng.choice(16, size=5, replace=False))
+    segments = compile_ops(circuit, stops)
+    assert len(segments) == len(stops) + 1
+    amps = random_state(rng, (2 ** n, 2))
+    fused = amps
+    for ops, end in zip(segments, stops + [len(circuit.layers) - 1]):
+        fused = apply_ops(n, ops, fused)
+        expected = gate_by_gate(n, circuit.layers[:end + 1], amps)
+        assert np.abs(fused - expected).max() < 1e-12
+
+
+def test_bond_template_fuses_into_one_op():
+    theta = 0.37
+    circuit = QuantumCircuit(2, [Layer(g) for g in _bond_template(0, 1, theta)])
+    ((mat, qubits),) = compile_ops(circuit, ())[0]
+    assert qubits == (1, 0)  # the template's first 2q gate is cx(1, 0)
+    expected = gate_by_gate(2, circuit.layers, np.eye(4, dtype=complex))
+    swap = [0, 2, 1, 3]
+    assert np.abs(mat[swap][:, swap] - expected).max() < 1e-12
+    # order 2, two steps: the even bonds, the odd bonds, then step 2's odd
+    # bonds fold into step 1's and its even bonds open new ops
+    chain = build(6, seed=3)
+    (ops,) = compile_ops(trotter_circuit(chain, 1.0, 2, 2), ())
+    assert len(ops) == 3 + 2 + 3
+
+
+def test_density_channel_at_a_stop_sees_the_unfused_rho():
+    rng = np.random.default_rng(41)
+    n, dim = 3, 8
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    circuit = fusion_circuit(rng, n, 14)
+    model = PauliLindbladModel(n, ((parse_pauli("YXI"), 0.07), (parse_pauli("IZZ"), 0.04)))
+    stops = [2, 3, 9, 12]
+    seen = []
+
+    def channel(mat):
+        seen.append(mat.copy())
+        return model.apply_to_matrix(mat)
+
+    final = density_run(circuit, DensityMatrix(n, rho), {i: channel for i in stops}).matrix
+    expected = rho
+    for i, layer in enumerate(circuit.layers):
+        # U rho U^dag gate by gate: U on the columns of rho, then of its adjoint
+        expected = gate_by_gate(n, [layer], expected)
+        expected = gate_by_gate(n, [layer], expected.conj().T).conj().T
+        if i in stops:
+            assert np.abs(seen[stops.index(i)] - expected).max() < 1e-12
+            expected = model.apply_to_matrix(expected)
+    assert len(seen) == len(stops)
+    assert np.abs(final - expected).max() < 1e-12
