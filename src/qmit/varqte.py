@@ -1,19 +1,27 @@
 """Variational quantum time evolution.
 
 The ansatz is an ordered list of parameterized Pauli rotations
-exp(-i theta_p G_p / 2) interleaved with fixed gates.  Projecting the
-Schroedinger equation onto the ansatz manifold gives a linear system in
-theta-dot; two variants are provided:
+exp(-i theta_p G_p / 2) interleaved with fixed gates.  One pass over it
+yields |phi> and the K derivative vectors d_p = d|phi>/d theta_p, carried
+as the columns of one (2^n, K) block: every element is applied to the
+state and once to the block, and the rotation with index p then adds
+(-i G_p/2) times the state to column p.  The block is capped like one
+statevector: (K + 1) 2^n amplitudes at most.
 
-* ``tdvp``: M theta-dot = V with M_pq = Im<d_p phi|d_q phi> and
-  V_p = -Re<d_p phi|H|phi>.  M is antisymmetric, hence singular for odd
-  parameter counts and degenerate on simple real ansaetze.
+Projecting the Schroedinger equation onto the ansatz manifold gives a
+linear system in theta-dot.  With D the (K, 2^n) array whose rows are the
+d_p, both variants are Gram products:
+
+* ``tdvp``: M theta-dot = V with M = Im(conj(D) D^T), i.e.
+  M_pq = Im<d_p|d_q>, and V = -Re(conj(D) H|phi>).  M is antisymmetric,
+  hence singular for odd parameter counts and degenerate on simple real
+  ansaetze.
 * ``mclachlan`` (default): A theta-dot = C obtained by minimizing the
   norm of the projected residual (1 - |phi><phi|)(d/dt + iH)|phi>, which
   fixes the global-phase gauge:
 
-      A_pq = Re<d_p|d_q> - b_p b_q,
-      C_p  = Im<d_p|H|phi> - b_p <H>,       b_p = Im<d_p phi|phi>.
+      A = Re(conj(D) D^T) - b b^T,     b = Im(conj(D) |phi>),
+      C = Im(conj(D) H|phi>) - b <H>.
 
   A is the real Gram matrix of the projected derivative vectors, so it is
   symmetric positive semidefinite.
@@ -28,6 +36,7 @@ import numpy as np
 from .circuits import Gate
 from .pauli import Observable, PauliString
 from .simulator import (
+    MAX_STATEVECTOR_QUBITS,
     Statevector,
     _apply_unitary,
     apply_pauli_array,
@@ -87,79 +96,84 @@ class Ansatz:
                        if isinstance(e, RotationElement))
 
 
-def _apply_element(amps: np.ndarray, element, theta) -> np.ndarray:
+def _apply_element(amps: np.ndarray, element, theta, n: int) -> np.ndarray:
+    """One ansatz element on axis 0 of amps (length 2**n); trailing axes are
+    a batch."""
     if isinstance(element, FixedElement):
         g = element.gate
-        return _apply_unitary(amps, gate_matrix(g), g.qubits, int(np.log2(amps.size)))
+        return _apply_unitary(amps, gate_matrix(g), g.qubits, n)
     t = theta[element.param_index]
     return cos(t / 2) * amps - 1j * sin(t / 2) * apply_pauli_array(amps, element.generator)
 
 
-def _prefix_states(ansatz: Ansatz, theta) -> list[np.ndarray]:
-    """|0...0> followed by the state after each element; the last is
-    |phi(theta)>."""
+def _state(ansatz: Ansatz, theta) -> np.ndarray:
+    """|phi(theta)> by the forward pass alone."""
     amps = np.zeros(2 ** ansatz.n_qubits, dtype=complex)
     amps[0] = 1.0
-    prefixes = [amps]
     for element in ansatz.elements:
-        amps = _apply_element(amps, element, theta)
-        prefixes.append(amps)
-    return prefixes
+        amps = _apply_element(amps, element, theta, ansatz.n_qubits)
+    return amps
 
 
 def state_and_derivatives(ansatz: Ansatz, theta):
-    """|phi(theta)> and the exact derivative vectors d|phi>/d theta_p.
+    """|phi(theta)> and the exact derivative vectors d|phi>/d theta_p as the
+    rows of a (K, 2^n) array.
 
-    Each rotation contributes (-i G/2) inserted at its own position;
-    contributions for a tied parameter are summed.
+    One pass over the ansatz carries the state and a (2^n, K) block whose
+    column p is the derivative so far: each element is applied to both, and
+    the rotation with index p then adds (-i G/2) times the state to column
+    p, so the contributions of a tied parameter sum. Columns past the
+    highest index reached so far are still zero, so elements skip them.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.n_params,):
         raise ValueError(
             "expected %d parameters, got shape %r" % (ansatz.n_params, theta.shape)
         )
-    n = ansatz.n_qubits
-    prefixes = _prefix_states(ansatz, theta)
-    derivs = [np.zeros(2 ** n, dtype=complex) for _ in range(ansatz.n_params)]
-    for j, element in enumerate(ansatz.elements):
-        if not isinstance(element, RotationElement):
-            continue
-        vec = -0.5j * apply_pauli_array(prefixes[j + 1], element.generator)
-        for rest in ansatz.elements[j + 1:]:
-            vec = _apply_element(vec, rest, theta)
-        derivs[element.param_index] += vec
-    return Statevector(n, prefixes[-1]), derivs
+    n, k = ansatz.n_qubits, ansatz.n_params
+    if (k + 1) << n > 1 << MAX_STATEVECTOR_QUBITS:
+        raise ValueError(
+            "state and %d derivative vectors need %d amplitudes; capped at 2^%d"
+            % (k, (k + 1) << n, MAX_STATEVECTOR_QUBITS)
+        )
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0] = 1.0
+    block = np.zeros((2 ** n, k), dtype=complex)
+    w = 0
+    for element in ansatz.elements:
+        amps = _apply_element(amps, element, theta, n)
+        if w:
+            block[:, :w] = _apply_element(block[:, :w], element, theta, n)
+        if isinstance(element, RotationElement):
+            w = max(w, element.param_index + 1)
+            block[:, element.param_index] += -0.5j * apply_pauli_array(amps, element.generator)
+    return Statevector(n, amps), block.T
 
 
 def compute_M(derivs) -> np.ndarray:
     """M_pq = Im<d_p phi | d_q phi>; antisymmetric."""
-    k = len(derivs)
-    m = np.zeros((k, k))
-    for p in range(k):
-        for q in range(k):
-            m[p, q] = np.vdot(derivs[p], derivs[q]).imag
-    return m
+    d = np.asarray(derivs)
+    return (d.conj() @ d.T).imag
 
 
 def compute_V(derivs, state: Statevector, hamiltonian: Observable) -> np.ndarray:
     """V_p = -Re<d_p phi | H | phi>."""
     h_phi = apply_pauli_sum(state.amplitudes, pauli_sum(hamiltonian))
-    return np.array([-np.vdot(d, h_phi).real for d in derivs])
+    return -(np.asarray(derivs).conj() @ h_phi).real
 
 
 def compute_mclachlan(derivs, state: Statevector, hamiltonian: Observable):
     """Global-phase-corrected real-time McLachlan system (A, C)."""
-    k = len(derivs)
+    d = np.asarray(derivs)
+    d_bar = d.conj()
     amps = state.amplitudes
-    b = np.array([np.vdot(d, amps).imag for d in derivs])
-    a = np.zeros((k, k))
-    for p in range(k):
-        for q in range(p, k):
-            a[p, q] = a[q, p] = np.vdot(derivs[p], derivs[q]).real - b[p] * b[q]
+    b = (d_bar @ amps).imag
+    gram = (d_bar @ d.T).real
+    # averaged with its transpose, A is symmetric whatever order the BLAS sums in
+    a = 0.5 * (gram + gram.T) - np.outer(b, b)
     h_phi = apply_pauli_sum(amps, pauli_sum(hamiltonian))
     energy = np.vdot(amps, h_phi).real
-    c = np.array([np.vdot(d, h_phi).imag - b[p] * energy
-                  for p, d in enumerate(derivs)])
+    c = (d_bar @ h_phi).imag - b * energy
     return a, c
 
 
@@ -240,10 +254,10 @@ def evolve(
         # Taylor work grows with t_final, not with its square; only the states
         # are needed, so no derivative vectors are built
         fids = []
-        exact = Statevector(ansatz.n_qubits, _prefix_states(ansatz, thetas[0])[-1])
+        exact = Statevector(ansatz.n_qubits, _state(ansatz, thetas[0]))
         previous = 0.0
         for t, th in zip(times, thetas):
-            state = _prefix_states(ansatz, th)[-1]
+            state = _state(ansatz, th)
             exact = evolve_exact(hamiltonian, exact, t - previous)
             previous = t
             fids.append(min(1.0, abs(np.vdot(exact.amplitudes, state)) ** 2))

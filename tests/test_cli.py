@@ -229,3 +229,15 @@ def test_std_error_prints_as_a_float(bell_file, noise_file, fmt, capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "np.float64(" not in out
+
+
+def test_varqte_derivative_block_too_large_is_a_validation_error():
+    # K = 120 derivative vectors of 2^20 amplitudes: rejected before allocation
+    result = subprocess.run(
+        [sys.executable, "-m", "qmit.cli", "varqte", "--n", "20", "--layers", "2",
+         "--t-final", "0.01", "--dt", "0.01"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 3
+    assert "validation error" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -212,3 +212,215 @@ def test_evolve_validation():
     with pytest.raises(ValueError):
         evolve(rx_ansatz(), [0.0], Observable.from_label("X"), 1.0, 0.1,
                method="euler")
+
+
+# --- reference: the per-vector derivative loop and double-loop Gram systems ---
+
+def reference_state_and_derivatives(ansatz, theta):
+    """Each derivative vector pushed through the rest of the ansatz on its
+    own, one element application at a time; tied parameters summed."""
+    from math import cos, sin
+
+    from qmit.simulator import _apply_unitary, apply_pauli_array, gate_matrix
+
+    n = ansatz.n_qubits
+
+    def apply(amps, element):
+        if isinstance(element, FixedElement):
+            g = element.gate
+            return _apply_unitary(amps, gate_matrix(g), g.qubits, n)
+        t = theta[element.param_index]
+        return cos(t / 2) * amps - 1j * sin(t / 2) * apply_pauli_array(amps, element.generator)
+
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0] = 1.0
+    prefixes = [amps]
+    for element in ansatz.elements:
+        amps = apply(amps, element)
+        prefixes.append(amps)
+    derivs = [np.zeros(2 ** n, dtype=complex) for _ in range(ansatz.n_params)]
+    for j, element in enumerate(ansatz.elements):
+        if not isinstance(element, RotationElement):
+            continue
+        vec = -0.5j * apply_pauli_array(prefixes[j + 1], element.generator)
+        for rest in ansatz.elements[j + 1:]:
+            vec = apply(vec, rest)
+        derivs[element.param_index] += vec
+    return prefixes[-1], derivs
+
+
+def reference_systems(derivs, amps, hamiltonian):
+    from qmit.simulator import observable_matrix
+
+    k = len(derivs)
+    h_phi = observable_matrix(hamiltonian) @ amps
+    energy = np.vdot(amps, h_phi).real
+    b = np.array([np.vdot(d, amps).imag for d in derivs])
+    m = np.zeros((k, k))
+    a = np.zeros((k, k))
+    for p in range(k):
+        for q in range(k):
+            gram = np.vdot(derivs[p], derivs[q])
+            m[p, q] = gram.imag
+            a[p, q] = gram.real - b[p] * b[q]
+    v = np.array([-np.vdot(d, h_phi).real for d in derivs])
+    c = np.array([np.vdot(d, h_phi).imag - b[p] * energy for p, d in enumerate(derivs)])
+    return m, v, a, c
+
+
+_FIXED_GATES = [("h", 1), ("x", 1), ("y", 1), ("s", 1), ("sdg", 1), ("rx", 1),
+                ("rz", 1), ("cx", 2), ("swap", 2), ("rzz", 2), ("rxx", 2)]
+
+
+def rich_random_ansatz(rng, n_qubits, n_elements):
+    """Multi-qubit generators, fixed gates of every arity on ordered pairs in
+    both orders, and tied parameters (indices drawn with repetition)."""
+    n_params = max(1, n_elements // 2)
+    indices = list(range(n_params)) + list(rng.integers(0, n_params, size=n_elements))
+    rng.shuffle(indices)
+    elements = []
+    for p in indices:
+        if rng.random() < 0.4:
+            name, arity = _FIXED_GATES[rng.integers(len(_FIXED_GATES))]
+            if arity <= n_qubits:
+                qubits = tuple(int(q) for q in rng.choice(n_qubits, size=arity, replace=False))
+                param = float(rng.uniform(-np.pi, np.pi)) if name.startswith("r") else None
+                elements.append(FixedElement(Gate(name, qubits, param)))
+        label = "".join(rng.choice(list("IXYZ"), size=n_qubits))
+        if set(label) == {"I"}:
+            label = "Y" + label[1:]
+        elements.append(RotationElement(parse_pauli(label), int(p)))
+    return Ansatz(n_qubits, tuple(elements))
+
+
+def random_hamiltonian(rng, n_qubits, n_terms=5):
+    terms = []
+    for _ in range(n_terms):
+        label = "".join(rng.choice(list("IXYZ"), size=n_qubits))
+        terms.append((float(rng.normal()), parse_pauli(label)))
+    return Observable.from_terms(n_qubits, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_block_derivatives_bit_identical_on_hardware_efficient(n, layers):
+    rng = np.random.default_rng(100 * n + layers)
+    ansatz = hardware_efficient_ansatz(n, layers)
+    theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+    state, derivs = state_and_derivatives(ansatz, theta)
+    ref_state, ref_derivs = reference_state_and_derivatives(ansatz, theta)
+    assert derivs.shape == (ansatz.n_params, 2 ** n)
+    assert len(derivs) == ansatz.n_params
+    assert np.array_equal(state.amplitudes, ref_state)
+    for d, r in zip(derivs, ref_derivs):
+        assert np.array_equal(d, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_derivatives_match_reference_on_random_ansatz(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(6):
+        ansatz = rich_random_ansatz(rng, n, int(rng.integers(2, 14)))
+        theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+        state, derivs = state_and_derivatives(ansatz, theta)
+        ref_state, ref_derivs = reference_state_and_derivatives(ansatz, theta)
+        assert np.abs(state.amplitudes - ref_state).max() < 1e-12
+        assert len(derivs) == len(ref_derivs)
+        for p in range(ansatz.n_params):
+            assert np.abs(derivs[p] - ref_derivs[p]).max() < 1e-12
+
+
+def test_rich_random_ansatz_ties_parameters():
+    # the random family above really exercises tied parameters and fixed gates
+    rng = np.random.default_rng(3)
+    ansatz = rich_random_ansatz(rng, 3, 12)
+    rotations = [e.param_index for e in ansatz.elements if isinstance(e, RotationElement)]
+    assert len(rotations) > ansatz.n_params
+    assert any(isinstance(e, FixedElement) for e in ansatz.elements)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gram_systems_match_double_loop_oracle(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(4):
+        ansatz = rich_random_ansatz(rng, n, int(rng.integers(2, 14)))
+        theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+        h = random_hamiltonian(rng, n)
+        state, derivs = state_and_derivatives(ansatz, theta)
+        m_ref, v_ref, a_ref, c_ref = reference_systems(list(derivs), state.amplitudes, h)
+        m = compute_M(derivs)
+        v = compute_V(derivs, state, h)
+        a, c = compute_mclachlan(derivs, state, h)
+        assert np.abs(m - m_ref).max() < 1e-12
+        assert np.abs(v - v_ref).max() < 1e-12
+        assert np.abs(a - a_ref).max() < 1e-12
+        assert np.abs(c - c_ref).max() < 1e-12
+
+
+def test_gram_systems_accept_a_list_of_vectors():
+    rng = np.random.default_rng(5)
+    ansatz = rich_random_ansatz(rng, 3, 8)
+    theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+    h = random_hamiltonian(rng, 3)
+    state, derivs = state_and_derivatives(ansatz, theta)
+    rows = [np.array(d) for d in derivs]
+    assert np.abs(compute_M(rows) - compute_M(derivs)).max() < 1e-14
+    assert np.abs(compute_V(rows, state, h) - compute_V(derivs, state, h)).max() < 1e-14
+    for x, y in zip(compute_mclachlan(rows, state, h), compute_mclachlan(derivs, state, h)):
+        assert np.abs(x - y).max() < 1e-14
+
+
+def test_a_exactly_symmetric_m_antisymmetric():
+    # odd parameter counts included: a BLAS Gram product need not come out
+    # exactly symmetric there
+    rng = np.random.default_rng(11)
+    ansaetze = [hardware_efficient_ansatz(n, layers) for n in (2, 4, 6) for layers in (1, 2)]
+    ansaetze += [rich_random_ansatz(rng, n, size) for n in (3, 5) for size in (10, 14, 26)]
+    assert any(a.n_params % 2 for a in ansaetze)
+    for ansatz in ansaetze:
+        n = ansatz.n_qubits
+        theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+        state, derivs = state_and_derivatives(ansatz, theta)
+        a, _ = compute_mclachlan(derivs, state, random_hamiltonian(rng, n))
+        m = compute_M(derivs)
+        assert np.array_equal(a, a.T)
+        assert np.abs(m + m.T).max() < 1e-10
+
+
+def test_derivative_block_cost_checked_before_allocation(monkeypatch):
+    # (K + 1) * 2^n amplitudes may not exceed one capped statevector
+    monkeypatch.setattr(varqte, "MAX_STATEVECTOR_QUBITS", 6)
+    allowed = hardware_efficient_ansatz(3, 0)  # K = 6: 7 * 8 = 56 <= 64
+    state_and_derivatives(allowed, np.zeros(allowed.n_params))
+    rejected = hardware_efficient_ansatz(3, 1)  # K = 12: 13 * 8 = 104 > 64
+    theta = np.zeros(rejected.n_params)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the cost check")
+
+    monkeypatch.setattr(varqte.np, "zeros", no_allocation)
+    with pytest.raises(ValueError, match="amplitudes"):
+        state_and_derivatives(rejected, theta)
+
+
+def test_derivative_block_cap_at_default_size():
+    # at two entangling layers K = 6n, so n = 18 needs 109 * 2^18 > 2^24
+    ansatz = hardware_efficient_ansatz(18, 2)
+    with pytest.raises(ValueError):
+        state_and_derivatives(ansatz, np.zeros(ansatz.n_params))
+
+
+def test_fidelity_tracking_matches_the_reference_states():
+    rng = np.random.default_rng(9)
+    ansatz = hardware_efficient_ansatz(3, 1)
+    h = random_hamiltonian(rng, 3)
+    traj = evolve(ansatz, rng.uniform(-0.5, 0.5, size=ansatz.n_params), h, 0.04, 0.01)
+    from qmit.simulator import Statevector, evolve_exact
+
+    exact = Statevector(3, reference_state_and_derivatives(ansatz, traj.thetas[0])[0])
+    previous = 0.0
+    for t, th, fid in zip(traj.times, traj.thetas, traj.fidelities):
+        exact = evolve_exact(h, exact, t - previous)
+        previous = t
+        state = reference_state_and_derivatives(ansatz, th)[0]
+        assert fid == min(1.0, abs(np.vdot(exact.amplitudes, state)) ** 2)
