@@ -150,12 +150,10 @@ def _cmd_zne(args, out):
     circuit = _load_circuit(args.circuit)
     model = _load_noise(args.noise)
     obs = _parse_observable(args.observable, circuit.n_qubits)
-    factors = [float(f) for f in args.factors.split(",")]
-    rows = [
-        {"scale": c, "value": pec.noisy_expectation(circuit, model.scaled(c), obs)}
-        for c in factors
-    ]
-    extrapolated = pec.zne_estimate(circuit, model, obs, factors, args.order)
+    factors = pec._zne_factors(args.factors.split(","), args.order)
+    values = [pec.noisy_expectation(circuit, model.scaled(c), obs) for c in factors]
+    extrapolated = pec._zne_intercept(factors, values, args.order)
+    rows = [{"scale": c, "value": v} for c, v in zip(factors, values)]
     _emit(out, ["scale", "value"], rows, args.format)
     out.write("# extrapolated: %r\n" % extrapolated)
 

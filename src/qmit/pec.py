@@ -7,14 +7,18 @@ into fixed-size chunks, chunk c draws from Philox stream (seed, c), and
 chunk results are merged in chunk order.
 
 A chunk is sampled as a whole. Every sample consumes a fixed number of
-uniforms (two per generator of each noisy layer, plus one per observable
-term in shot mode), so the chunk draws them as one (count, draws) Philox
-block whose rows are exactly the numbers a sample-by-sample loop would draw.
-The samples are then evolved together as the columns of one (2^n, B)
-amplitude array, with each layer's Pauli insertions applied as one signed
-gather. B is set by AMPLITUDE_BUDGET; a wider chunk is processed in
-consecutive row slices of the same uniform block. Which worker runs a chunk
-therefore changes nothing in its result.
+uniforms, so the chunk draws them as one (count, draws) Philox block whose
+rows are exactly the numbers a sample-by-sample loop would draw. A row holds,
+for each noisy layer in circuit order, one uniform per generator for the
+noise realization and then one per generator for the signed inverse sample,
+and in shot mode one more per observable term at the end. Both halves of a
+layer go through `noise.sample_insertions` on the layer's
+`noise.insertion_table`; their XOR is the Pauli the sample applies, and the
+inverse half's insertion count fixes its sign. The samples are evolved
+together as the columns of one (2^n, B) amplitude array, with each layer's
+insertions applied as one signed gather. B is set by AMPLITUDE_BUDGET; a
+wider chunk is processed in consecutive row slices of the same uniform
+block. Which worker runs a chunk therefore changes nothing in its result.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import QuantumCircuit
-from .noise import PauliLindbladModel
+from .noise import PauliLindbladModel, insertion_table, sample_insertions
 from .pauli import Observable, PauliString
 from .simulator import (
     DensityMatrix,
@@ -96,13 +100,10 @@ def per_layer(circuit: QuantumCircuit, per_layer_models) -> list:
 
 
 def _compile(circuit: QuantumCircuit, per_layer_models):
-    """[(ops, gens)]: the fused gate ops of each segment that ends at a
-    two-qubit (noisy) layer, with that layer's insertion table; the last
-    segment, after the final noisy layer, has gens None."""
-    tables = [
-        [(p, (1.0 - np.exp(-2.0 * lam)) / 2.0) for p, lam in model.generators]
-        for model in per_layer(circuit, per_layer_models)
-    ]
+    """[(ops, table)]: the fused gate ops of each segment that ends at a
+    two-qubit (noisy) layer, with that layer's `insertion_table`; the last
+    segment, after the final noisy layer, has table None."""
+    tables = [insertion_table(model) for model in per_layer(circuit, per_layer_models)]
     return list(zip(compile_ops(circuit, circuit.two_qubit_layer_indices()), tables + [None]))
 
 
@@ -119,23 +120,17 @@ def _sample_block(compiled, n, obs, mode, uniforms):
     amps[0] = 1.0
     sign = np.ones(width)
     col = 0
-    for ops, gens in compiled:
+    for ops, table in compiled:
         for mat, qubits in ops:
             amps = _apply_unitary(amps, mat, qubits, n)
-        if gens is None:
+        if table is None:
             continue
-        g = len(gens)
-        x_masks = np.array([p.x_mask for p, _ in gens], dtype=np.int64)
-        z_masks = np.array([p.z_mask for p, _ in gens], dtype=np.int64)
-        q_ins = np.array([q for _, q in gens])
-        noise = uniforms[:, col:col + g] < q_ins  # stochastic noise realization
-        inverse = uniforms[:, col + g:col + 2 * g] < q_ins  # signed inverse sample
+        g = len(table[2])
+        xn, zn, _ = sample_insertions(table, uniforms[:, col:col + g])  # noise realization
+        xi, zi, count = sample_insertions(table, uniforms[:, col + g:col + 2 * g])  # signed inverse
         col += 2 * g
-        inserted = noise ^ inverse  # a generator inserted twice cancels
-        x = np.bitwise_xor.reduce(np.where(inserted, x_masks, 0), axis=1)
-        z = np.bitwise_xor.reduce(np.where(inserted, z_masks, 0), axis=1)
-        sign *= 1.0 - 2.0 * (inverse.sum(axis=1) & 1)
-        amps = pauli_gather(amps, x, z)  # phase i^popcount(x & z) is global per sample
+        sign *= 1.0 - 2.0 * (count & 1)
+        amps = pauli_gather(amps, xn ^ xi, zn ^ zi)  # phase i^popcount(x & z) is global per sample
     if mode == "analytic":
         total = np.zeros(width, dtype=complex)
         for coeff, p in obs.terms:
@@ -155,7 +150,7 @@ def _sample_block(compiled, n, obs, mode, uniforms):
 def _pec_chunk(args):
     compiled, n, obs, mode, seed, chunk_index, count = args
     rng = philox_rng(seed, chunk_index)
-    draws = sum(2 * len(gens) for _, gens in compiled if gens is not None)
+    draws = sum(2 * len(table[2]) for _, table in compiled if table is not None)
     if mode == "shot":
         draws += len(obs.terms)
     uniforms = rng.random((count, draws))
@@ -231,27 +226,29 @@ def enumerate_signed(
     def recurse(layer_idx, amps, weight):
         if layer_idx == len(compiled):
             return weight * expectation_array(amps, observable)
-        ops, gens = compiled[layer_idx]
+        ops, table = compiled[layer_idx]
         for mat, qubits in ops:
             amps = _apply_unitary(amps, mat, qubits, n)
-        if gens is None:
+        if table is None:
             return recurse(layer_idx + 1, amps, weight)
+        x_masks, z_masks, q = table
 
-        # branch over (noise inserted?, inverse inserted?) per generator
+        # branch over (noise inserted?, inverse inserted?) per generator;
+        # inserting P twice is the identity, so each node applies P once
         def gen_branch(k, amps_k, w_k):
-            if k == len(gens):
+            if k == len(q):
                 return recurse(layer_idx + 1, amps_k, w_k)
-            p, q_ins = gens[k]
+            q_ins = q[k]
             e2l = 1.0 - 2.0 * q_ins  # e^{-2 lam}
             a = (1.0 + 1.0 / e2l) / 2.0  # signed inverse weight, "do nothing"
             b = (1.0 - 1.0 / e2l) / 2.0  # signed inverse weight, "insert P"
+            flipped = apply_pauli_array(
+                amps_k, PauliString(n, int(x_masks[k]), int(z_masks[k])))
             sub = 0.0
-            flipped = apply_pauli_array(amps_k, p)
-            for noise_p, noise_amp in ((1.0 - q_ins, amps_k), (q_ins, flipped)):
+            for noise_p, noise_amp, inverse_amp in ((1.0 - q_ins, amps_k, flipped),
+                                                    (q_ins, flipped, amps_k)):
                 sub += gen_branch(k + 1, noise_amp, w_k * noise_p * a)
-                sub += gen_branch(
-                    k + 1, apply_pauli_array(noise_amp, p), w_k * noise_p * b
-                )
+                sub += gen_branch(k + 1, inverse_amp, w_k * noise_p * b)
             return sub
 
         return gen_branch(0, amps, weight)
@@ -328,6 +325,13 @@ def zne_estimate(
     """Richardson-style extrapolation: evaluate the noisy expectation with
     all rates scaled by c, fit a degree-`order` polynomial in c, return the
     c = 0 intercept."""
+    cs = _zne_factors(scale_factors, order)
+    values = [noisy_expectation(circuit, model.scaled(c), observable) for c in cs]
+    return _zne_intercept(cs, values, order)
+
+
+def _zne_factors(scale_factors, order: int) -> list[float]:
+    """The scale factors as floats, checked before any simulation."""
     cs = [float(c) for c in scale_factors]
     if len(set(cs)) != len(cs):
         raise ValueError("scale factors must be distinct")
@@ -337,6 +341,10 @@ def zne_estimate(
         raise ValueError("scale factors must include 1")
     if len(cs) < order + 1:
         raise ValueError("need at least order + 1 scale factors")
-    values = [noisy_expectation(circuit, model.scaled(c), observable) for c in cs]
+    return cs
+
+
+def _zne_intercept(cs, values, order: int) -> float:
+    """c = 0 value of the degree-`order` polynomial fitted to (cs, values)."""
     coeffs = np.polyfit(cs, values, order)
     return float(np.polyval(coeffs, 0.0))

@@ -185,6 +185,44 @@ def test_noise_learn(noise_file):
     assert "generator=XI" in result.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["pec", "--observable", "ZZ", "--samples", "100"],
+    ["zne", "--observable", "ZZ"],
+    ["noise-learn"],
+])
+def test_noise_model_without_generators_runs(bell_file, tmp_path, argv, capsys):
+    empty = tmp_path / "empty.noise"
+    empty.write_text("qubits 2\n")
+    circuit = [] if argv[0] == "noise-learn" else ["--circuit", bell_file]
+    assert cli.main(argv[:1] + circuit + ["--noise", str(empty)] + argv[1:]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zne_simulates_each_scale_factor_once(bell_file, noise_file, monkeypatch, capsys):
+    factors = [1.0, 1.5, 2.0, 3.0]
+    circuit = cli._load_circuit(bell_file)
+    model = cli._load_noise(noise_file)
+    obs = cli._parse_observable("ZZ", 2)
+    # what a separate simulation per printed row and `zne_estimate` print
+    expected = "".join(
+        "scale=%r value=%r\n" % (c, pec.noisy_expectation(circuit, model.scaled(c), obs))
+        for c in factors) + "# extrapolated: %r\n" % pec.zne_estimate(circuit, model, obs, factors)
+    calls = []
+    simulate = pec.noisy_expectation
+
+    def counted(*args):
+        calls.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(pec, "noisy_expectation", counted)
+    code = cli.main(["zne", "--circuit", bell_file, "--noise", noise_file, "--observable", "ZZ",
+                     "--factors", "1,1.5,2,3", "--format", "records"])
+    assert code == 0
+    assert len(calls) == len(factors)
+    out = capsys.readouterr().out
+    assert out.split("\n", 3)[3] == expected
+
+
 def test_oversized_density_matrix_is_a_validation_error(tmp_path):
     # 20 qubits fit a statevector but not a 4^20-entry density matrix
     big = tmp_path / "big.qc"

@@ -10,11 +10,14 @@ from qmit.noise import (
     apply_stochastic,
     default_probes,
     dumps,
+    insertion_table,
     learn_rates,
     learn_rates_from_model,
     line_edges,
     loads,
     pauli_fidelity,
+    sample_insertions,
+    stochastic_insertions,
     synthesize_decay_data,
     virtual_distillation_expectation,
 )
@@ -100,6 +103,56 @@ def test_apply_stochastic_insertion_probability():
     hits = sum(bool(apply_stochastic(state, m, rng)[1]) for _ in range(20000))
     expected = (1 - np.exp(-2 * lam)) / 2
     assert abs(hits / 20000 - expected) < 0.01
+
+
+@pytest.mark.parametrize("rows, g", [(1, 0), (5, 0), (1, 1), (1, 6), (40, 6)])
+def test_sample_insertions_matches_a_per_generator_loop(rows, g):
+    rng = np.random.default_rng(rows * 10 + g)
+    n = 5
+    table = (rng.integers(0, 2 ** n, size=g), rng.integers(0, 2 ** n, size=g),
+             rng.uniform(0.0, 0.5, size=g))
+    uniforms = rng.random((rows, g))
+    x, z, count = sample_insertions(table, uniforms)
+    assert x.shape == z.shape == count.shape == (rows,)
+    for b in range(rows):
+        xb = zb = k = 0
+        for i in range(g):
+            if uniforms[b, i] < table[2][i]:
+                xb ^= int(table[0][i])
+                zb ^= int(table[1][i])
+                k += 1
+        assert (x[b], z[b], count[b]) == (xb, zb, k)
+
+
+def test_insertion_table_of_a_model():
+    m = PauliLindbladModel(3, ((parse_pauli("XYI"), 0.1), (parse_pauli("IZZ"), 0.0)))
+    x_masks, z_masks, q = insertion_table(m)
+    assert [(int(x), int(z)) for x, z in zip(x_masks, z_masks)] == [
+        (p.x_mask, p.z_mask) for p, _ in m.generators]
+    assert q[0] == pytest.approx((1 - np.exp(-0.2)) / 2, rel=1e-15)
+    assert q[1] == 0.0
+
+
+def scalar_stochastic_insertions(model, rng):
+    """One scalar draw per generator: the reference the block draw must
+    reproduce."""
+    inserted = []
+    for p, lam in model.generators:
+        if rng.random() < (1.0 - np.exp(-2.0 * lam)) / 2.0:
+            inserted.append(p)
+    return inserted
+
+
+@pytest.mark.parametrize("n", [3, 70])
+def test_stochastic_insertions_match_the_scalar_loop(n):
+    labels = ["X", "Y", "Z", "XX", "YY", "ZX", "XYZ", "YZY"]
+    m = PauliLindbladModel(n, tuple(
+        (parse_pauli("I" * (n - len(l)) + l), 0.05 * (k + 1)) for k, l in enumerate(labels)))
+    block, scalar = philox_rng(5), philox_rng(5)
+    draws = [stochastic_insertions(m, block) for _ in range(200)]
+    assert draws == [scalar_stochastic_insertions(m, scalar) for _ in range(200)]
+    assert 0 < sum(map(len, draws)) < 200 * len(labels)
+    assert block.random() == scalar.random()  # the same numbers were consumed
 
 
 def test_apply_exact_caps():

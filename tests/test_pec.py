@@ -10,7 +10,7 @@ from conftest import (
     benchmark_observable,
 )
 from qmit.circuits import Gate, Layer, QuantumCircuit
-from qmit.noise import PauliLindbladModel
+from qmit.noise import PauliLindbladModel, insertion_table, sample_insertions
 from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit import pec
 from qmit.pec import (
@@ -30,6 +30,7 @@ from qmit.simulator import (
     expectation,
     expectation_array,
     gate_matrix,
+    pauli_gather,
     philox_rng,
     run,
 )
@@ -120,30 +121,28 @@ def test_pec_shot_mode_runs():
 
 
 def noisy_trajectory_values(circuit, model, obs, samples, seed):
-    """Monte-Carlo analytic values of the *noisy* circuit (no inverse)."""
-    from qmit.simulator import (
-        _apply_unitary,
-        apply_pauli_array,
-        expectation_array,
-        gate_matrix,
-        philox_rng,
-    )
-    rng = philox_rng(seed)
-    two_q = set(circuit.two_qubit_layer_indices())
+    """Monte-Carlo analytic values of the *noisy* circuit (no inverse). Row s
+    of one Philox block holds sample s's uniforms, one per generator of each
+    noisy layer in circuit order; the samples are evolved together as the
+    columns of one (2^n, samples) block."""
+    compiled = pec._compile(circuit, model)
     n = circuit.n_qubits
-    values = np.empty(samples)
-    for s in range(samples):
-        amps = np.zeros(2 ** n, dtype=complex)
-        amps[0] = 1.0
-        for i, layer in enumerate(circuit.layers):
-            for g in layer.gates:
-                amps = _apply_unitary(amps, gate_matrix(g), g.qubits, n)
-            if i in two_q:
-                for p, lam in model.generators:
-                    if rng.random() < (1 - np.exp(-2 * lam)) / 2:
-                        amps = apply_pauli_array(amps, p)
-        values[s] = expectation_array(amps, obs)
-    return values
+    draws = sum(len(table[2]) for _, table in compiled if table is not None)
+    uniforms = philox_rng(seed).random((samples, draws))
+    amps = np.zeros((2 ** n, samples), dtype=complex)
+    amps[0] = 1.0
+    col = 0
+    for ops, table in compiled:
+        for mat, qubits in ops:
+            amps = _apply_unitary(amps, mat, qubits, n)
+        if table is None:
+            continue
+        g = len(table[2])
+        x, z, _ = sample_insertions(table, uniforms[:, col:col + g])
+        col += g
+        amps = pauli_gather(amps, x, z)  # the dropped phase is global per sample
+    values = sum(coeff * pec._column_expectations(amps, p) for coeff, p in obs.terms)
+    return values.real
 
 
 def test_noisy_expectation_matches_stochastic_average():
@@ -173,20 +172,22 @@ def reference_sample(compiled, n, obs, mode, rng):
     amps = np.zeros(2 ** n, dtype=complex)
     amps[0] = 1.0
     sign = 1.0
-    for ops, gens in compiled:
+    for ops, table in compiled:
         for mat, qubits in ops:
             amps = _apply_unitary(amps, mat, qubits, n)
-        if gens is None:
+        if table is None:
             continue
-        draws = rng.random(2 * len(gens))
+        x_masks, z_masks, q = table
+        g = len(q)
+        draws = rng.random(2 * g)
         x = z = 0
-        for k, (p, q_ins) in enumerate(gens):
-            if draws[k] < q_ins:  # stochastic noise realization
-                x ^= p.x_mask
-                z ^= p.z_mask
-            if draws[len(gens) + k] < q_ins:  # signed inverse sample
-                x ^= p.x_mask
-                z ^= p.z_mask
+        for k in range(g):
+            if draws[k] < q[k]:  # stochastic noise realization
+                x ^= int(x_masks[k])
+                z ^= int(z_masks[k])
+            if draws[g + k] < q[k]:  # signed inverse sample
+                x ^= int(x_masks[k])
+                z ^= int(z_masks[k])
                 sign = -sign
         if x or z:
             amps = apply_pauli_array(amps, PauliString(n, x, z))
@@ -217,11 +218,8 @@ def unfused_compile(circuit, models):
                                pec.per_layer(circuit, models)))
     compiled = []
     for i, layer in enumerate(circuit.layers):
-        gens = None
-        if i in model_for_layer:
-            gens = [(p, (1.0 - np.exp(-2.0 * lam)) / 2.0)
-                    for p, lam in model_for_layer[i].generators]
-        compiled.append(([(gate_matrix(g), g.qubits) for g in layer.gates], gens))
+        table = insertion_table(model_for_layer[i]) if i in model_for_layer else None
+        compiled.append(([(gate_matrix(g), g.qubits) for g in layer.gates], table))
     return compiled
 
 
@@ -286,7 +284,7 @@ def test_fused_samples_match_the_unfused_compile(n):
     models = models + models[:1]
     compiled = pec._compile(circuit, models)
     assert sum(len(ops) for ops, _ in compiled) < circuit.gate_count()
-    assert [gens is not None for _, gens in compiled] == [True] * len(models) + [False]
+    assert [table is not None for _, table in compiled] == [True] * len(models) + [False]
     samples = 300
     fused = batched_values(circuit, models, obs, samples, 5, "analytic")
     unfused = reference_values(circuit, models, obs, samples, 5, "analytic",
