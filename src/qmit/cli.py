@@ -2,9 +2,10 @@
 
 Every run prints a metadata header (tool version, seed, config echo)
 followed by results in the selected format: an aligned table, CSV, or
-line-oriented ``key=value`` records.  Output is deterministic under a
-fixed config and seed; the worker count never changes results and is
-therefore excluded from the config echo.
+line-oriented ``key=value`` records.  The config echo lists every option
+of the subcommand except ``--seed``, which has its own header line, and
+``--workers``: output is deterministic under a fixed config and seed, and
+the worker count never changes results.
 
 Environment overrides: ``QMIT_SEED`` for the default seed and
 ``QMIT_WORKERS`` for the default worker-pool size.
@@ -55,10 +56,14 @@ def _emit(out, columns, rows, fmt):
             out.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
-def _header(out, args, echo_keys):
+_NOT_ECHOED = ("command", "func", "seed", "workers")
+
+
+def _header(out, args):
     out.write("# qmit %s\n" % __version__)
     out.write("# seed: %d\n" % getattr(args, "seed", _default_seed()))
-    parts = ["%s=%s" % (k, getattr(args, k.replace("-", "_"))) for k in echo_keys]
+    parts = ["%s=%s" % (k.replace("_", "-"), v)
+             for k, v in vars(args).items() if k not in _NOT_ECHOED]
     out.write("# config: %s %s\n" % (args.command, " ".join(parts)))
 
 
@@ -280,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-fields", action="store_true")
     p.add_argument("--emit-circuit", default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_trotter, echo=["n", "t", "steps", "order", "format"])
+    p.set_defaults(func=_cmd_trotter)
 
     p = sub.add_parser("noise-learn", help="learn rates of a planted model")
     p.add_argument("--noise", required=True)
     p.add_argument("--shots", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_noise_learn, echo=["noise", "shots", "format"])
+    p.set_defaults(func=_cmd_noise_learn)
 
     p = sub.add_parser("pec", help="probabilistic error cancellation estimate")
     p.add_argument("--circuit", required=True)
@@ -295,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--mode", choices=["analytic", "shot"], default="analytic")
     _add_common(p, workers=True)
-    p.set_defaults(func=_cmd_pec,
-                   echo=["circuit", "noise", "observable", "samples", "mode", "format"])
+    p.set_defaults(func=_cmd_pec)
 
     p = sub.add_parser("zne", help="zero-noise extrapolation")
     p.add_argument("--circuit", required=True)
@@ -305,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", default="1,2,3")
     p.add_argument("--order", type=int, default=1)
     _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_zne,
-                   echo=["circuit", "noise", "observable", "factors", "order", "format"])
+    p.set_defaults(func=_cmd_zne)
 
     p = sub.add_parser("cut", help="wire-cut a circuit and recombine")
     p.add_argument("--circuit", required=True)
@@ -316,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--samples", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_cut,
-                   echo=["circuit", "cut", "observable", "mode", "format"])
+    p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("varqte", help="variational time evolution trajectory")
     p.add_argument("--n", type=int, required=True)
@@ -328,15 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regularization", type=float, default=1e-6)
     p.add_argument("--random-fields", action="store_true")
     _add_common(p)
-    p.set_defaults(func=_cmd_varqte,
-                   echo=["n", "layers", "t-final", "dt", "method", "format"])
+    p.set_defaults(func=_cmd_varqte)
 
     p = sub.add_parser("estimate-ft", help="fault-tolerance space-time volumes")
     p.add_argument("--n-cnot", type=float, required=True)
     p.add_argument("--n-t", type=float, required=True)
     p.add_argument("--circuit-size", type=float, default=None)
     _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_estimate_ft, echo=["n-cnot", "n-t", "format"])
+    p.set_defaults(func=_cmd_estimate_ft)
 
     p = sub.add_parser("scale", help="modular system scale n = q*m*l*t*p")
     p.add_argument("--q", type=int, required=True)
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_scale, echo=["q", "m", "l", "t", "p", "format"])
+    p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("overhead-table", help="PEC circuit-instance overhead grid")
     p.add_argument("--n", type=int, required=True)
@@ -353,15 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", required=True, help="comma-separated rates")
     p.add_argument("--eps", type=float, default=1.0)
     _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_overhead_table,
-                   echo=["n", "steps", "lambdas", "eps", "format"])
+    p.set_defaults(func=_cmd_overhead_table)
 
     p = sub.add_parser("simulate", help="run a circuit file exactly")
     p.add_argument("circuit")
     p.add_argument("--observable", default=None)
     p.add_argument("--shots", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_simulate, echo=["circuit", "observable", "format"])
+    p.set_defaults(func=_cmd_simulate)
 
     return parser
 
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        _header(out, args, args.echo)
+        _header(out, args)
         args.func(args, out)
     except circuit_io.ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)

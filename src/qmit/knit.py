@@ -15,8 +15,8 @@ from math import sqrt
 import numpy as np
 
 from .circuits import Gate, Layer, QuantumCircuit
-from .pauli import Observable, PauliString
-from .simulator import Statevector, apply_pauli_array, philox_rng, run_array
+from .pauli import _CHAR_TO_XZ, Observable, PauliString
+from .simulator import _check_statevector_size, apply_pauli_array, philox_rng, run_array
 
 _SQ2 = 1 / sqrt(2)
 
@@ -189,22 +189,18 @@ def _fragment_value(
     preps: dict[int, str],
     cache: dict,
 ) -> float:
-    n = frag.circuit.n_qubits
-    combined = PauliString.identity(n)
-    phase = 1.0 + 0j
+    # every factor acts on its own local qubit, so the product's masks are
+    # the OR of the factors' masks, and its coefficient is 1
+    x = z = 0
     for q, local in frag.final_local.items():
-        xb = (term_pauli.x_mask >> q) & 1
-        zb = (term_pauli.z_mask >> q) & 1
-        if xb or zb:
-            combined, ph = combined.multiply(PauliString(n, xb << local, zb << local))
-            phase *= ph
+        x |= (term_pauli.x_mask >> q & 1) << local
+        z |= (term_pauli.z_mask >> q & 1) << local
     for cut, local in frag.out_cuts:
-        basis = measures[cut]
-        if basis != "I":
-            combined, ph = combined.multiply(PauliString.single(n, local, basis))
-            phase *= ph
+        xb, zb = _CHAR_TO_XZ[measures[cut]]
+        x |= xb << local
+        z |= zb << local
     amps = _fragment_state(frag, preps, cache)
-    value = np.vdot(amps, apply_pauli_array(amps, combined)) * phase
+    value = np.vdot(amps, apply_pauli_array(amps, PauliString(frag.circuit.n_qubits, x, z)))
     return float(value.real)
 
 
@@ -241,39 +237,37 @@ def execute_plan(
     """
     if observable.n_qubits != plan.circuit.n_qubits:
         raise ValueError("observable and circuit sizes differ")
+    for frag in plan.fragments:
+        _check_statevector_size(frag.circuit.n_qubits)
     cache: dict = {}
     n_cuts = len(plan.cuts)
     if mode == "exact":
         value = 0.0
         for assignment in itertools.product(CUT_TERMS, repeat=n_cuts):
             value += _term_value(plan, observable, assignment, cache)
-        return {
-            "value": value,
-            "std_error": None,
-            "terms": plan.n_terms,
-            "gamma_cut": plan.gamma_cut,
-        }
-    if mode != "sampled":
+        std_error = None
+    elif mode == "sampled":
+        if samples is None or seed is None:
+            raise ValueError("sampled mode requires samples and seed")
+        rng = philox_rng(seed)
+        weights = np.array([abs(c) for _, _, c in CUT_TERMS])
+        picks = rng.choice(len(CUT_TERMS), size=(samples, n_cuts), p=weights / weights.sum())
+        distinct, which = np.unique(picks, axis=0, return_inverse=True)
+        # record of a sample: its term's value over prod |c|, i.e. sign * total;
+        # the remaining factor gamma_cut is applied to the mean
+        records = np.array([
+            _term_value(plan, observable, [CUT_TERMS[k] for k in row], cache)
+            / np.prod(weights[row])
+            for row in distinct
+        ])
+        values = records[which.reshape(-1)]
+        value = plan.gamma_cut * float(values.mean())
+        std_error = (float(plan.gamma_cut * values.std(ddof=1) / np.sqrt(samples))
+                     if samples > 1 else 0.0)
+    else:
         raise ValueError("mode must be 'exact' or 'sampled'")
-    if samples is None or seed is None:
-        raise ValueError("sampled mode requires samples and seed")
-    rng = philox_rng(seed)
-    weights = np.array([abs(c) for _, _, c in CUT_TERMS])
-    picks = rng.choice(len(CUT_TERMS), size=(samples, n_cuts), p=weights / weights.sum())
-    distinct, which = np.unique(picks, axis=0, return_inverse=True)
-    # record of a sample: its term's value over prod |c|, i.e. sign * total;
-    # the remaining factor gamma_cut is applied to the mean
-    records = np.array([
-        _term_value(plan, observable, [CUT_TERMS[k] for k in row], cache)
-        / np.prod(weights[row])
-        for row in distinct
-    ])
-    values = records[which.reshape(-1)]
-    scale = plan.gamma_cut
-    mean = float(values.mean())
-    std_error = float(scale * values.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return {
-        "value": scale * mean,
+        "value": value,
         "std_error": std_error,
         "terms": plan.n_terms,
         "gamma_cut": plan.gamma_cut,

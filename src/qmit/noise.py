@@ -9,13 +9,14 @@ the signed gather `pauli_gather` on rho read as a 2n-qubit vector.
 
 Every sampler inserts P_i independently with probability
 q_i = 1 - w_i = (1 - exp(-2 lam_i)) / 2: stochastic noise here, and PEC's
-noise realization and signed inverse sample in `pec`. `insertion_table`
-gives a model's (x_masks, z_masks, q) arrays, and `sample_insertions` maps
-a (B, g) block of uniforms to each row's product of insertions and count.
+noise realization and signed inverse sample in `pec`. q is the model's
+`insertion_probabilities`; `insertion_table` gives its
+(x_masks, z_masks, q) arrays, and `sample_insertions` maps a (B, g) block of
+uniforms to each row's product of insertions and count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +44,13 @@ class UnidentifiableModelError(ValueError):
 
 @dataclass(frozen=True)
 class PauliLindbladModel:
-    """Generators (P_i, lam_i) with lam_i >= 0; duplicates merged by summing."""
+    """Generators (P_i, lam_i) with lam_i >= 0; duplicates merged by summing.
+    `insertion_probabilities` holds q_i = (1 - exp(-2 lam_i)) / 2 per
+    generator."""
 
     n_qubits: int
     generators: tuple[tuple[PauliString, float], ...]
+    insertion_probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         merged: dict[tuple[int, int], float] = {}
@@ -67,6 +71,10 @@ class PauliLindbladModel:
             (PauliString(self.n_qubits, k[0], k[1]), merged[k]) for k in order
         )
         object.__setattr__(self, "generators", normalized)
+        lam = np.array([merged[k] for k in order], dtype=float)
+        q = (1.0 - np.exp(-2.0 * lam)) / 2.0
+        q.flags.writeable = False
+        object.__setattr__(self, "insertion_probabilities", q)
 
     @property
     def total_rate(self) -> float:
@@ -101,15 +109,11 @@ def pauli_fidelity(model: PauliLindbladModel, q: PauliString) -> float:
 
 
 def insertion_table(model: PauliLindbladModel):
-    """(x_masks, z_masks, q): generator i's X and Z masks and its insertion
-    probability q_i = (1 - exp(-2 lam_i)) / 2."""
-    # int64 is what pauli_gather indexes with; masks of 64 or more qubits
-    # (never simulated) stay Python ints
-    dtype = np.int64 if model.n_qubits < 64 else object
-    x_masks = np.array([p.x_mask for p, _ in model.generators], dtype=dtype)
-    z_masks = np.array([p.z_mask for p, _ in model.generators], dtype=dtype)
-    lam = np.array([lam for _, lam in model.generators], dtype=float)
-    return x_masks, z_masks, (1.0 - np.exp(-2.0 * lam)) / 2.0
+    """(x_masks, z_masks, q): generator i's X and Z masks as the int64 that
+    pauli_gather indexes with, and its insertion probability q_i."""
+    x_masks = np.array([p.x_mask for p, _ in model.generators], dtype=np.int64)
+    z_masks = np.array([p.z_mask for p, _ in model.generators], dtype=np.int64)
+    return x_masks, z_masks, model.insertion_probabilities
 
 
 def sample_insertions(table, uniforms: np.ndarray):
@@ -129,9 +133,8 @@ def sample_insertions(table, uniforms: np.ndarray):
 
 def stochastic_insertions(model: PauliLindbladModel, rng: np.random.Generator) -> list[PauliString]:
     """One channel realization: generator i is inserted when the i-th of
-    len(generators) uniforms is below q_i of `insertion_table`."""
-    _, _, q = insertion_table(model)
-    hits = rng.random(len(q)) < q
+    len(generators) uniforms is below its insertion probability q_i."""
+    hits = rng.random(len(model.generators)) < model.insertion_probabilities
     return [p for (p, _), hit in zip(model.generators, hits) if hit]
 
 

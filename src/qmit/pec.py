@@ -131,20 +131,15 @@ def _sample_block(compiled, n, obs, mode, uniforms):
         col += 2 * g
         sign *= 1.0 - 2.0 * (count & 1)
         amps = pauli_gather(amps, xn ^ xi, zn ^ zi)  # phase i^popcount(x & z) is global per sample
-    if mode == "analytic":
-        total = np.zeros(width, dtype=complex)
-        for coeff, p in obs.terms:
-            total += coeff * _column_expectations(amps, p)
-        if np.any(np.abs(total.imag) > 1e-10):
-            raise ValueError("expectation has non-negligible imaginary part")
-        return sign * total.real
-    # shot mode: one +-1 eigenvalue draw per observable term
-    value = np.zeros(width)
+    total = np.zeros(width, dtype=complex)
     for t, (coeff, p) in enumerate(obs.terms):
-        ev = _column_expectations(amps, p).real
-        outcome = np.where(uniforms[:, col + t] < (1.0 + ev) / 2.0, 1.0, -1.0)
-        value += coeff * outcome
-    return sign * value
+        ev = _column_expectations(amps, p)
+        if mode == "shot":  # one +-1 eigenvalue draw per observable term
+            ev = np.where(uniforms[:, col + t] < (1.0 + ev.real) / 2.0, 1.0, -1.0)
+        total += coeff * ev
+    if np.any(np.abs(total.imag) > 1e-10):
+        raise ValueError("expectation has non-negligible imaginary part")
+    return sign * total.real
 
 
 def _pec_chunk(args):
@@ -159,7 +154,7 @@ def _pec_chunk(args):
     for start in range(0, count, width):
         stop = min(start + width, count)
         out[start:stop] = _sample_block(compiled, n, obs, mode, uniforms[start:stop])
-    return chunk_index, out
+    return out
 
 
 def pec_estimate(
@@ -182,23 +177,17 @@ def pec_estimate(
     per_layer_models = per_layer(circuit, per_layer_models)
     compiled = _compile(circuit, per_layer_models)
     gamma = gamma_total(per_layer_models)
-    chunks = []
-    start = 0
-    index = 0
-    while start < samples:
-        count = min(CHUNK_SIZE, samples - start)
-        chunks.append((compiled, n, observable, mode, seed, index, count))
-        start += count
-        index += 1
+    chunks = [(compiled, n, observable, mode, seed, start // CHUNK_SIZE,
+               min(CHUNK_SIZE, samples - start))
+              for start in range(0, samples, CHUNK_SIZE)]
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pec_chunk, chunks))
-        results.sort(key=lambda item: item[0])
-        values = np.concatenate([arr for _, arr in results])
+            # map yields the results in chunk order
+            values = np.concatenate(list(pool.map(_pec_chunk, chunks)))
     else:
-        values = np.concatenate([_pec_chunk(c)[1] for c in chunks])
+        values = np.concatenate([_pec_chunk(c) for c in chunks])
     mean = float(values.mean())
     if samples > 1:
         std = float(values.std(ddof=1))
@@ -220,8 +209,9 @@ def enumerate_signed(
     """Exhaustive signed enumeration of every noise/inverse insertion
     pattern, weighted by its signed probability. Equals the noiseless
     expectation (estimator unbiasedness); exponential in generator count."""
-    compiled = _compile(circuit, per_layer_models)
     n = circuit.n_qubits
+    _check_statevector_size(n)
+    compiled = _compile(circuit, per_layer_models)
 
     def recurse(layer_idx, amps, weight):
         if layer_idx == len(compiled):

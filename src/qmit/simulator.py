@@ -153,17 +153,6 @@ def compile_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, t
     return segments
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(values)
-    v = values.astype(np.uint64)
-    count = np.zeros_like(v)
-    while v.any():
-        count += v & 1
-        v >>= np.uint64(1)
-    return count
-
-
 def pauli_gather(arr: np.ndarray, x, z) -> np.ndarray:
     """out[j] = (-1)^popcount((j ^ x) & z) * arr[j ^ x] along axis 0: the
     Pauli with masks (x, z) without its phase. x and z are ints, or integer
@@ -171,10 +160,10 @@ def pauli_gather(arr: np.ndarray, x, z) -> np.ndarray:
     idx = np.arange(arr.shape[0])
     if isinstance(x, np.ndarray):
         src = idx[:, None] ^ x
-        signs = 1.0 - 2.0 * (_popcount(src & z) & 1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
         return signs * np.take_along_axis(arr, src, axis=0)
     src = idx ^ x
-    signs = 1.0 - 2.0 * (_popcount(src & z) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
     return (signs if arr.ndim == 1 else signs[:, None]) * arr[src]
 
 
@@ -194,7 +183,7 @@ def pauli_sum(obs: Observable) -> list[tuple[int, np.ndarray]]:
     idx = np.arange(1 << obs.n_qubits)
     groups: dict[int, np.ndarray] = {}
     for coeff, p in obs.terms:
-        signs = 1.0 - 2.0 * (_popcount(idx & p.z_mask) & 1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z_mask) & 1)
         d = groups.setdefault(p.x_mask, np.zeros(idx.size, dtype=complex))
         d += coeff * 1j ** ((p.x_mask & p.z_mask).bit_count() % 4) * signs
     return list(groups.items())
@@ -221,7 +210,7 @@ def apply_pauli_sum(arr: np.ndarray, groups: list[tuple[int, np.ndarray]]) -> np
 def pauli_matrix(p: PauliString) -> np.ndarray:
     n = p.n_qubits
     idx = np.arange(2 ** n)
-    signs = 1.0 - 2.0 * (_popcount(idx & p.z_mask) & 1)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z_mask) & 1)
     phase = 1j ** ((p.x_mask & p.z_mask).bit_count() % 4)
     mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
     mat[idx ^ p.x_mask, idx] = phase * signs

@@ -214,7 +214,6 @@ def evolve(
     dt: float,
     method: str = "mclachlan",
     regularization: float = 1e-6,
-    residual_abort: float = np.inf,
 ) -> VarQTETrajectory:
     """Fixed-step RK4 integration of the variational equations of motion.
 
@@ -236,8 +235,6 @@ def evolve(
     residuals = []
     for step in range(steps):
         k1, res = _theta_dot(ansatz, theta, hamiltonian, method, regularization)
-        if res > residual_abort:
-            raise RuntimeError("linear solve residual %.3g exceeds abort threshold" % res)
         k2, _ = _theta_dot(ansatz, theta + 0.5 * dt * k1, hamiltonian, method, regularization)
         k3, _ = _theta_dot(ansatz, theta + 0.5 * dt * k2, hamiltonian, method, regularization)
         k4, _ = _theta_dot(ansatz, theta + dt * k3, hamiltonian, method, regularization)

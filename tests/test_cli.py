@@ -279,3 +279,34 @@ def test_varqte_derivative_block_too_large_is_a_validation_error():
     assert result.returncode == 3
     assert "validation error" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("base, a, b", [
+    (["cut", "--circuit", "BELL", "--cut", "0:1", "--observable", "ZZ", "--mode", "sampled"],
+     ["--samples", "100"], ["--samples", "200"]),
+    (["varqte", "--n", "2", "--layers", "1", "--t-final", "0.02", "--dt", "0.01"],
+     ["--regularization", "1e-6"], ["--regularization", "1e-1"]),
+    (["simulate", "BELL"], ["--shots", "10"], ["--shots", "20"]),
+    (["trotter", "--n", "3", "--steps", "1"], [], ["--random-fields"]),
+    (["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9"],
+     ["--circuit-size", "1e8"], ["--circuit-size", "1e12"]),
+])
+def test_config_line_tells_apart_options_that_change_results(bell_file, capsys, base, a, b):
+    outputs = []
+    for extra in (a, b):
+        argv = [bell_file if arg == "BELL" else arg for arg in base] + extra
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0][3:] != outputs[1][3:]  # the option changes the results
+    assert outputs[0][2] != outputs[1][2]  # and the config line says so
+
+
+def test_worker_count_leaves_stdout_unchanged(bell_file, noise_file, capsys):
+    argv = ["pec", "--circuit", bell_file, "--noise", noise_file, "--observable", "ZZ",
+            "--samples", str(2 * pec.CHUNK_SIZE), "--seed", "3"]
+    outputs = []
+    for workers in ("1", "2"):
+        assert cli.main(argv + ["--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "workers" not in outputs[0]

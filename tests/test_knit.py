@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import bell_circuit, random_circuit
+from qmit import knit
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.knit import CUT_TERMS, PREP_STATES, _fragment_value, execute_plan, plan_wire_cut
 from qmit.pauli import Observable, parse_pauli
@@ -183,3 +184,55 @@ def test_sampled_mode_matches_reference(cuts, samples, seed):
     value, std_error = reference_sampled(plan, obs, samples, seed)
     assert result["value"] == value
     assert result["std_error"] == std_error
+
+
+def random_chain_circuit(rng):
+    """Random rotations on 4 qubits around a 0-1, 1-2, 2-3 chain of random
+    two-qubit gates. Cuts on wire 1 at boundary 2 or 3 and on wire 2 at
+    boundary 4 or 5 split it into three 2-qubit fragments; the middle one
+    has both an incoming and an outgoing cut."""
+    def rotations():
+        return Layer([Gate(str(rng.choice(["rx", "ry", "rz"])), (q,),
+                           float(rng.uniform(-np.pi, np.pi))) for q in range(4)])
+
+    def coupler(a, b):
+        name = str(rng.choice(["cx", "rxx", "ryy", "rzz"]))
+        param = None if name == "cx" else float(rng.uniform(-np.pi, np.pi))
+        return Layer([Gate(name, (a, b), param)])
+
+    return QuantumCircuit(4, [rotations(), coupler(0, 1), rotations(), coupler(1, 2),
+                              rotations(), coupler(2, 3), rotations()])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_two_cuts_on_random_circuits_with_y_observables(seed):
+    rng = np.random.default_rng(seed)
+    circuit = random_chain_circuit(rng)
+    plan = plan_wire_cut(circuit, [(1, int(rng.integers(2, 4))), (2, int(rng.integers(4, 6)))])
+    assert sorted(f.circuit.n_qubits for f in plan.fragments) == [2, 2, 2]
+    terms = []
+    for _ in range(3):
+        label = list(rng.choice(list("IXYZ"), size=4))
+        label[int(rng.integers(4))] = "Y"
+        terms.append((float(rng.uniform(-1.0, 1.0)), parse_pauli("".join(label))))
+    obs = Observable.from_terms(4, terms)
+    uncut = expectation(run(circuit), obs)
+    assert abs(execute_plan(plan, obs)["value"] - uncut) < 1e-10
+
+
+def test_oversized_fragment_is_rejected_before_any_fragment_runs(monkeypatch):
+    # a 1-qubit upstream fragment, then all 35 qubits joined by a CNOT chain
+    n = 35
+    layers = [Layer([Gate("h", (0,))])]
+    layers += [Layer([Gate("cx", (q, q + 1))]) for q in range(n - 1)]
+    plan = plan_wire_cut(QuantumCircuit(n, layers), [(0, 1)])
+    assert [f.circuit.n_qubits for f in plan.fragments] == [1, n]
+
+    def fragment_state(*args):
+        raise AssertionError("a fragment ran before the size check")
+
+    monkeypatch.setattr(knit, "_fragment_state", fragment_state)
+    obs = Observable.from_label("Z" * n)
+    for kwargs in ({}, {"mode": "sampled", "samples": 10, "seed": 0}):
+        with pytest.raises(ValueError, match="statevector capped"):
+            execute_plan(plan, obs, **kwargs)

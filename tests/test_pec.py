@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -226,7 +227,7 @@ def unfused_compile(circuit, models):
 def batched_values(circuit, models, obs, samples, seed, mode):
     compiled = pec._compile(circuit, models)
     chunks = [pec._pec_chunk((compiled, circuit.n_qubits, obs, mode, seed, c,
-                              min(pec.CHUNK_SIZE, samples - start)))[1]
+                              min(pec.CHUNK_SIZE, samples - start)))
               for c, start in enumerate(range(0, samples, pec.CHUNK_SIZE))]
     return np.concatenate(chunks)
 
@@ -312,6 +313,37 @@ def test_pec_rejects_oversized_circuit_before_allocating():
     model = PauliLindbladModel(40, ((PauliString.single(40, 0, "X"), 0.01),))
     with pytest.raises(ValueError, match="capped"):
         pec_estimate(circuit, model, Observable.from_label("Z" * 40), samples=1, seed=0)
+
+
+def test_pooled_chunks_are_merged_in_chunk_order(monkeypatch):
+    # chunks of 5 samples: the rounding of the mean and standard deviation
+    # then tells every merge order of the 4 chunks apart
+    monkeypatch.setattr(pec, "CHUNK_SIZE", 5)
+    circuit, models, obs = wide_instance(3)
+    samples, seed = 19, 1
+    compiled = pec._compile(circuit, models)
+    chunks = [pec._pec_chunk((compiled, 3, obs, "analytic", seed, c, min(5, samples - start)))
+              for c, start in enumerate(range(0, samples, 5))]
+
+    def stats(order):
+        values = np.concatenate([chunks[c] for c in order])
+        return float(values.mean()), float(values.std(ddof=1))
+
+    in_order = stats((0, 1, 2, 3))
+    assert all(stats(order) != in_order
+               for order in itertools.permutations(range(4)) if order != (0, 1, 2, 3))
+    pooled = pec_estimate(circuit, models, obs, samples, seed, workers=4)
+    assert pooled == pec_estimate(circuit, models, obs, samples, seed, workers=1)
+    gamma = gamma_total(models)
+    assert pooled.value == gamma * in_order[0]
+    assert pooled.std_error == float(gamma * in_order[1] / np.sqrt(samples))
+
+
+def test_enumerate_signed_rejects_oversized_circuit_before_allocating():
+    circuit = QuantumCircuit(40, [Layer([Gate("cx", (0, 1))])])
+    model = PauliLindbladModel(40, ((PauliString.single(40, 0, "X"), 0.01),))
+    with pytest.raises(ValueError, match="statevector capped"):
+        enumerate_signed(circuit, model, Observable.from_label("Z" * 40))
 
 
 def test_sampling_overhead():
