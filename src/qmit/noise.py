@@ -5,7 +5,10 @@ distillation.
 The channel factorizes over generators because each generator acts
 diagonally in the Pauli basis: generator (P, lam) maps
 rho -> w rho + (1 - w) P rho P with w = (1 + exp(-2 lam)) / 2. P rho P is
-the signed gather `pauli_gather` on rho read as a 2n-qubit vector.
+the signed gather `pauli_gather` on rho read as a 2n-qubit vector, a
+strided flip with no index array; `apply_to_matrix` copies rho once and
+mixes each generator's P rho P into that copy in place. Rates must be
+finite and nonnegative.
 
 Every sampler inserts P_i independently with probability
 q_i = 1 - w_i = (1 - exp(-2 lam_i)) / 2: stochastic noise here, and PEC's
@@ -60,6 +63,8 @@ class PauliLindbladModel:
                 raise ValueError("generator acts on wrong number of qubits")
             if p.is_identity:
                 raise ValueError("identity generator is not allowed")
+            if not np.isfinite(lam):
+                raise ValueError("rates must be finite")
             if lam < 0:
                 raise ValueError("rates must be nonnegative")
             key = (p.x_mask, p.z_mask)
@@ -92,11 +97,14 @@ class PauliLindbladModel:
         n = self.n_qubits
         if mat.shape != (1 << n, 1 << n):
             raise ValueError("density matrix and model sizes differ")
-        vec = mat.reshape(-1)  # row qubits q + n, column qubits q
+        vec = mat.reshape(-1).copy()  # row qubits q + n, column qubits q
         for p, lam in self.generators:
             w = (1.0 + np.exp(-2.0 * lam)) / 2.0
-            vec = w * vec + (1.0 - w) * pauli_gather(
-                vec, p.x_mask | p.x_mask << n, p.z_mask | p.z_mask << n)
+            flipped = pauli_gather(vec, p.x_mask | p.x_mask << n, p.z_mask | p.z_mask << n)
+            # w * vec + (1 - w) * flipped, in place: the same operations in the same order
+            flipped *= 1.0 - w
+            vec *= w
+            vec += flipped
         return vec.reshape(mat.shape)
 
 

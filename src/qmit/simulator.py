@@ -8,9 +8,16 @@ A density matrix is read as the 2n-qubit vector rho.reshape(-1): row index
 in bits n..2n-1, column index in bits 0..n-1, so U rho U^dag is U on qubits
 q + n and conj(U) on qubits q through the statevector gate kernel. Every
 Pauli action is the signed gather `pauli_gather`; with masks
-(x | x << n, z | z << n) it is P rho P^dag, whose phases cancel. A Pauli
-sum is compiled once per call by `pauli_sum` into one signed diagonal per
-distinct X mask, so applying it costs one gather per mask, not per term.
+(x | x << n, z | z << n) it is P rho P^dag, whose phases cancel. A fixed
+Pauli is a strided flip: axis 0 is split at the set bits of x | z, the X
+bits' axes are reversed, and one multiply by +-1 over the Z bits' axes
+writes the result, with no index array. A Pauli sum is compiled once per
+call by `pauli_sum` into one signed diagonal per distinct X mask, so
+applying it costs one gather per mask, not per term.
+
+Validation is written so that NaN fails it (`not err <= tol`). A density
+matrix is checked Hermitian, of trace 1 and PSD to -1e-9, the last by a
+Cholesky factorization of rho + 1e-9 I.
 
 Gates are applied as fused ops: `compile_ops(circuit, stops)` multiplies, once
 per call, each run of gates on one or two qubits into one 2x2 or 4x4 matrix.
@@ -153,18 +160,41 @@ def compile_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, t
     return segments
 
 
+_SIGNS = (np.array([1.0, -1.0]), np.array([-1.0, 1.0]))  # indexed by the X bit
+_ALL = slice(None)
+_REVERSED = slice(None, None, -1)
+
+
 def pauli_gather(arr: np.ndarray, x, z) -> np.ndarray:
     """out[j] = (-1)^popcount((j ^ x) & z) * arr[j ^ x] along axis 0: the
-    Pauli with masks (x, z) without its phase. x and z are ints, or integer
-    arrays holding one mask per column of a (2^n, B) block."""
-    idx = np.arange(arr.shape[0])
+    Pauli with masks (x, z) without its phase. Trailing axes are a batch.
+
+    For int masks, axis 0 is split at the set bits of x | z only, each X
+    bit's axis is reversed (a view), and one multiply by a broadcast +-1
+    tensor over the Z bits' axes writes a new C-contiguous array: no index
+    or sign vector of length 2^n. Every entry goes through the multiply, by
+    +1.0 too, so complex signed zeros come out as from the index formula
+    sign[j] * arr[j ^ x]. x and z may also be integer arrays holding one mask
+    per column of a (2^n, B) block, applied by that index formula."""
     if isinstance(x, np.ndarray):
-        src = idx[:, None] ^ x
+        src = np.arange(arr.shape[0])[:, None] ^ x
         signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
         return signs * np.take_along_axis(arr, src, axis=0)
-    src = idx ^ x
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
-    return (signs if arr.ndim == 1 else signs[:, None]) * arr[src]
+    shape, flip, signs = [], [], 1.0
+    top, bits = arr.shape[0], x | z
+    while bits:
+        k = bits.bit_length() - 1
+        bits ^= 1 << k
+        shape += (top >> k + 1, 2)
+        top = 1 << k
+        xk = x >> k & 1
+        flip += (_ALL, _REVERSED if xk else _ALL)
+        if z >> k & 1:  # (-1)^(source bit), the source bit being j_k ^ x_k
+            signs = signs * _SIGNS[xk].reshape((2,) + (1,) * (2 * bits.bit_count() + arr.ndim))
+    # the product is allocated in the view's axis order with its strides
+    # made positive, i.e. C order, so the final reshape copies nothing
+    out = np.multiply(arr.reshape((*shape, top, *arr.shape[1:]))[tuple(flip)], signs)
+    return out.reshape(arr.shape)
 
 
 def apply_pauli_array(arr: np.ndarray, p: PauliString) -> np.ndarray:
@@ -246,7 +276,7 @@ class Statevector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2 ** self.n_qubits,):
             raise ValueError("amplitude vector has wrong length")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-10:
             raise ValueError("state is not normalized")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -342,12 +372,17 @@ class DensityMatrix:
         dim = 2 ** self.n_qubits
         if mat.shape != (dim, dim):
             raise ValueError("density matrix has wrong shape")
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
+        if not np.abs(mat - mat.conj().T).max() <= 1e-10:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > 1e-10:
+        if not abs(np.trace(mat).real - 1.0) <= 1e-10:
             raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(mat).min() < -1e-9:
-            raise ValueError("density matrix has a negative eigenvalue")
+        # smallest eigenvalue > -1e-9 iff rho + 1e-9 I is positive definite
+        shifted = mat.copy()
+        shifted.flat[::dim + 1] += 1e-9
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has a negative eigenvalue") from None
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
@@ -386,6 +421,6 @@ def density_run(circuit: QuantumCircuit, rho0: DensityMatrix, channels=None) -> 
             mat = _apply_unitary(vec, u.conj(), qubits, 2 * n).reshape(mat.shape)
         if stop is not None:
             mat = channels[stop](mat)
-            if abs(np.trace(mat).real - 1.0) > 1e-10:
+            if not abs(np.trace(mat).real - 1.0) <= 1e-10:
                 raise ValueError("channel did not preserve the trace")
     return DensityMatrix(n, mat)

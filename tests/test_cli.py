@@ -198,6 +198,23 @@ def test_noise_model_without_generators_runs(bell_file, tmp_path, argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["pec", "--observable", "ZZ", "--samples", "100"],
+    ["zne", "--observable", "ZZ"],
+    ["noise-learn"],
+])
+def test_non_finite_noise_rate_is_a_validation_error(bell_file, tmp_path, argv, rate, capsys):
+    model = tmp_path / "bad.noise"
+    model.write_text("qubits 2\nXI %s\nIZ 0.01\n" % rate)
+    circuit = [] if argv[0] == "noise-learn" else ["--circuit", bell_file]
+    assert cli.main(argv[:1] + circuit + ["--noise", str(model)] + argv[1:]) == 3
+    captured = capsys.readouterr()
+    assert "validation error: rates must be finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert all(line.startswith("#") for line in captured.out.splitlines())  # no result rows
+
+
 def test_zne_simulates_each_scale_factor_once(bell_file, noise_file, monkeypatch, capsys):
     factors = [1.0, 1.5, 2.0, 3.0]
     circuit = cli._load_circuit(bell_file)

@@ -22,7 +22,7 @@ from qmit.noise import (
     virtual_distillation_expectation,
 )
 from qmit.pauli import Observable, PauliString, parse_pauli
-from qmit.simulator import DensityMatrix, Statevector, pauli_matrix, philox_rng
+from qmit.simulator import DensityMatrix, Statevector, pauli_gather, pauli_matrix, philox_rng
 
 
 def planted_model():
@@ -59,6 +59,41 @@ def test_model_validation():
         PauliLindbladModel(2, ((PauliString.identity(2), 0.1),))
     with pytest.raises(ValueError):
         PauliLindbladModel(3, ((parse_pauli("XY"), 0.1),))
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+def test_non_finite_rates_are_rejected(rate):
+    with pytest.raises(ValueError, match="finite"):
+        PauliLindbladModel(2, ((parse_pauli("XY"), rate),))
+    with pytest.raises(ValueError, match="finite"):
+        loads("qubits 2\nXI %r\n" % float(rate))
+    with pytest.raises(ValueError):
+        PauliLindbladModel(2, ((parse_pauli("XY"), 0.1),)).scaled(rate)
+
+
+def reference_apply_to_matrix(model, mat):
+    """The out-of-place mix w * vec + (1 - w) * P vec P, one new array per
+    generator."""
+    n = model.n_qubits
+    vec = mat.reshape(-1)
+    for p, lam in model.generators:
+        w = (1.0 + np.exp(-2.0 * lam)) / 2.0
+        vec = w * vec + (1.0 - w) * pauli_gather(
+            vec, p.x_mask | p.x_mask << n, p.z_mask | p.z_mask << n)
+    return vec.reshape(mat.shape)
+
+
+def test_in_place_channel_is_bit_identical_and_leaves_its_input():
+    m = planted_model()
+    rng = np.random.default_rng(9)
+    mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    before = mat.copy()
+    out = m.apply_to_matrix(mat)
+    assert out.tobytes() == reference_apply_to_matrix(m, mat).tobytes()
+    assert mat.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, mat)
+    empty = PauliLindbladModel(4, ())
+    assert not np.shares_memory(empty.apply_to_matrix(mat), mat)
 
 
 def test_pauli_fidelity_formula():

@@ -20,6 +20,7 @@ from qmit.simulator import (
     expectation_array,
     gate_matrix,
     observable_matrix,
+    pauli_gather,
     pauli_matrix,
     pauli_sum,
     philox_rng,
@@ -153,6 +154,51 @@ def test_density_matrix_checks():
         DensityMatrix(1, np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex))
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[0.9, 0], [0, 0.9]], dtype=complex))
+
+
+def test_nan_fails_every_state_check():
+    with pytest.raises(ValueError, match="normalized"):
+        Statevector(1, [np.nan, 0])
+    with pytest.raises(ValueError, match="normalized"):
+        Statevector(1, [np.inf, 0])
+    for entry in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Hermitian"), np.errstate(invalid="ignore"):
+            DensityMatrix(1, np.full((2, 2), entry))
+        with pytest.raises(ValueError, match="Hermitian"), np.errstate(invalid="ignore"):
+            DensityMatrix(1, np.diag([entry, 0.5]))
+    rho = DensityMatrix.from_statevector(run(bell_circuit()))
+    with pytest.raises(ValueError, match="preserve the trace"):
+        density_run(bell_circuit(), rho, {0: lambda mat: np.full(mat.shape, np.nan, complex)})
+
+
+def matrix_with_smallest_eigenvalue(n, smallest):
+    """A Hermitian, trace-1 matrix with eigenvalues `smallest`, then equal
+    shares of the rest, in a random eigenbasis."""
+    dim = 2 ** n
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    eigenvalues = np.full(dim, (1.0 - smallest) / (dim - 1))
+    eigenvalues[0] = smallest
+    mat = (q * eigenvalues) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_psd_bound_is_minus_1e_9(n):
+    bad = matrix_with_smallest_eigenvalue(n, -2e-9)
+    assert np.linalg.eigvalsh(bad).min() < -1.5e-9
+    with pytest.raises(ValueError, match="density matrix has a negative eigenvalue"):
+        DensityMatrix(n, bad)
+    good = matrix_with_smallest_eigenvalue(n, -5e-10)
+    assert -1e-9 < np.linalg.eigvalsh(good).min() < 0
+    DensityMatrix(n, good)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pure_states_pass_the_psd_check(n):
+    rng = np.random.default_rng(n)
+    DensityMatrix.from_statevector(Statevector(n, random_state(rng, (2 ** n,))))
+    DensityMatrix.from_statevector(Statevector.basis(n, 2 ** n - 1))
 
 
 def test_density_run_pure_matches_statevector():
@@ -430,3 +476,79 @@ def test_density_channel_at_a_stop_sees_the_unfused_rho():
             expected = model.apply_to_matrix(expected)
     assert len(seen) == len(stops)
     assert np.abs(final - expected).max() < 1e-12
+
+
+# -- the strided Pauli gather against the index formula ------------------------
+
+def reference_pauli_gather(arr, x, z):
+    """The index formula: out[j] = (-1)^popcount((j ^ x) & z) * arr[j ^ x],
+    with the sign vector multiplied into every entry along axis 0."""
+    src = np.arange(arr.shape[0]) ^ x
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
+    return signs.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[src]
+
+
+def signed_zero_array(rng, shape):
+    """Random complex entries, about a third of the real and of the imaginary
+    parts replaced by +0.0 or -0.0: multiplying by (1 + 0j) changes some of
+    their signs, so a kernel that skips that multiply differs in tobytes."""
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (arr.real, arr.imag):
+        mask = rng.random(shape) < 0.3
+        part[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    return arr
+
+
+def assert_gather_matches(arr, x, z, expected):
+    out = pauli_gather(arr, x, z)
+    assert out.dtype == expected.dtype and out.shape == arr.shape
+    assert out.tobytes() == expected.tobytes()
+    assert out.flags.c_contiguous
+    assert not np.shares_memory(out, arr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_gather_matches_the_index_formula_for_every_pauli(n):
+    rng = np.random.default_rng(n)
+    for shape in ((2 ** n,), (2 ** n, 5)):
+        arr = signed_zero_array(rng, shape)
+        for x in range(2 ** n):
+            for z in range(2 ** n):
+                assert_gather_matches(arr, x, z, reference_pauli_gather(arr, x, z))
+
+
+@pytest.mark.parametrize("n", [6, 16])
+def test_pauli_gather_matches_the_index_formula_on_random_masks(n):
+    rng = np.random.default_rng(60 + n)
+    for shape in ((2 ** n,), (2 ** n, 3)):
+        arr = signed_zero_array(rng, shape)
+        for _ in range(8):
+            x, z = (int(m) for m in rng.integers(2 ** n, size=2))
+            assert_gather_matches(arr, x, z, reference_pauli_gather(arr, x, z))
+        for x, z in ((0, 0), (2 ** n - 1, 0), (0, 2 ** n - 1), (2 ** n - 1, 2 ** n - 1)):
+            assert_gather_matches(arr, x, z, reference_pauli_gather(arr, x, z))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_pauli_gather_signs_go_on_axis_0_for_any_trailing_shape(n):
+    rng = np.random.default_rng(70 + n)
+    arr = signed_zero_array(rng, (2 ** n, 2, 3))
+    for x in range(2 ** n):
+        for z in range(2 ** n):
+            expected = np.empty_like(arr)
+            for i in range(2):
+                for j in range(3):
+                    expected[:, i, j] = reference_pauli_gather(arr[:, i, j], x, z)
+            assert_gather_matches(arr, x, z, expected)
+    # Z on qubit 0 of a (2, 2, 5) array negates arr[1], not arr[:, 1, :]
+    arr = np.ones((2, 2, 5))
+    out = pauli_gather(arr, 0, 1)
+    assert (out[0] == 1).all() and (out[1] == -1).all()
+
+
+def test_pauli_gather_of_a_view_is_a_new_array():
+    arr = np.arange(8.0).reshape(4, 2)[:, 0].astype(complex)[::-1]
+    for x, z in ((0, 0), (1, 0), (0, 1), (3, 3)):
+        assert_gather_matches(arr, x, z, reference_pauli_gather(arr, x, z))
+    single = np.array([1.0 + 2.0j, -0.0 - 0.0j])
+    assert_gather_matches(single, 1, 0, reference_pauli_gather(single, 1, 0))
