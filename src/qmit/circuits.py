@@ -83,11 +83,6 @@ class QuantumCircuit:
         for layer in self.layers:
             _check_layer(layer, self.n_qubits)
 
-    def add_layer(self, gates: list[Gate]) -> None:
-        layer = Layer(list(gates))
-        _check_layer(layer, self.n_qubits)
-        self.layers.append(layer)
-
     def two_qubit_layer_indices(self) -> list[int]:
         return [i for i, layer in enumerate(self.layers) if layer.kind == "2q"]
 

@@ -8,7 +8,9 @@ of the subcommand except ``--seed``, which has its own header line, and
 the worker count never changes results.
 
 Environment overrides: ``QMIT_SEED`` for the default seed and
-``QMIT_WORKERS`` for the default worker-pool size.
+``QMIT_WORKERS`` for the default worker-pool size. A value that is not an
+integer (or, for the worker count, is below 1) is a usage error, exit 2, as
+is ``--workers`` below 1.
 """
 from __future__ import annotations
 
@@ -24,13 +26,30 @@ from .pauli import Observable, parse_pauli
 from .simulator import Statevector, expectation, philox_rng, run, sample_counts
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("QMIT_SEED", "0"))
+def _integer(text: str, minimum=None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer, got %r" % text) from None
+    if minimum is not None and value < minimum:
+        raise argparse.ArgumentTypeError("must be >= %d, got %r" % (minimum, text))
+    return value
 
 
-def _default_workers() -> int:
-    value = os.environ.get("QMIT_WORKERS")
-    return int(value) if value else (os.cpu_count() or 1)
+def _worker_count(text: str) -> int:
+    return _integer(text, minimum=1)
+
+
+def _env_default(parser, name, convert, default):
+    """convert(value) of environment variable `name`, or `default` if it is
+    unset or empty; a value convert refuses is a usage error (exit 2)."""
+    text = os.environ.get(name)
+    if not text:
+        return default
+    try:
+        return convert(text)
+    except argparse.ArgumentTypeError as exc:
+        parser.error("environment variable %s: %s" % (name, exc))
 
 
 def _fmt(value) -> str:
@@ -61,7 +80,7 @@ _NOT_ECHOED = ("command", "func", "seed", "workers")
 
 def _header(out, args):
     out.write("# qmit %s\n" % __version__)
-    out.write("# seed: %d\n" % getattr(args, "seed", _default_seed()))
+    out.write("# seed: %d\n" % args.seed)
     parts = ["%s=%s" % (k.replace("_", "-"), v)
              for k, v in vars(args).items() if k not in _NOT_ECHOED]
     out.write("# config: %s %s\n" % (args.command, " ".join(parts)))
@@ -259,12 +278,13 @@ def _cmd_simulate(args, out):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, seed=True, workers=False):
+def _add_common(p, seed=None, workers=None):
+    """--format, and --seed / --workers with these defaults where given."""
     p.add_argument("--format", choices=["table", "csv", "records"], default="table")
-    if seed:
-        p.add_argument("--seed", type=int, default=_default_seed())
-    if workers:
-        p.add_argument("--workers", type=int, default=_default_workers())
+    if seed is not None:
+        p.add_argument("--seed", type=int, default=seed)
+    if workers is not None:
+        p.add_argument("--workers", type=_worker_count, default=workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,6 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "time evolution and fault-tolerance cost models.",
     )
     parser.add_argument("--version", action="version", version="qmit %s" % __version__)
+    seed = _env_default(parser, "QMIT_SEED", _integer, 0)
+    workers = _env_default(parser, "QMIT_WORKERS", _worker_count, os.cpu_count() or 1)
+    parser.set_defaults(seed=seed)  # the header's seed for commands without --seed
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trotter", help="build a Trotter circuit and report costs")
@@ -284,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=[1, 2], default=1)
     p.add_argument("--random-fields", action="store_true")
     p.add_argument("--emit-circuit", default=None)
-    _add_common(p)
+    _add_common(p, seed)
     p.set_defaults(func=_cmd_trotter)
 
     p = sub.add_parser("noise-learn", help="learn rates of a planted model")
     p.add_argument("--noise", required=True)
     p.add_argument("--shots", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed)
     p.set_defaults(func=_cmd_noise_learn)
 
     p = sub.add_parser("pec", help="probabilistic error cancellation estimate")
@@ -299,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--mode", choices=["analytic", "shot"], default="analytic")
-    _add_common(p, workers=True)
+    _add_common(p, seed, workers)
     p.set_defaults(func=_cmd_pec)
 
     p = sub.add_parser("zne", help="zero-noise extrapolation")
@@ -308,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", required=True)
     p.add_argument("--factors", default="1,2,3")
     p.add_argument("--order", type=int, default=1)
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_zne)
 
     p = sub.add_parser("cut", help="wire-cut a circuit and recombine")
@@ -318,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable", required=True)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed)
     p.set_defaults(func=_cmd_cut)
 
     p = sub.add_parser("varqte", help="variational time evolution trajectory")
@@ -329,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mclachlan", "tdvp"], default="mclachlan")
     p.add_argument("--regularization", type=float, default=1e-6)
     p.add_argument("--random-fields", action="store_true")
-    _add_common(p)
+    _add_common(p, seed)
     p.set_defaults(func=_cmd_varqte)
 
     p = sub.add_parser("estimate-ft", help="fault-tolerance space-time volumes")
     p.add_argument("--n-cnot", type=float, required=True)
     p.add_argument("--n-t", type=float, required=True)
     p.add_argument("--circuit-size", type=float, default=None)
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_estimate_ft)
 
     p = sub.add_parser("scale", help="modular system scale n = q*m*l*t*p")
@@ -345,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("overhead-table", help="PEC circuit-instance overhead grid")
@@ -353,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", required=True, help="comma-separated step counts")
     p.add_argument("--lambdas", required=True, help="comma-separated rates")
     p.add_argument("--eps", type=float, default=1.0)
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_overhead_table)
 
     p = sub.add_parser("simulate", help="run a circuit file exactly")
     p.add_argument("circuit")
     p.add_argument("--observable", default=None)
     p.add_argument("--shots", type=int, default=None)
-    _add_common(p)
+    _add_common(p, seed)
     p.set_defaults(func=_cmd_simulate)
 
     return parser

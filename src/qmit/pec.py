@@ -19,9 +19,21 @@ together as the columns of one (2^n, B) amplitude array, with each layer's
 insertions applied as one signed gather. B is set by AMPLITUDE_BUDGET; a
 wider chunk is processed in consecutive row slices of the same uniform
 block. Which worker runs a chunk therefore changes nothing in its result.
+
+Pooled calls (workers > 1 and more than one chunk) share one process pool.
+It starts on the first pooled call and then stays alive, so a process keeps
+`workers` idle worker processes until it exits or a call asks for a
+different worker count, which replaces the pool. Calls from several
+threads take turns on it. A pool broken by a dead worker fails the call that
+finds it broken and is dropped, so the next call starts a fresh one; a
+forked child drops the pool it inherits unused.
 """
 from __future__ import annotations
 
+import atexit
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +169,57 @@ def _pec_chunk(args):
     return out
 
 
+_pool = None  # (workers, ProcessPoolExecutor) shared by pooled calls
+_pool_lock = threading.Lock()
+
+
+def _pooled_map(chunks, workers: int):
+    """_pec_chunk of every chunk on the shared pool, in chunk order."""
+    global _pool
+    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _pool_lock:
+        if _pool is not None and _pool[0] != workers:
+            _pool[1].shutdown()
+            _pool = None
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        try:
+            return list(_pool[1].map(_pec_chunk, chunks))  # yielded in chunk order
+        except BrokenProcessPool:
+            _pool[1].shutdown()
+            _pool = None
+            raise
+
+
+def _shutdown_pool():
+    """Stop the shared pool's workers at exit, while the modules its
+    clean-up uses are still loaded."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+    if pool is not None:
+        pool[1].shutdown()
+
+
+def _forget_pool():
+    """In a forked child: the inherited pool's threads and processes are
+    the parent's, so drop the pool without a call on it, and the lock with
+    it, which another parent thread may have held at the fork. Its workers
+    also leave multiprocessing's list of this process's children, as in
+    every child multiprocessing starts itself; its exit handler would
+    otherwise try to join them."""
+    global _pool, _pool_lock
+    if _pool is not None:
+        sys.modules["multiprocessing.process"]._children.clear()
+    _pool, _pool_lock = None, threading.Lock()
+
+
+atexit.register(_shutdown_pool)
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def pec_estimate(
     circuit: QuantumCircuit,
     per_layer_models,
@@ -170,6 +233,8 @@ def pec_estimate(
     per-sample observable records. `per_layer_models` follows `per_layer`."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if mode not in ("analytic", "shot"):
         raise ValueError("mode must be 'analytic' or 'shot'")
     n = circuit.n_qubits
@@ -181,11 +246,7 @@ def pec_estimate(
                min(CHUNK_SIZE, samples - start))
               for start in range(0, samples, CHUNK_SIZE)]
     if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map yields the results in chunk order
-            values = np.concatenate(list(pool.map(_pec_chunk, chunks)))
+        values = np.concatenate(_pooled_map(chunks, workers))
     else:
         values = np.concatenate([_pec_chunk(c) for c in chunks])
     mean = float(values.mean())
@@ -325,8 +386,9 @@ def _zne_factors(scale_factors, order: int) -> list[float]:
     cs = [float(c) for c in scale_factors]
     if len(set(cs)) != len(cs):
         raise ValueError("scale factors must be distinct")
-    if any(c < 1.0 for c in cs):
-        raise ValueError("scale factors must be >= 1")
+    for c in cs:
+        if not (np.isfinite(c) and c >= 1.0):
+            raise ValueError("scale factor %r must be finite and >= 1" % c)
     if 1.0 not in cs:
         raise ValueError("scale factors must include 1")
     if len(cs) < order + 1:

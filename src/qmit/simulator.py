@@ -291,9 +291,6 @@ class Statevector:
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
-    def fidelity(self, other: "Statevector") -> float:
-        return abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2
-
 
 def run_array(circuit: QuantumCircuit, amps: np.ndarray) -> np.ndarray:
     """Gate application on a raw amplitude array (no per-gate norm checks)."""

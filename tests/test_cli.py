@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -327,3 +328,54 @@ def test_worker_count_leaves_stdout_unchanged(bell_file, noise_file, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "workers" not in outputs[0]
+
+
+@pytest.mark.parametrize("name, value", [("QMIT_WORKERS", "abc"), ("QMIT_SEED", "x"),
+                                         ("QMIT_WORKERS", "0")])
+def test_bad_environment_default_is_a_usage_error(name, value):
+    result = run_cli("--version", env=dict(os.environ, **{name: value}))
+    assert result.returncode == 2
+    assert "environment variable %s" % name in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_fewer_than_one_worker_is_a_usage_error(bell_file, noise_file, workers):
+    result = run_cli("pec", "--circuit", bell_file, "--noise", noise_file,
+                     "--observable", "ZZ", "--workers", workers)
+    assert result.returncode == 2
+    assert "argument --workers: must be >= 1" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_non_finite_zne_factor_is_named_before_any_simulation(bell_file, tmp_path, factor):
+    # without generators nothing else rejects the factor: the fit used to get it
+    model = tmp_path / "empty.noise"
+    model.write_text("qubits 2\n")
+    result = run_cli("zne", "--circuit", bell_file, "--noise", str(model),
+                     "--observable", "ZZ", "--factors", "1,2," + factor)
+    assert result.returncode == 3
+    assert "scale factor %s must be finite and >= 1" % factor in result.stderr
+    assert "DLASCL" not in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _kill_worker(args):
+    os._exit(1)
+
+
+def test_killed_worker_is_a_numeric_error(bell_file, noise_file, monkeypatch, capsys):
+    argv = ["pec", "--circuit", bell_file, "--noise", noise_file, "--observable", "ZZ",
+            "--samples", str(2 * pec.CHUNK_SIZE), "--workers", "2"]
+    monkeypatch.setattr(pec, "_pec_chunk", _kill_worker)  # looked up by name in the worker
+    assert cli.main(argv) == 4
+    assert "numeric error" in capsys.readouterr().err
+
+
+def test_seed_env_default_reaches_the_header_of_commands_without_seed(bell_file, noise_file,
+                                                                       monkeypatch, capsys):
+    monkeypatch.setenv("QMIT_SEED", "123")
+    assert cli.main(["zne", "--circuit", bell_file, "--noise", noise_file,
+                     "--observable", "ZZ"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "# seed: 123"

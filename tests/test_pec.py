@@ -1,5 +1,11 @@
 import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -404,3 +410,149 @@ def test_zne_improves_over_unmitigated():
     noisy = noisy_expectation(circuit, model, obs)
     mitigated = zne_estimate(circuit, model, obs)
     assert abs(mitigated - ideal) < abs(noisy - ideal)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), float("-inf")])
+def test_zne_rejects_non_finite_scale_factor_before_simulating(monkeypatch, factor):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the factors were checked")
+
+    monkeypatch.setattr(pec, "noisy_expectation", no_simulation)
+    circuit, models = two_layer_instance()
+    with pytest.raises(ValueError, match="scale factor %r must be finite and >= 1" % factor):
+        zne_estimate(circuit, models[0], Observable.from_label("ZZ"), (1.0, 2.0, factor))
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_pec_rejects_fewer_than_one_worker(workers):
+    circuit, models = two_layer_instance()
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        pec_estimate(circuit, models, Observable.from_label("ZZ"), 3000, 7, workers=workers)
+
+
+def pooled_instance():
+    """Three chunks on two qubits: a pooled call costs little beyond the pool."""
+    circuit, models = two_layer_instance()
+    return circuit, models, Observable.from_label("ZZ"), 3 * pec.CHUNK_SIZE
+
+
+def test_pooled_calls_reuse_one_executor():
+    circuit, models, obs, samples = pooled_instance()
+    first = pec_estimate(circuit, models, obs, samples, 5, workers=2)
+    executor = pec._pool[1]
+    assert pec_estimate(circuit, models, obs, samples, 5, workers=2) == first
+    assert pec._pool[1] is executor
+    assert len(multiprocessing.active_children()) == 2
+
+
+def test_new_worker_count_replaces_the_pool():
+    circuit, models, obs, samples = pooled_instance()
+    serial = pec_estimate(circuit, models, obs, samples, 8, workers=1)
+    executors = []
+    for workers in (2, 3, 2):
+        assert pec_estimate(circuit, models, obs, samples, 8, workers=workers) == serial
+        assert pec._pool[0] == workers
+        executors.append(pec._pool[1])
+        # the replaced pool's workers have stopped
+        assert len(multiprocessing.active_children()) == workers
+    assert len({id(e) for e in executors}) == 3
+
+
+def test_threads_share_the_pool_safely():
+    # more workers than cores, and thread switches between most bytecodes:
+    # a replacement racing another thread's call would fail or leak a pool
+    circuit, models, obs, samples = pooled_instance()
+    serial = pec_estimate(circuit, models, obs, samples, 3, workers=1)
+    results, errors = [], []
+
+    def calls(first):
+        try:
+            for k in range(3):
+                workers = 2 + (first + k) % 2
+                results.append(pec_estimate(circuit, models, obs, samples, 3, workers=workers))
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [serial] * 12
+    assert len(multiprocessing.active_children()) == pec._pool[0]
+
+
+def _kill_worker(args):
+    os._exit(1)
+
+
+def test_killed_worker_fails_that_call_and_the_next_starts_a_fresh_pool(monkeypatch):
+    circuit, models, obs, samples = pooled_instance()
+    expected = pec_estimate(circuit, models, obs, samples, 9, workers=2)
+    broken = pec._pool[1]
+    with monkeypatch.context() as patch:
+        patch.setattr(pec, "_pec_chunk", _kill_worker)  # looked up by name in the worker
+        with pytest.raises(BrokenProcessPool) as info:
+            pec_estimate(circuit, models, obs, samples, 9, workers=2)
+    assert isinstance(info.value, RuntimeError)  # the CLI's numeric error, exit 4
+    assert pec._pool is None
+    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == expected
+    assert pec._pool[1] is not broken
+
+
+SUBPROCESS_PRELUDE = (
+    "import multiprocessing, os, sys\n"
+    "from qmit import circuit_io, noise, pec\n"
+    "from qmit.pauli import Observable\n"
+    "circuit = circuit_io.parse('qubits 2;\\nh 0;\\n\\ncx 0, 1;\\n')\n"
+    "models = noise.loads('qubits 2\\nXI 0.05\\nZY 0.03\\n')\n"
+    "obs, samples = Observable.from_label('ZZ'), 3 * pec.CHUNK_SIZE\n"
+)
+
+
+def run_python(code):
+    # Python 3.12 warns on every fork of a process with threads running, as
+    # the parent with a live pool is; that warning is not under test here
+    return subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c",
+                           SUBPROCESS_PRELUDE + code], capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_forked_child_starts_its_own_pool():
+    result = run_python(
+        "parent = pec.pec_estimate(circuit, models, obs, samples, 4, workers=2)\n"
+        "inherited = pec._pool[1]\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    assert pec._pool is None\n"
+        "    assert pec.pec_estimate(circuit, models, obs, samples, 4, workers=2) == parent\n"
+        "    assert pec._pool[1] is not inherited\n"
+        "    assert len(multiprocessing.active_children()) == 2\n"
+        "    sys.exit(0)\n"
+        "_, status = os.waitpid(pid, 0)\n"
+        "assert os.waitstatus_to_exitcode(status) == 0\n"
+        "assert pec._pool[1] is inherited\n"
+        "assert pec.pec_estimate(circuit, models, obs, samples, 4, workers=2) == parent\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
+def test_process_with_pooled_calls_exits_cleanly():
+    result = run_python(
+        "pec.pec_estimate(circuit, models, obs, samples, 6, workers=1)\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "for _ in range(2):\n"
+        "    pec.pec_estimate(circuit, models, obs, samples, 6, workers=2)\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""  # no exception from the pool's clean-up at exit
+    assert result.stdout.split() == ["False", "True"]
