@@ -14,6 +14,8 @@ from .circuits import Gate, Layer, QuantumCircuit
 from .pauli import Observable, PauliString
 from .simulator import philox_rng
 
+MAX_TROTTER_GATES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class SpinChainHamiltonian:
@@ -89,12 +91,17 @@ def trotter_circuit(chain: SpinChainHamiltonian, t: float, steps: int, order: in
     step. Order 2: symmetric arrangement with field rotations split around
     the bond blocks and the bond order alternating (even-odd, odd-even)
     between steps, so consecutive step pairs form a palindrome; bond blocks
-    appear once per step and the CNOT count is unchanged."""
+    appear once per step and the CNOT count is unchanged. A circuit of more
+    than MAX_TROTTER_GATES gates is refused before any is built."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if order not in (1, 2):
         raise ValueError("unsupported order %d" % order)
     n = chain.n
+    # 13 gates per bond template, n field rotations per field layer
+    gates = (13 * (n - 1) + order * n) * steps
+    if gates > MAX_TROTTER_GATES:
+        raise ValueError("Trotter circuit capped at %d gates, got %d" % (MAX_TROTTER_GATES, gates))
     dt = t / steps
     # dt is fixed, so every step repeats the same blocks: build them once
     even = _bond_block(list(range(0, n - 1, 2)), dt)

@@ -4,6 +4,14 @@ measure-and-prepare sub-experiments per cut and recombine expectations.
 Per cut the identity channel is replaced by the eight terms below; their
 absolute coefficients sum to 4, so the sampling-overhead base is 4 per cut
 (16 in variance).
+
+A fragment's factor of an observable term depends only on its own cuts: the
+state prepared on each in-cut and the basis measured on each out-cut. So
+each fragment runs once, on a block holding all 6^in preparations, and each
+term reads one table per fragment with one axis of 8 cut terms per cut
+(the per-subcircuit decomposition of Peng, Harrow, Ozols & Wu, PRL 125,
+150504 (2020), and of CutQC, Tang et al., ASPLOS 2021). Exact mode sums the
+records of all 8^cuts cut-term assignments; sampled mode draws assignments.
 """
 from __future__ import annotations
 
@@ -16,7 +24,8 @@ import numpy as np
 
 from .circuits import Gate, Layer, QuantumCircuit
 from .pauli import _CHAR_TO_XZ, Observable, PauliString
-from .simulator import _check_statevector_size, apply_pauli_array, philox_rng, run_array
+from .simulator import (MAX_STATEVECTOR_QUBITS, _check_statevector_size, apply_pauli_array,
+                        philox_rng, run_array)
 
 _SQ2 = 1 / sqrt(2)
 
@@ -165,60 +174,88 @@ def plan_wire_cut(circuit: QuantumCircuit, cut_points) -> CutPlan:
     return CutPlan(circuit, cuts, fragments)
 
 
-def _fragment_state(frag: Fragment, preps: dict[int, str], cache: dict) -> np.ndarray:
-    key = (id(frag), tuple(sorted((local, preps[cut]) for cut, local in frag.in_cuts)))
-    if key not in cache:
-        n = frag.circuit.n_qubits
-        # qubit k occupies bit k of the basis index, so later locals go on
-        # the left of the kron product
-        amps = np.array([1.0 + 0j])
-        for local in range(n):
-            vec = PREP_STATES["0"]
-            for cut, loc in frag.in_cuts:
-                if loc == local:
-                    vec = PREP_STATES[preps[cut]]
-            amps = np.kron(vec, amps)
-        cache[key] = run_array(frag.circuit, amps)
-    return cache[key]
+MAX_EXACT_CUTS = 7  # exact mode sums 8^cuts records: 2^21 at 7 cuts
+MAX_TABLE_ENTRIES = 2 ** 24  # all tables of one call together: 128 MiB
+
+_COEFFS = np.array([c for _, _, c in CUT_TERMS])
+# per cut term: the index of its prepared state in PREP_STATES and of its
+# measured basis in "IXYZ", the value axes of `_fragment_value`
+_TERM_PREP = [list(PREP_STATES).index(prep) for _, prep, _ in CUT_TERMS]
+_TERM_BASIS = ["IXYZ".index(basis) for basis, _, _ in CUT_TERMS]
 
 
-def _fragment_value(
-    frag: Fragment,
-    term_pauli: PauliString,
-    measures: dict[int, str],
-    preps: dict[int, str],
-    cache: dict,
-) -> float:
+def _check_plan_size(plan: CutPlan, observable: Observable, mode: str) -> None:
+    """Reject a plan whose records, fragment blocks or tables exceed the
+    caps, before any fragment runs. A block holds at most the amplitudes of
+    one statevector at the cap."""
+    if mode == "exact" and len(plan.cuts) > MAX_EXACT_CUTS:
+        raise ValueError("exact mode capped at %d cuts (8^cuts terms)" % MAX_EXACT_CUTS)
+    for frag in plan.fragments:
+        _check_statevector_size(frag.circuit.n_qubits)
+        if 6 ** len(frag.in_cuts) << frag.circuit.n_qubits > 1 << MAX_STATEVECTOR_QUBITS:
+            raise ValueError("fragment block of 6^in preparations capped at %d amplitudes"
+                             % (1 << MAX_STATEVECTOR_QUBITS))
+    entries = sum(8 ** (len(f.in_cuts) + len(f.out_cuts)) for f in plan.fragments)
+    if len(observable.terms) * entries > MAX_TABLE_ENTRIES:
+        raise ValueError("knitting tables capped at %d entries" % MAX_TABLE_ENTRIES)
+
+
+def _fragment_state(frag: Fragment) -> np.ndarray:
+    """The fragment run once on a (2^n, 6^in) block: column j prepares |0>
+    on every qubit but the in-cuts, and on those the PREP_STATES named by the
+    base-6 digits of j, the first in-cut's digit the most significant."""
+    preps = np.array(list(PREP_STATES.values())).T  # (2, 6), one state per column
+    in_locals = {local for _, local in frag.in_cuts}
+    block = np.ones((1, 1), dtype=complex)
+    # qubit k occupies bit k of the basis index, so a later local is a more
+    # significant row bit, and a later in-cut a less significant column digit
+    for local in range(frag.circuit.n_qubits):
+        vec = preps if local in in_locals else preps[:, :1]
+        block = (vec[:, None, None, :] * block[None, :, :, None]).reshape(2 * len(block), -1)
+    return run_array(frag.circuit, block)
+
+
+def _fragment_value(frag: Fragment, block: np.ndarray, pauli: PauliString) -> np.ndarray:
+    """The fragment's factor of one observable term for every cut-term
+    assignment of its cuts, one axis of 8 per in-cut, then per out-cut: the
+    6^in * 4^out values <psi_j|P|psi_j>, psi_j a block column and P the
+    term's factor times one basis per out-cut, expanded to those axes."""
+    n, n_in, n_out = frag.circuit.n_qubits, len(frag.in_cuts), len(frag.out_cuts)
     # every factor acts on its own local qubit, so the product's masks are
     # the OR of the factors' masks, and its coefficient is 1
     x = z = 0
     for q, local in frag.final_local.items():
-        x |= (term_pauli.x_mask >> q & 1) << local
-        z |= (term_pauli.z_mask >> q & 1) << local
-    for cut, local in frag.out_cuts:
-        xb, zb = _CHAR_TO_XZ[measures[cut]]
-        x |= xb << local
-        z |= zb << local
-    amps = _fragment_state(frag, preps, cache)
-    value = np.vdot(amps, apply_pauli_array(amps, PauliString(frag.circuit.n_qubits, x, z)))
-    return float(value.real)
+        x |= (pauli.x_mask >> q & 1) << local
+        z |= (pauli.z_mask >> q & 1) << local
+    # one contiguous row per state: np.vecdot then takes the BLAS dot that
+    # np.vdot takes on a lone statevector, so the values match it bit for bit
+    bras = np.ascontiguousarray(block.T)
+    values = []
+    for bases in itertools.product("IXYZ", repeat=n_out):
+        bx, bz = x, z
+        for basis, (_, local) in zip(bases, frag.out_cuts):
+            bx |= _CHAR_TO_XZ[basis][0] << local
+            bz |= _CHAR_TO_XZ[basis][1] << local
+        kets = apply_pauli_array(block, PauliString(n, bx, bz))
+        values.append(np.vecdot(bras, np.ascontiguousarray(kets.T)).real)
+    values = np.stack(values, axis=-1).reshape((6,) * n_in + (4,) * n_out)
+    return values[np.ix_(*[_TERM_PREP] * n_in, *[_TERM_BASIS] * n_out)]
 
 
-def _term_value(plan: CutPlan, observable: Observable, assignment, cache) -> float:
-    """Signed contribution of one cut-term assignment (one term per cut)."""
-    coeff = 1.0
-    measures = {}
-    preps = {}
-    for cut_idx, (basis, prep, c) in enumerate(assignment):
-        coeff *= c
-        measures[cut_idx] = basis
-        preps[cut_idx] = prep
+def _records(plan: CutPlan, observable: Observable, tables, rows: np.ndarray) -> np.ndarray:
+    """Signed contribution of each cut-term assignment, one per row of an
+    (m, cuts) array of CUT_TERMS indices: the product of its cut coefficients
+    times the sum over terms t of coeff_t times the product over fragments f
+    of the entries of tables[t][f], multiplied in that order."""
+    coeff = np.ones(len(rows))
+    for k in range(rows.shape[1]):
+        coeff *= _COEFFS[rows[:, k]]
     total = 0.0
-    for obs_coeff, pauli in observable.terms:
+    for (obs_coeff, _), term_tables in zip(observable.terms, tables):
         prod = 1.0
-        for frag in plan.fragments:
-            prod *= _fragment_value(frag, pauli, measures, preps, cache)
-        total += obs_coeff * prod
+        for frag, table in zip(plan.fragments, term_tables):
+            prod = prod * table[tuple(rows[:, cut] for cut, _ in frag.in_cuts + frag.out_cuts)]
+        total = total + obs_coeff * prod
     return coeff * total
 
 
@@ -231,41 +268,39 @@ def execute_plan(
 ):
     """Recombine sub-circuit expectations.
 
-    Exact mode enumerates all 8^cuts terms; sampled mode draws terms with
-    probability |coeff| / 4^cuts and rescales.
+    Each fragment runs once, and each observable term reads one table per
+    fragment. Exact mode sums the records of all 8^cuts cut-term
+    assignments; sampled mode draws assignments with probability
+    |coeff| / 4^cuts and rescales.
     Returns {value, std_error, terms, gamma_cut}.
     """
     if observable.n_qubits != plan.circuit.n_qubits:
         raise ValueError("observable and circuit sizes differ")
-    for frag in plan.fragments:
-        _check_statevector_size(frag.circuit.n_qubits)
-    cache: dict = {}
+    if mode not in ("exact", "sampled"):
+        raise ValueError("mode must be 'exact' or 'sampled'")
+    if mode == "sampled" and (samples is None or seed is None):
+        raise ValueError("sampled mode requires samples and seed")
+    _check_plan_size(plan, observable, mode)
+    blocks = [_fragment_state(frag) for frag in plan.fragments]
+    tables = [[_fragment_value(frag, block, pauli) for frag, block in zip(plan.fragments, blocks)]
+              for _, pauli in observable.terms]
     n_cuts = len(plan.cuts)
     if mode == "exact":
-        value = 0.0
-        for assignment in itertools.product(CUT_TERMS, repeat=n_cuts):
-            value += _term_value(plan, observable, assignment, cache)
+        rows = np.indices((8,) * n_cuts, dtype=np.uint8).reshape(n_cuts, 8 ** n_cuts).T
+        value = float(_records(plan, observable, tables, rows).sum())
         std_error = None
-    elif mode == "sampled":
-        if samples is None or seed is None:
-            raise ValueError("sampled mode requires samples and seed")
+    else:
         rng = philox_rng(seed)
-        weights = np.array([abs(c) for _, _, c in CUT_TERMS])
+        weights = np.abs(_COEFFS)
         picks = rng.choice(len(CUT_TERMS), size=(samples, n_cuts), p=weights / weights.sum())
         distinct, which = np.unique(picks, axis=0, return_inverse=True)
         # record of a sample: its term's value over prod |c|, i.e. sign * total;
         # the remaining factor gamma_cut is applied to the mean
-        records = np.array([
-            _term_value(plan, observable, [CUT_TERMS[k] for k in row], cache)
-            / np.prod(weights[row])
-            for row in distinct
-        ])
+        records = _records(plan, observable, tables, distinct) / np.prod(weights[distinct], axis=1)
         values = records[which.reshape(-1)]
         value = plan.gamma_cut * float(values.mean())
         std_error = (float(plan.gamma_cut * values.std(ddof=1) / np.sqrt(samples))
                      if samples > 1 else 0.0)
-    else:
-        raise ValueError("mode must be 'exact' or 'sampled'")
     return {
         "value": value,
         "std_error": std_error,

@@ -24,9 +24,10 @@ Pooled calls (workers > 1 and more than one chunk) share one process pool.
 It starts on the first pooled call and then stays alive, so a process keeps
 `workers` idle worker processes until it exits or a call asks for a
 different worker count, which replaces the pool. Calls from several
-threads take turns on it. A pool broken by a dead worker fails the call that
-finds it broken and is dropped, so the next call starts a fresh one; a
-forked child drops the pool it inherits unused.
+threads take turns on it. A pool broken by a dead worker is dropped, and
+the call that finds it broken runs once more on a fresh pool (chunks are
+pure, so the values are the same); if that pool breaks too, the call fails.
+A forked child drops the pool it inherits unused.
 """
 from __future__ import annotations
 
@@ -183,14 +184,17 @@ def _pooled_map(chunks, workers: int):
         if _pool is not None and _pool[0] != workers:
             _pool[1].shutdown()
             _pool = None
-        if _pool is None:
-            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-        try:
-            return list(_pool[1].map(_pec_chunk, chunks))  # yielded in chunk order
-        except BrokenProcessPool:
-            _pool[1].shutdown()
-            _pool = None
-            raise
+        for retry in (False, True):
+            if _pool is None:
+                _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+            try:
+                return list(_pool[1].map(_pec_chunk, chunks))  # yielded in chunk order
+            except BrokenProcessPool:
+                # a worker died, perhaps while the pool sat idle
+                _pool[1].shutdown()
+                _pool = None
+                if retry:
+                    raise
 
 
 def _shutdown_pool():

@@ -299,6 +299,38 @@ def test_varqte_derivative_block_too_large_is_a_validation_error():
     assert "Traceback" not in result.stderr
 
 
+def test_oversized_trotter_circuit_is_a_validation_error():
+    # 2.8e10 gates: refused from the closed-form count, before any is built
+    result = run_cli("trotter", "--n", "2000000", "--steps", "1000")
+    assert result.returncode == 3
+    assert "capped" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def chain_with_eight_cuts(tmp_path):
+    """9 two-qubit blocks joined in a chain; each joining wire is cut just
+    before its joint."""
+    lines = ["qubits 18;"] + ["h %d;" % q for q in range(18)]
+    lines += [""] + ["cx %d, %d;" % (q, q + 1) for q in range(0, 18, 2)]
+    for b in range(8):
+        lines += ["", "cx %d, %d;" % (2 * b + 1, 2 * b + 2)]
+    path = tmp_path / "chain8.qc"
+    path.write_text("\n".join(lines) + "\n")
+    cuts = []
+    for b in range(8):
+        cuts += ["--cut", "%d:%d" % (2 * b + 1, 2 + b)]
+    return ["cut", "--circuit", str(path), *cuts, "--observable", "Z" * 18]
+
+
+def test_exact_cut_over_seven_cuts_is_a_validation_error(tmp_path, capsys):
+    argv = chain_with_eight_cuts(tmp_path)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "capped" in err and "Traceback" not in err
+    assert cli.main(argv + ["--mode", "sampled", "--samples", "100"]) == 0
+    assert "terms" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("base, a, b", [
     (["cut", "--circuit", "BELL", "--cut", "0:1", "--observable", "ZZ", "--mode", "sampled"],
      ["--samples", "100"], ["--samples", "200"]),

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qmit import hamiltonian
 from qmit.circuits import Layer, QuantumCircuit
 from qmit.hamiltonian import (
+    MAX_TROTTER_GATES,
     SpinChainHamiltonian,
     _bond_block,
     _bond_template,
@@ -64,6 +66,31 @@ def test_cnot_count_formula():
     for r in (1, 3):
         for order in (1, 2):
             assert trotter_circuit(chain, 1.0, r, order).cnot_count() == 3 * 4 * r
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 10])
+def test_gate_count_formula_matches_built_circuit(n, steps, order):
+    # the closed form the size cap checks: 13 gates per bond, n per field layer
+    circuit = trotter_circuit(build(n, seed=n), 0.7, steps, order)
+    assert circuit.gate_count() == (13 * (n - 1) + order * n) * steps
+
+
+def test_oversized_trotter_circuit_is_rejected_before_building(monkeypatch):
+    def bond_block(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(hamiltonian, "_bond_block", bond_block)
+    chain = build(3)
+    # order 2 on 3 qubits: 32 gates per step, so 2^17 steps sit exactly at the cap
+    assert (13 * 2 + 2 * 3) * 2 ** 17 == MAX_TROTTER_GATES
+    with pytest.raises(AssertionError, match="built"):
+        trotter_circuit(chain, 1.0, 2 ** 17, 2)
+    with pytest.raises(ValueError, match="capped at %d gates" % MAX_TROTTER_GATES):
+        trotter_circuit(chain, 1.0, 2 ** 17 + 1, 2)
+    with pytest.raises(ValueError, match="capped"):
+        trotter_circuit(build(2_000_000), 1.0, 1000, 1)
 
 
 def test_trotter_error_below_bound_and_monotone():

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import bell_circuit, random_circuit
 from qmit import knit
 from qmit.circuits import Gate, Layer, QuantumCircuit
-from qmit.knit import CUT_TERMS, PREP_STATES, _fragment_value, execute_plan, plan_wire_cut
-from qmit.pauli import Observable, parse_pauli
-from qmit.simulator import expectation, philox_rng, run
+from qmit.knit import CUT_TERMS, PREP_STATES, execute_plan, plan_wire_cut
+from qmit.pauli import _CHAR_TO_XZ, Observable, PauliString, parse_pauli
+from qmit.simulator import apply_pauli_array, expectation, philox_rng, run, run_array
 
 
 def test_cut_terms_table():
@@ -135,25 +137,85 @@ def test_fragment_sizes_respect_partition():
     assert sum(sizes) == 3 + len(plan.cuts)
 
 
-def reference_sampled(plan, observable, samples, seed):
-    """Sampled recombination one sample at a time: one scalar term draw per
-    cut and a fresh fragment recombination per sample."""
-    rng = philox_rng(seed)
-    probs = np.array([abs(c) for _, _, c in CUT_TERMS])
-    probs = probs / probs.sum()
-    cache = {}
-    values = np.empty(samples)
-    for s in range(samples):
-        measures, preps, sign = {}, {}, 1.0
-        for cut in range(len(plan.cuts)):
-            basis, prep, c = CUT_TERMS[int(rng.choice(len(CUT_TERMS), p=probs))]
-            sign *= 1.0 if c > 0 else -1.0
+def reference_fragment_value(frag, pauli, measures, preps):
+    """One fragment's factor of one observable term for one cut-term
+    assignment, the fragment run on its own statevector: `preps` names the
+    state prepared on each in-cut and `measures` the basis on each out-cut."""
+    n = frag.circuit.n_qubits
+    # qubit k occupies bit k of the basis index, so later locals go on the
+    # left of the kron product
+    amps = np.array([1.0 + 0j])
+    for local in range(n):
+        vec = PREP_STATES["0"]
+        for cut, loc in frag.in_cuts:
+            if loc == local:
+                vec = PREP_STATES[preps[cut]]
+        amps = np.kron(vec, amps)
+    amps = run_array(frag.circuit, amps)
+    x = z = 0
+    for q, local in frag.final_local.items():
+        x |= (pauli.x_mask >> q & 1) << local
+        z |= (pauli.z_mask >> q & 1) << local
+    for cut, local in frag.out_cuts:
+        xb, zb = _CHAR_TO_XZ[measures[cut]]
+        x |= xb << local
+        z |= zb << local
+    return float(np.vdot(amps, apply_pauli_array(amps, PauliString(n, x, z))).real)
+
+
+def reference_exact(plan, observable):
+    """Exact recombination one cut-term assignment at a time, every fragment
+    evaluated afresh for each of the 8^cuts assignments."""
+    value = 0.0
+    for assignment in itertools.product(CUT_TERMS, repeat=len(plan.cuts)):
+        coeff, measures, preps = 1.0, {}, {}
+        for cut, (basis, prep, c) in enumerate(assignment):
+            coeff *= c
             measures[cut], preps[cut] = basis, prep
         total = 0.0
         for obs_coeff, pauli in observable.terms:
             prod = 1.0
             for frag in plan.fragments:
-                prod *= _fragment_value(frag, pauli, measures, preps, cache)
+                prod *= reference_fragment_value(frag, pauli, measures, preps)
+            total += obs_coeff * prod
+        value += coeff * total
+    return value
+
+
+def fragment_tables(plan, observable):
+    """tables[t][f]: fragment f's table of observable term t, as
+    `execute_plan` builds them."""
+    blocks = [knit._fragment_state(frag) for frag in plan.fragments]
+    return [[knit._fragment_value(frag, block, pauli)
+             for frag, block in zip(plan.fragments, blocks)]
+            for _, pauli in observable.terms]
+
+
+def table_index(frag, picks):
+    """The table entry of a fragment for the CUT_TERMS index picked per cut."""
+    return tuple(picks[cut] for cut, _ in frag.in_cuts + frag.out_cuts)
+
+
+def reference_sampled(plan, observable, samples, seed):
+    """Sampled recombination one sample at a time: one scalar term draw per
+    cut and a fresh recombination of the fragments' table entries per
+    sample."""
+    rng = philox_rng(seed)
+    probs = np.array([abs(c) for _, _, c in CUT_TERMS])
+    probs = probs / probs.sum()
+    tables = fragment_tables(plan, observable)
+    values = np.empty(samples)
+    for s in range(samples):
+        picks, sign = [], 1.0
+        for cut in range(len(plan.cuts)):
+            k = int(rng.choice(len(CUT_TERMS), p=probs))
+            sign *= 1.0 if CUT_TERMS[k][2] > 0 else -1.0
+            picks.append(k)
+        total = 0.0
+        for (obs_coeff, _), term_tables in zip(observable.terms, tables):
+            prod = 1.0
+            for frag, table in zip(plan.fragments, term_tables):
+                prod *= table[table_index(frag, picks)]
             total += obs_coeff * prod
         values[s] = sign * total
     scale = plan.gamma_cut
@@ -186,22 +248,34 @@ def test_sampled_mode_matches_reference(cuts, samples, seed):
     assert result["std_error"] == std_error
 
 
+def random_rotations(rng, n):
+    return Layer([Gate(str(rng.choice(["rx", "ry", "rz"])), (q,),
+                       float(rng.uniform(-np.pi, np.pi))) for q in range(n)])
+
+
+def random_coupler(rng, a, b):
+    name = str(rng.choice(["cx", "rxx", "ryy", "rzz"]))
+    return Gate(name, (a, b), None if name == "cx" else float(rng.uniform(-np.pi, np.pi)))
+
+
 def random_chain_circuit(rng):
     """Random rotations on 4 qubits around a 0-1, 1-2, 2-3 chain of random
     two-qubit gates. Cuts on wire 1 at boundary 2 or 3 and on wire 2 at
     boundary 4 or 5 split it into three 2-qubit fragments; the middle one
     has both an incoming and an outgoing cut."""
-    def rotations():
-        return Layer([Gate(str(rng.choice(["rx", "ry", "rz"])), (q,),
-                           float(rng.uniform(-np.pi, np.pi))) for q in range(4)])
+    layers = [random_rotations(rng, 4)]
+    for a in range(3):
+        layers += [Layer([random_coupler(rng, a, a + 1)]), random_rotations(rng, 4)]
+    return QuantumCircuit(4, layers)
 
-    def coupler(a, b):
-        name = str(rng.choice(["cx", "rxx", "ryy", "rzz"]))
-        param = None if name == "cx" else float(rng.uniform(-np.pi, np.pi))
-        return Layer([Gate(name, (a, b), param)])
 
-    return QuantumCircuit(4, [rotations(), coupler(0, 1), rotations(), coupler(1, 2),
-                              rotations(), coupler(2, 3), rotations()])
+def observable_with_y(rng, n, n_terms=3):
+    terms = []
+    for _ in range(n_terms):
+        label = list(rng.choice(list("IXYZ"), size=n))
+        label[int(rng.integers(n))] = "Y"
+        terms.append((float(rng.uniform(-1.0, 1.0)), parse_pauli("".join(label))))
+    return Observable.from_terms(n, terms)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -210,14 +284,16 @@ def test_two_cuts_on_random_circuits_with_y_observables(seed):
     circuit = random_chain_circuit(rng)
     plan = plan_wire_cut(circuit, [(1, int(rng.integers(2, 4))), (2, int(rng.integers(4, 6)))])
     assert sorted(f.circuit.n_qubits for f in plan.fragments) == [2, 2, 2]
-    terms = []
-    for _ in range(3):
-        label = list(rng.choice(list("IXYZ"), size=4))
-        label[int(rng.integers(4))] = "Y"
-        terms.append((float(rng.uniform(-1.0, 1.0)), parse_pauli("".join(label))))
-    obs = Observable.from_terms(4, terms)
+    obs = observable_with_y(rng, 4)
     uncut = expectation(run(circuit), obs)
     assert abs(execute_plan(plan, obs)["value"] - uncut) < 1e-10
+
+
+def refuse_fragment_runs(monkeypatch):
+    def fragment_state(*args):
+        raise AssertionError("a fragment ran before the size check")
+
+    monkeypatch.setattr(knit, "_fragment_state", fragment_state)
 
 
 def test_oversized_fragment_is_rejected_before_any_fragment_runs(monkeypatch):
@@ -227,12 +303,183 @@ def test_oversized_fragment_is_rejected_before_any_fragment_runs(monkeypatch):
     layers += [Layer([Gate("cx", (q, q + 1))]) for q in range(n - 1)]
     plan = plan_wire_cut(QuantumCircuit(n, layers), [(0, 1)])
     assert [f.circuit.n_qubits for f in plan.fragments] == [1, n]
-
-    def fragment_state(*args):
-        raise AssertionError("a fragment ran before the size check")
-
-    monkeypatch.setattr(knit, "_fragment_state", fragment_state)
+    refuse_fragment_runs(monkeypatch)
     obs = Observable.from_label("Z" * n)
     for kwargs in ({}, {"mode": "sampled", "samples": 10, "seed": 0}):
         with pytest.raises(ValueError, match="statevector capped"):
+            execute_plan(plan, obs, **kwargs)
+
+
+def cut_chain(rng, n_cuts):
+    """Blocks of 2 qubits, each coupled inside, then joined in a chain by one
+    gate from each block's second qubit to the next block's first. Each
+    joining wire is cut just before its joint, so the plan has n_cuts + 1
+    fragments and each fragment but the ends has one in-cut and one out-cut."""
+    n = 2 * (n_cuts + 1)
+    layers = [random_rotations(rng, n),
+              Layer([random_coupler(rng, q, q + 1) for q in range(0, n, 2)]),
+              random_rotations(rng, n)]
+    layers += [Layer([random_coupler(rng, 2 * b + 1, 2 * b + 2)]) for b in range(n_cuts)]
+    layers.append(random_rotations(rng, n))
+    return QuantumCircuit(n, layers), [(2 * b + 1, 3 + b) for b in range(n_cuts)]
+
+
+def two_cuts_on_one_wire(rng, own_fragment):
+    """Wire 1 cut twice on 3 qubits. With own_fragment the segment between
+    the cuts holds one rotation and is a 1-qubit fragment with an in-cut and
+    an out-cut; otherwise it is coupled to qubit 2, and the segments before
+    and after it both join qubit 0, whose fragment sends one cut and
+    receives the other."""
+    def rot():
+        return random_rotations(rng, 3)
+
+    if own_fragment:
+        layers = [rot(), Layer([random_coupler(rng, 0, 1)]), rot(),
+                  Layer([random_coupler(rng, 1, 2)]), rot()]
+        return QuantumCircuit(3, layers), [(1, 2), (1, 3)]
+    layers = [rot(), Layer([random_coupler(rng, 0, 1)]), rot(), Layer([random_coupler(rng, 1, 2)]),
+              rot(), Layer([random_coupler(rng, 1, 0)]), rot()]
+    return QuantumCircuit(3, layers), [(1, 2), (1, 5)]
+
+
+def fan_in_and_out(rng):
+    """Qubits 0 and 1 rotated alone, cut, coupled to each other and to
+    qubit 2, then cut again and rotated alone: a 3-qubit fragment with two
+    in-cuts and two out-cuts between four 1-qubit fragments."""
+    layers = [random_rotations(rng, 3), Layer([random_coupler(rng, 0, 1)]),
+              Layer([random_coupler(rng, 1, 2)]), Layer([random_coupler(rng, 2, 0)]),
+              random_rotations(rng, 3)]
+    return QuantumCircuit(3, layers), [(0, 1), (1, 1), (0, 4), (1, 4)]
+
+
+def small_cases():
+    rng = np.random.default_rng(7)
+    cases = [(bell_circuit(), [(0, 1)])]
+    cases += [cut_chain(rng, k) for k in (1, 2, 3)]
+    cases += [two_cuts_on_one_wire(rng, own) for own in (True, False)]
+    cases.append(fan_in_and_out(rng))
+    return [(circuit, cuts, observable_with_y(rng, circuit.n_qubits)) for circuit, cuts in cases]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_every_table_entry_matches_the_per_assignment_oracle(case):
+    circuit, cuts, obs = small_cases()[case]
+    plan = plan_wire_cut(circuit, cuts)
+    for (_, pauli), term_tables in zip(obs.terms, fragment_tables(plan, obs)):
+        for frag, table in zip(plan.fragments, term_tables):
+            n_in = len(frag.in_cuts)
+            assert table.shape == (len(CUT_TERMS),) * (n_in + len(frag.out_cuts))
+            for idx in np.ndindex(table.shape):
+                preps = {cut: CUT_TERMS[k][1] for (cut, _), k in zip(frag.in_cuts, idx)}
+                measures = {cut: CUT_TERMS[k][0] for (cut, _), k in zip(frag.out_cuts, idx[n_in:])}
+                oracle = reference_fragment_value(frag, pauli, measures, preps)
+                assert abs(table[idx] - oracle) < 1e-12
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 4, 5])
+def test_exact_matches_the_per_assignment_oracle(case):
+    circuit, cuts, obs = small_cases()[case]
+    plan = plan_wire_cut(circuit, cuts)
+    assert abs(execute_plan(plan, obs)["value"] - reference_exact(plan, obs)) < 1e-12
+
+
+UNCUT_CASES = {
+    **{"chain-%d" % k: (lambda rng, k=k: cut_chain(rng, k)) for k in (1, 2, 3, 4, 5, 7)},
+    "one-wire-own-fragment": lambda rng: two_cuts_on_one_wire(rng, True),
+    "one-wire-loop": lambda rng: two_cuts_on_one_wire(rng, False),
+    "fan-in-and-out": fan_in_and_out,
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", UNCUT_CASES)
+def test_exact_matches_uncut(name, seed):
+    rng = np.random.default_rng(seed)
+    circuit, cuts = UNCUT_CASES[name](rng)
+    obs = observable_with_y(rng, circuit.n_qubits)
+    uncut = expectation(run(circuit), obs)
+    assert abs(execute_plan(plan_wire_cut(circuit, cuts), obs)["value"] - uncut) < 1e-10
+
+
+def test_cut_cases_have_the_fragments_they_describe():
+    rng = np.random.default_rng(0)
+
+    def shapes(circuit, cuts):
+        return sorted((f.circuit.n_qubits, len(f.in_cuts), len(f.out_cuts))
+                      for f in plan_wire_cut(circuit, cuts).fragments)
+
+    assert shapes(*cut_chain(rng, 3)) == [(2, 0, 1), (3, 1, 0), (3, 1, 1), (3, 1, 1)]
+    assert shapes(*two_cuts_on_one_wire(rng, True)) == [(1, 1, 1), (2, 0, 1), (2, 1, 0)]
+    assert shapes(*two_cuts_on_one_wire(rng, False)) == [(2, 1, 1), (3, 1, 1)]
+    assert shapes(*fan_in_and_out(rng)) == [(1, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 0), (3, 2, 2)]
+
+
+def test_each_fragment_runs_once_per_call(monkeypatch):
+    rng = np.random.default_rng(3)
+    circuit, cuts = cut_chain(rng, 3)
+    plan = plan_wire_cut(circuit, cuts)
+    obs = observable_with_y(rng, circuit.n_qubits)
+    runs = []
+
+    def counting_run_array(frag_circuit, amps):
+        runs.append(frag_circuit)
+        return run_array(frag_circuit, amps)
+
+    monkeypatch.setattr(knit, "run_array", counting_run_array)
+    for kwargs in ({}, {"mode": "sampled", "samples": 3000, "seed": 1}):
+        runs.clear()
+        execute_plan(plan, obs, **kwargs)
+        assert sorted(map(id, runs)) == sorted(id(f.circuit) for f in plan.fragments)
+
+
+def test_exact_mode_over_seven_cuts_is_rejected_before_any_fragment_runs(monkeypatch):
+    circuit, cuts = cut_chain(np.random.default_rng(0), 8)
+    plan = plan_wire_cut(circuit, cuts)
+    obs = Observable.from_label("Z" * circuit.n_qubits)
+    refuse_fragment_runs(monkeypatch)
+    with pytest.raises(ValueError, match="exact mode capped at 7 cuts"):
+        execute_plan(plan, obs)
+    monkeypatch.undo()
+    result = execute_plan(plan, obs, mode="sampled", samples=100, seed=0)
+    assert result["terms"] == 8 ** 8 and np.isfinite(result["value"])
+
+
+def star(n_leaves):
+    """Qubit 0 meets each leaf once, and each leaf is cut right after: one
+    fragment with n_leaves out-cuts and n_leaves 1-qubit fragments."""
+    n = n_leaves + 1
+    layers = [random_rotations(np.random.default_rng(0), n)]
+    layers += [Layer([Gate("cx", (0, q))]) for q in range(1, n)]
+    layers.append(Layer([Gate("h", (q,)) for q in range(n)]))
+    return plan_wire_cut(QuantumCircuit(n, layers), [(q, q + 1) for q in range(1, n)])
+
+
+def test_oversized_tables_are_rejected_before_any_fragment_runs(monkeypatch):
+    refuse_fragment_runs(monkeypatch)
+    sampled = {"mode": "sampled", "samples": 10, "seed": 0}
+    # one 8^9-entry table
+    with pytest.raises(ValueError, match="tables capped at %d entries" % 2 ** 24):
+        execute_plan(star(9), Observable.from_label("Z" * 10), **sampled)
+    # (8^7 + 7 * 8) entries per term: 7 terms fit in 2^24, 8 do not
+    plan = star(7)
+    for n_terms, error in ((8, ValueError), (7, AssertionError)):
+        obs = Observable.from_terms(8, [(1.0, parse_pauli("I" * q + "Z" + "I" * (7 - q)))
+                                        for q in range(n_terms)])
+        assert len(obs.terms) == n_terms
+        with pytest.raises(error, match="capped|ran before"):
+            execute_plan(plan, obs, **sampled)
+
+
+def test_oversized_block_is_rejected_before_any_fragment_runs(monkeypatch):
+    # a 22-qubit fragment behind one in-cut: a block of 6 * 2^22 amplitudes,
+    # each column within the statevector cap
+    n = 22
+    layers = [Layer([Gate("h", (0,))])]
+    layers += [Layer([Gate("cx", (q, q + 1))]) for q in range(n - 1)]
+    plan = plan_wire_cut(QuantumCircuit(n, layers), [(0, 1)])
+    assert [f.circuit.n_qubits for f in plan.fragments] == [1, n]
+    refuse_fragment_runs(monkeypatch)
+    obs = Observable.from_label("Z" * n)
+    for kwargs in ({}, {"mode": "sampled", "samples": 10, "seed": 0}):
+        with pytest.raises(ValueError, match="block of 6\\^in preparations capped"):
             execute_plan(plan, obs, **kwargs)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 
@@ -505,6 +506,18 @@ def test_killed_worker_fails_that_call_and_the_next_starts_a_fresh_pool(monkeypa
     assert pec._pool is None
     assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == expected
     assert pec._pool[1] is not broken
+
+
+def test_worker_killed_while_the_pool_is_idle_does_not_fail_the_next_call():
+    circuit, models, obs, samples = pooled_instance()
+    serial = pec_estimate(circuit, models, obs, samples, 9, workers=1)
+    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == serial
+    broken = pec._pool[1]
+    multiprocessing.active_children()[0].kill()
+    time.sleep(0.5)
+    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == serial
+    assert pec._pool[1] is not broken
+    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == serial
 
 
 SUBPROCESS_PRELUDE = (
