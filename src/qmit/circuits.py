@@ -67,12 +67,6 @@ class Layer:
     def kind(self) -> str:
         return "2q" if any(len(g.qubits) == 2 for g in self.gates) else "1q"
 
-    def qubits(self) -> set[int]:
-        used: set[int] = set()
-        for g in self.gates:
-            used.update(g.qubits)
-        return used
-
 
 @dataclass
 class QuantumCircuit:

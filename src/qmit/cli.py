@@ -53,6 +53,8 @@ def _env_default(parser, name, convert, default):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -219,11 +221,11 @@ def _cmd_varqte(args, out):
         columns.append("fidelity")
     rows = []
     for i, t in enumerate(trajectory.times):
-        row = {"t": float(t), "residual": float(trajectory.residuals[i])}
+        row = {"t": t, "residual": trajectory.residuals[i]}
         for p in range(ansatz.n_params):
-            row["theta%d" % p] = float(trajectory.thetas[i, p])
+            row["theta%d" % p] = trajectory.thetas[i, p]
         if has_fid:
-            row["fidelity"] = float(trajectory.fidelities[i])
+            row["fidelity"] = trajectory.fidelities[i]
         rows.append(row)
     _emit(out, columns, rows, args.format)
 
@@ -271,7 +273,7 @@ def _cmd_simulate(args, out):
         rows = [{"bitstring": b, "count": c} for b, c in sorted(counts.items())]
         _emit(out, ["bitstring", "count"], rows, args.format)
     if not args.observable and not args.shots:
-        rows = [{"basis_state": i, "amplitude": repr(a)}
+        rows = [{"basis_state": i, "amplitude": a}
                 for i, a in enumerate(state.amplitudes)]
         _emit(out, ["basis_state", "amplitude"], rows, args.format)
 

@@ -11,7 +11,7 @@ each fragment runs once, on a block holding all 6^in preparations, and each
 term reads one table per fragment with one axis of 8 cut terms per cut
 (the per-subcircuit decomposition of Peng, Harrow, Ozols & Wu, PRL 125,
 150504 (2020), and of CutQC, Tang et al., ASPLOS 2021). Exact mode sums the
-records of all 8^cuts cut-term assignments; sampled mode draws assignments.
+records of all 8^cuts cut-term assignments; sampled mode averages each draw's.
 """
 from __future__ import annotations
 
@@ -271,7 +271,7 @@ def execute_plan(
     Each fragment runs once, and each observable term reads one table per
     fragment. Exact mode sums the records of all 8^cuts cut-term
     assignments; sampled mode draws assignments with probability
-    |coeff| / 4^cuts and rescales.
+    |coeff| / 4^cuts, reads each draw's record and rescales.
     Returns {value, std_error, terms, gamma_cut}.
     """
     if observable.n_qubits != plan.circuit.n_qubits:
@@ -280,6 +280,8 @@ def execute_plan(
         raise ValueError("mode must be 'exact' or 'sampled'")
     if mode == "sampled" and (samples is None or seed is None):
         raise ValueError("sampled mode requires samples and seed")
+    if mode == "sampled" and samples < 1:
+        raise ValueError("samples must be >= 1")
     _check_plan_size(plan, observable, mode)
     blocks = [_fragment_state(frag) for frag in plan.fragments]
     tables = [[_fragment_value(frag, block, pauli) for frag, block in zip(plan.fragments, blocks)]
@@ -293,11 +295,9 @@ def execute_plan(
         rng = philox_rng(seed)
         weights = np.abs(_COEFFS)
         picks = rng.choice(len(CUT_TERMS), size=(samples, n_cuts), p=weights / weights.sum())
-        distinct, which = np.unique(picks, axis=0, return_inverse=True)
         # record of a sample: its term's value over prod |c|, i.e. sign * total;
         # the remaining factor gamma_cut is applied to the mean
-        records = _records(plan, observable, tables, distinct) / np.prod(weights[distinct], axis=1)
-        values = records[which.reshape(-1)]
+        values = _records(plan, observable, tables, picks) / np.prod(weights[picks], axis=1)
         value = plan.gamma_cut * float(values.mean())
         std_error = (float(plan.gamma_cut * values.std(ddof=1) / np.sqrt(samples))
                      if samples > 1 else 0.0)

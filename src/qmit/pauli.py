@@ -40,10 +40,6 @@ class PauliString:
         return cls(n_qubits, 0, 0)
 
     @classmethod
-    def from_label(cls, label: str, n_qubits: int | None = None) -> "PauliString":
-        return parse_pauli(label, n_qubits)
-
-    @classmethod
     def single(cls, n_qubits: int, qubit: int, kind: str) -> "PauliString":
         """Weight-1 Pauli of the given kind ('X', 'Y' or 'Z') on one qubit."""
         if not 0 <= qubit < n_qubits:

@@ -57,6 +57,7 @@ from .simulator import (
 
 CHUNK_SIZE = 1024
 AMPLITUDE_BUDGET = 2 ** 20  # amplitudes evolved at once: 16 MiB of complex128
+MAX_ENUMERATED_GENERATORS = 10  # enumerate_signed walks 4^generators leaves: 2^20
 
 
 @dataclass(frozen=True)
@@ -273,10 +274,14 @@ def enumerate_signed(
 ) -> float:
     """Exhaustive signed enumeration of every noise/inverse insertion
     pattern, weighted by its signed probability. Equals the noiseless
-    expectation (estimator unbiasedness); exponential in generator count."""
+    expectation (estimator unbiasedness); exponential in generator count,
+    so capped at MAX_ENUMERATED_GENERATORS over all noisy layers."""
     n = circuit.n_qubits
     _check_statevector_size(n)
     compiled = _compile(circuit, per_layer_models)
+    if sum(len(table[2]) for _, table in compiled if table is not None) > MAX_ENUMERATED_GENERATORS:
+        raise ValueError("enumerate_signed capped at %d generators (4^generators branches)"
+                         % MAX_ENUMERATED_GENERATORS)
 
     def recurse(layer_idx, amps, weight):
         if layer_idx == len(compiled):
@@ -310,7 +315,7 @@ def enumerate_signed(
 
     initial = np.zeros(2 ** n, dtype=complex)
     initial[0] = 1.0
-    return recurse(0, initial, 1.0)
+    return float(recurse(0, initial, 1.0))
 
 
 def sampling_overhead(per_layer_models, eps: float) -> float:

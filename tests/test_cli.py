@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qmit import cli, noise, pec
@@ -285,6 +286,35 @@ def test_std_error_prints_as_a_float(bell_file, noise_file, fmt, capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "np.float64(" not in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sampled_cut_with_fewer_than_one_sample_is_a_validation_error(bell_file, samples):
+    result = run_cli("cut", "--circuit", bell_file, "--cut", "0:1", "--observable", "ZZ",
+                     "--mode", "sampled", "--samples", samples, "--seed", "1")
+    assert result.returncode == 3
+    assert "samples" in result.stderr
+    assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "records"])
+def test_simulate_prints_amplitudes_as_python_complex(tmp_path, fmt, capsys):
+    # a numpy scalar would print as np.complex128(...) under numpy 2
+    path = tmp_path / "phase.qc"
+    path.write_text("qubits 2;\nh 0;\n\ns 0;\n\ncx 0, 1;\n")
+    assert cli.main(["simulate", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert "np." not in out
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    if fmt == "table":
+        cells = [ln.split()[1] for ln in lines[1:]]
+    elif fmt == "csv":
+        cells = [ln.split(",")[1] for ln in lines[1:]]
+    else:
+        cells = [ln.split()[1].removeprefix("amplitude=") for ln in lines]
+    amplitudes = [complex(cell) for cell in cells]
+    assert len(amplitudes) == 4
+    assert amplitudes[3] == pytest.approx(1j / np.sqrt(2))
 
 
 def test_varqte_derivative_block_too_large_is_a_validation_error():

@@ -121,13 +121,17 @@ def test_sampled_mode_deterministic_and_converges():
     assert abs(a["value"] - 1.0) < 5 * a["std_error"]
 
 
-def test_sampled_mode_requires_arguments():
+def test_sampled_mode_requires_arguments(monkeypatch):
     plan = plan_wire_cut(bell_circuit(), [(0, 1)])
     obs = Observable.from_label("ZZ")
+    refuse_fragment_runs(monkeypatch)
     with pytest.raises(ValueError):
         execute_plan(plan, obs, mode="sampled")
     with pytest.raises(ValueError):
         execute_plan(plan, obs, mode="bogus")
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            execute_plan(plan, obs, mode="sampled", samples=samples, seed=1)
 
 
 def test_fragment_sizes_respect_partition():
@@ -227,6 +231,8 @@ def reference_sampled(plan, observable, samples, seed):
     ([(0, 1)], 1, 3),
     ([(1, 2)], 777, 8),
     ([(1, 2), (2, 3)], 1500, 21),  # 64 assignments, most drawn many times
+    ([(1, 2), (2, 3), (3, 4)], 1, 13),  # a chain of four fragments
+    ([(1, 2), (2, 3), (3, 4)], 12000, 34),  # 512 assignments, most drawn many times
 ])
 def test_sampled_mode_matches_reference(cuts, samples, seed):
     def ry_all(angles):

@@ -353,6 +353,37 @@ def test_enumerate_signed_rejects_oversized_circuit_before_allocating():
         enumerate_signed(circuit, model, Observable.from_label("Z" * 40))
 
 
+@pytest.mark.parametrize("n_generators, error, message", [
+    (10, AssertionError, "passed the cap"),
+    (11, ValueError, "capped"),
+])
+def test_enumerate_signed_caps_generators_before_evolving(monkeypatch, n_generators, error,
+                                                          message):
+    # the 15 non-identity 2-qubit Paulis; 11 of them would walk 4^11 leaves
+    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=2)][1:]
+    model = PauliLindbladModel(2, tuple((parse_pauli(label), 0.01)
+                                        for label in labels[:n_generators]))
+
+    def evolved(*args):
+        raise AssertionError("passed the cap")
+
+    monkeypatch.setattr(pec, "_apply_unitary", evolved)
+    with pytest.raises(error, match=message):
+        enumerate_signed(bell_circuit(), model, Observable.from_label("ZZ"))
+
+
+def test_enumerate_signed_runs_the_reduced_benchmark_instance():
+    # the first two noisy layers of the benchmark circuit, two generators
+    # each: G = 4, under the cap
+    circuit = QuantumCircuit(4, benchmark_circuit().layers[:4])
+    gens = benchmark_model(0.05).generators[:2]
+    models = [PauliLindbladModel(4, gens)] * 2
+    obs = benchmark_observable()
+    value = enumerate_signed(circuit, models, obs)
+    assert type(value) is float
+    assert abs(value - expectation(run(circuit), obs)) < 1e-10
+
+
 def test_sampling_overhead():
     models = [benchmark_model(0.05)] * 4
     g = gamma_total(models)
