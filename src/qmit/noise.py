@@ -16,6 +16,11 @@ noise realization and signed inverse sample in `pec`. q is the model's
 `insertion_probabilities`; `insertion_table` gives its
 (x_masks, z_masks, q) arrays, and `sample_insertions` maps a (B, g) block of
 uniforms to each row's product of insertions and count.
+
+Rate learning fits each probe's decay and solves A lam = b for lam >= 0,
+where A is the probe-candidate anticommutation matrix, built in one
+broadcast over the Pauli masks. `nnls` solves it in numpy, so no command
+imports scipy.
 """
 from __future__ import annotations
 
@@ -226,21 +231,71 @@ def synthesize_decay_data(
     return data
 
 
+def _mask_words(paulis, words: int) -> np.ndarray:
+    """(len(paulis), 2, words) uint64: each Pauli's X and Z masks cut into
+    64-bit words, lowest qubits first."""
+    low = (1 << 64) - 1
+    return np.array(
+        [m >> 64 * w & low for p in paulis for m in (p.x_mask, p.z_mask) for w in range(words)],
+        dtype=np.uint64,
+    ).reshape(len(paulis), 2, words)
+
+
 def anticommutation_matrix(probes, candidates) -> np.ndarray:
-    a = np.zeros((len(probes), len(candidates)))
-    for i, q in enumerate(probes):
-        for j, p in enumerate(candidates):
-            if not p.commutes(q):
-                a[i, j] = 1.0
-    return a
+    """a[i, j] = 1.0 where probe i and candidate j anticommute, else 0.0: the
+    parity of the symplectic product (x_q & z_p) ^ (z_q & x_p), as in
+    `PauliString.commutes`, for all pairs in one broadcast."""
+    sizes = {p.n_qubits for p in (*probes, *candidates)}
+    if len(sizes) > 1:
+        raise ValueError("Pauli strings act on different numbers of qubits")
+    words = -(-max(sizes, default=1) // 64)
+    q = _mask_words(probes, words)[:, None]
+    p = _mask_words(candidates, words)[None, :]
+    product = (q[:, :, 0] & p[:, :, 1]) ^ (q[:, :, 1] & p[:, :, 0])
+    return (np.bitwise_count(product).sum(axis=-1) & 1).astype(float)
 
 
 def nnls(a, b):
-    """scipy.optimize.nnls, imported on first use: noise learning is the one
-    scipy user, and the import dominates a cold CLI start."""
-    from scipy.optimize import nnls as solve
+    """min ||a x - b|| subject to x >= 0, for `a` of full column rank.
+    Returns (x, ||a x - b||), as scipy.optimize.nnls does.
 
-    return solve(a, b)
+    Block principal pivoting on the normal equations a^T a x - a^T b = y,
+    x >= 0, y >= 0, x_i y_i = 0 (Kim & Park, SIAM J. Sci. Comput. 33, 3261
+    (2011)): solve for x on the passive set, then exchange every infeasible
+    variable between the passive and the active set. After three exchanges
+    that do not shrink the infeasible set, move only the highest-index one
+    until the set shrinks, which guarantees termination (Portugal, Judice &
+    Vicente, Math. Comp. 63 (1994)). A variable is infeasible only below
+    -tol, so exact data, where the zero rates come out near -1e-18, does not
+    cycle; x is clipped at 0 on return.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    ata = a.T @ a
+    atb = a.T @ b
+    tol = 10 * max(m, n) * np.finfo(float).eps * max(1.0, np.abs(ata).max(initial=0.0))
+    passive = np.zeros(n, dtype=bool)
+    x = np.zeros(n)
+    y = -atb
+    fewest, full_exchanges = n + 1, 3
+    for _ in range(10 * n + 10):
+        infeasible = np.where(passive, x < -tol, y < -tol)
+        count = int(infeasible.sum())
+        if count == 0:
+            x = np.maximum(x, 0.0)
+            return x, float(np.linalg.norm(a @ x - b))
+        if count < fewest:
+            fewest, full_exchanges = count, 3
+        elif full_exchanges > 0:
+            full_exchanges -= 1
+        else:
+            infeasible[:np.flatnonzero(infeasible)[-1]] = False
+        passive ^= infeasible
+        x = np.zeros(n)
+        x[passive] = np.linalg.solve(ata[np.ix_(passive, passive)], atb[passive])
+        y = ata @ x - atb
+    raise RuntimeError("nnls did not converge")
 
 
 def learn_rates(decay_data, candidates, n_qubits: int):

@@ -163,7 +163,8 @@ def test_varqte_trajectory_moves():
 
 
 def test_cli_import_leaves_scipy_and_process_pool_unloaded():
-    # a cold start pays for scipy only when noise learning runs
+    # a cold start pays for the process pool only in pooled PEC, and no
+    # command, noise learning included, loads scipy
     code = (
         "import sys, qmit.cli\n"
         "print(sorted(m for m in ('scipy', 'concurrent.futures.process')"
@@ -171,20 +172,52 @@ def test_cli_import_leaves_scipy_and_process_pool_unloaded():
         "from qmit import noise\n"
         "model = noise.loads(%r)\n"
         "learned, _ = noise.learn_rates_from_model(model, shots=2000, seed=3)\n"
-        "print([lam for _, lam in learned.generators])\n" % NOISE
+        "print([lam for _, lam in learned.generators])\n"
+        "print('scipy' in sys.modules)\n" % NOISE
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    loaded, rates = result.stdout.splitlines()
+    loaded, rates, scipy_after_learning = result.stdout.splitlines()
     assert loaded == "[]"
     learned, _ = noise.learn_rates_from_model(noise.loads(NOISE), shots=2000, seed=3)
     assert rates == repr([lam for _, lam in learned.generators])
+    assert scipy_after_learning == "False"
+
+
+@pytest.mark.parametrize("shots", [[], ["--shots", "1000", "--seed", "1"]])
+def test_noise_learn_runs_with_scipy_blocked(noise_file, shots):
+    # sys.modules[name] = None makes every `import scipy...` raise ImportError;
+    # every qmit module still imports, and noise-learn prints the same bytes
+    argv = ["noise-learn", "--noise", noise_file, *shots]
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qmit\n"
+        "for module in pkgutil.iter_modules(qmit.__path__):\n"
+        "    importlib.import_module('qmit.' + module.name)\n"
+        "from qmit import cli\n"
+        "sys.exit(cli.main(%r))\n" % argv
+    )
+    blocked = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stderr == ""
+    assert blocked.stdout == run_cli(*argv).stdout
 
 
 def test_noise_learn(noise_file):
     result = run_cli("noise-learn", "--noise", noise_file, "--format", "records")
     assert result.returncode == 0
     assert "generator=XI" in result.stdout
+
+
+def test_noise_learn_exits_4_when_nnls_does_not_converge(noise_file, monkeypatch, capsys):
+    def no_convergence(a, b):
+        raise RuntimeError("nnls did not converge")
+
+    monkeypatch.setattr(noise, "nnls", no_convergence)
+    assert cli.main(["noise-learn", "--noise", noise_file]) == 4
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
+from qmit import noise
 from qmit.noise import (
     DEFAULT_DEPTHS,
     PauliLindbladModel,
@@ -15,6 +18,7 @@ from qmit.noise import (
     learn_rates_from_model,
     line_edges,
     loads,
+    nnls,
     pauli_fidelity,
     sample_insertions,
     stochastic_insertions,
@@ -253,6 +257,134 @@ def test_learning_deterministic():
     a, _ = learn_rates_from_model(m, shots=1000, seed=4)
     b, _ = learn_rates_from_model(m, shots=1000, seed=4)
     assert a.generators == b.generators
+
+
+def random_paulis(rng, n, count):
+    """Random Paulis on n qubits with a repeat and a weight-n Pauli among them."""
+    full = (1 << n) - 1
+
+    def mask():
+        return int.from_bytes(rng.bytes(n // 8 + 1), "little") & full
+
+    paulis = [PauliString(n, mask(), mask()) for _ in range(count)]
+    paulis.append(PauliString(n, full, mask()))
+    paulis.append(paulis[0])
+    return [p for p in paulis if not p.is_identity] + [PauliString.identity(n)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+def test_anticommutation_matrix_matches_the_commutes_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    probes = random_paulis(rng, n, int(rng.integers(0, 12)))
+    candidates = random_paulis(rng, n, int(rng.integers(0, 12)))
+    loop = np.array([[0.0 if p.commutes(q) else 1.0 for p in candidates] for q in probes])
+    a = anticommutation_matrix(probes, candidates)
+    assert a.dtype == float and a.shape == (len(probes), len(candidates))
+    assert np.array_equal(a, loop)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_anticommutation_matrix_beyond_one_mask_word(n):
+    paulis = random_paulis(np.random.default_rng(n), n, 20)
+    loop = np.array([[0.0 if p.commutes(q) else 1.0 for p in paulis] for q in paulis])
+    assert np.array_equal(anticommutation_matrix(paulis, paulis), loop)
+
+
+def test_anticommutation_matrix_edge_cases():
+    x = parse_pauli("XI")
+    assert anticommutation_matrix([], [x]).shape == (0, 1)
+    assert anticommutation_matrix([x], []).shape == (1, 0)
+    with pytest.raises(ValueError):
+        anticommutation_matrix([x], [parse_pauli("Z")])
+
+
+def assert_matches_scipy(a, b):
+    x, norm = nnls(a, b)
+    expected, expected_norm = scipy.optimize.nnls(a, b)
+    assert np.all(x >= 0.0)
+    assert np.abs(x - expected).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(expected).max(initial=0.0))
+    assert norm == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-12, abs=1e-300)
+    assert norm == pytest.approx(expected_norm, rel=1e-12, abs=1e-12)
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 60), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_nnls_matches_scipy_on_full_column_rank_problems(k, extra_rows, consistent, seed):
+    # a = U diag(s) V^T with singular values in [1, 10]: full column rank and
+    # well enough conditioned for the normal equations to keep 1e-12
+    rng = np.random.default_rng(seed)
+    m = k + extra_rows
+    u, _ = np.linalg.qr(rng.normal(size=(m, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    a = u * rng.uniform(1.0, 10.0, size=k) @ v.T
+    if consistent:
+        # planted exact zeros: the bound variables' multipliers are 0 up to rounding
+        x_true = np.where(rng.random(k) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=k))
+        b = a @ x_true
+    else:
+        b = rng.normal(size=m)
+    assert_matches_scipy(a, b)
+
+
+def test_nnls_converges_on_consistent_data_with_exact_zeros():
+    # pivoting on exact signs cycles here: the zero rates come out near -1e-18
+    probes = default_probes(4, line_edges(4))
+    a = anticommutation_matrix(probes, probes)
+    x_true = np.zeros(len(probes))
+    x_true[::3] = np.linspace(0.001, 0.02, x_true[::3].size)
+    x = assert_matches_scipy(a, a @ x_true)
+    assert np.abs(x - x_true).max() < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[-1.249, 2.744, -2.944], [-0.676, 0.506, -2.552], [0.078, 0.939, 1.675]], [0.838, 1.011, 1.85]),
+    ([[-0.961, 2.526, -0.559], [-0.875, -1.517, -0.079], [-0.904, 1.285, -0.518]], [0.616, -0.7, 0.557]),
+])
+def test_nnls_terminates_where_exchanging_every_infeasible_variable_cycles(a, b):
+    # exchanging the whole infeasible set every time revisits a passive set on
+    # these problems; the one-variable exchanges after three tries finish them
+    assert_matches_scipy(np.array(a), np.array(b))
+
+
+def test_nnls_of_no_columns():
+    x, norm = nnls(np.zeros((3, 0)), np.array([3.0, 0.0, 4.0]))
+    assert x.shape == (0,) and norm == 5.0
+
+
+def planted_on_probes(n, seed):
+    rng = np.random.default_rng(seed)
+    probes = default_probes(n, line_edges(n))
+    chosen = rng.choice(len(probes), size=max(2, len(probes) // 3), replace=False)
+    return PauliLindbladModel(n, tuple(
+        (probes[i], float(rng.uniform(0.001, 0.02))) for i in sorted(chosen)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("shots", [None, 10 ** 3, 10 ** 5])
+def test_nnls_matches_scipy_on_learning_systems(n, shots, monkeypatch):
+    systems = []
+
+    def capture(a, b):
+        systems.append((a, b))
+        return scipy.optimize.nnls(a, b)
+
+    monkeypatch.setattr(noise, "nnls", capture)
+    learn_rates_from_model(planted_on_probes(n, n), shots=shots, seed=n)
+    (a, b), = systems
+    assert a.shape == (8 * n - 5, 8 * n - 5)
+    assert_matches_scipy(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_exact_data_learning_returns_the_planted_rates(n):
+    model = planted_on_probes(n, n)
+    learned, residuals = learn_rates_from_model(model)
+    planted = {(p.x_mask, p.z_mask): lam for p, lam in model.generators}
+    for p, lam in learned.generators:
+        assert abs(lam - planted.get((p.x_mask, p.z_mask), 0.0)) < 1e-12
+    assert max(abs(v) for v in residuals.values()) < 1e-12
 
 
 def test_unidentifiable_model_raises_with_null_space():
