@@ -45,15 +45,13 @@ def _strip_comment(line: str) -> str:
 def parse(text: str) -> QuantumCircuit:
     lines = text.replace("\r\n", "\n").split("\n")
     n_qubits = None
-    header_line = None
     layers: list[Layer] = []
     pending: list[Gate] = []
     pending_start = None
 
-    def flush(line_no):
+    def flush():
         nonlocal pending, pending_start
         if pending:
-            layer = Layer(pending)
             used = set()
             for g in pending:
                 for q in g.qubits:
@@ -63,7 +61,7 @@ def parse(text: str) -> QuantumCircuit:
                             pending_start, 1,
                         )
                     used.add(q)
-            layers.append(layer)
+            layers.append(Layer(pending))
             pending = []
             pending_start = None
 
@@ -71,7 +69,7 @@ def parse(text: str) -> QuantumCircuit:
         stripped = _strip_comment(raw).strip()
         if not stripped:
             if n_qubits is not None:
-                flush(line_no)
+                flush()
             continue
         if n_qubits is None:
             m = _HEADER_RE.match(stripped)
@@ -80,7 +78,6 @@ def parse(text: str) -> QuantumCircuit:
             n_qubits = int(m.group(1))
             if n_qubits < 1:
                 raise ParseError("qubit count must be positive", line_no, 8)
-            header_line = line_no
             continue
         m = _STMT_RE.match(stripped)
         if not m:
@@ -134,7 +131,7 @@ def parse(text: str) -> QuantumCircuit:
         pending.append(Gate(name, tuple(qubits), param))
     if n_qubits is None:
         raise ParseError("expected 'qubits <n>;' header", max(1, len(lines)), 1)
-    flush(len(lines))
+    flush()
     return QuantumCircuit(n_qubits, layers)
 
 

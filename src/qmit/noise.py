@@ -344,10 +344,10 @@ def learn_rates_from_model(
 ):
     """End-to-end learning round trip against a planted model."""
     n = model.n_qubits
-    if probes is None:
-        probes = default_probes(n, line_edges(n))
-    if candidates is None:
-        candidates = default_probes(n, line_edges(n))
+    if probes is None or candidates is None:
+        defaults = default_probes(n, line_edges(n))
+        probes = defaults if probes is None else probes
+        candidates = defaults if candidates is None else candidates
     data = synthesize_decay_data(model, probes, depths, shots=shots, seed=seed)
     return learn_rates(data, candidates, n)
 

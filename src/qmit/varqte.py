@@ -2,11 +2,12 @@
 
 The ansatz is an ordered list of parameterized Pauli rotations
 exp(-i theta_p G_p / 2) interleaved with fixed gates.  One pass over it
-yields |phi> and the K derivative vectors d_p = d|phi>/d theta_p, carried
-as the columns of one (2^n, K) block: every element is applied to the
-state and once to the block, and the rotation with index p then adds
-(-i G_p/2) times the state to column p.  The block is capped like one
-statevector: (K + 1) 2^n amplitudes at most.
+yields |phi> and the K derivative vectors d_p = d|phi>/d theta_p as the
+columns of one (2^n, K + 1) block, |phi> in column 0 and d_p in column
+1 + p: every element is applied once to the block, and the rotation with
+index p then adds (-i G_p/2) times column 0 to column 1 + p.  Fidelity
+tracking runs the same pass on the state column alone.  The block is
+capped like one statevector: (K + 1) 2^n amplitudes at most.
 
 Projecting the Schroedinger equation onto the ansatz manifold gives a
 linear system in theta-dot.  With D the (K, 2^n) array whose rows are the
@@ -29,7 +30,7 @@ d_p, both variants are Gram products:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -45,6 +46,8 @@ from .simulator import (
     gate_matrix,
     pauli_sum,
 )
+
+MAX_VARQTE_STEPS = 2 ** 16  # RK4 steps per evolve call, 4 derivative passes each
 
 
 @dataclass(frozen=True)
@@ -106,24 +109,32 @@ def _apply_element(amps: np.ndarray, element, theta, n: int) -> np.ndarray:
     return cos(t / 2) * amps - 1j * sin(t / 2) * apply_pauli_array(amps, element.generator)
 
 
-def _state(ansatz: Ansatz, theta) -> np.ndarray:
-    """|phi(theta)> by the forward pass alone."""
-    amps = np.zeros(2 ** ansatz.n_qubits, dtype=complex)
-    amps[0] = 1.0
+def _forward(ansatz: Ansatz, theta, k: int) -> np.ndarray:
+    """One pass over the ansatz on a (2^n, 1 + k) block whose column 0 is
+    |phi(theta)> and column 1 + p the derivative d_p so far; k is n_params,
+    or 0 for the state alone. Each element is applied once, to the columns
+    reached so far (later ones are still zero), and the rotation with index
+    p then adds (-i G/2) times the state to column 1 + p, so the
+    contributions of a tied parameter sum."""
+    n = ansatz.n_qubits
+    block = np.zeros((2 ** n, 1 + k), dtype=complex)
+    block[0, 0] = 1.0
+    w = 1
     for element in ansatz.elements:
-        amps = _apply_element(amps, element, theta, ansatz.n_qubits)
-    return amps
+        block[:, :w] = _apply_element(block[:, :w], element, theta, n)
+        if k and isinstance(element, RotationElement):
+            col = element.param_index + 1
+            w = max(w, col + 1)
+            block[:, col] += -0.5j * apply_pauli_array(block[:, 0], element.generator)
+    return block
 
 
 def state_and_derivatives(ansatz: Ansatz, theta):
     """|phi(theta)> and the exact derivative vectors d|phi>/d theta_p as the
-    rows of a (K, 2^n) array.
+    rows of a (K, 2^n) array, from one `_forward` pass.
 
-    One pass over the ansatz carries the state and a (2^n, K) block whose
-    column p is the derivative so far: each element is applied to both, and
-    the rotation with index p then adds (-i G/2) times the state to column
-    p, so the contributions of a tied parameter sum. Columns past the
-    highest index reached so far are still zero, so elements skip them.
+    The state is a C-contiguous copy of the block's column 0: on a strided
+    view, the products in `compute_mclachlan` round differently.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.n_params,):
@@ -136,18 +147,8 @@ def state_and_derivatives(ansatz: Ansatz, theta):
             "state and %d derivative vectors need %d amplitudes; capped at 2^%d"
             % (k, (k + 1) << n, MAX_STATEVECTOR_QUBITS)
         )
-    amps = np.zeros(2 ** n, dtype=complex)
-    amps[0] = 1.0
-    block = np.zeros((2 ** n, k), dtype=complex)
-    w = 0
-    for element in ansatz.elements:
-        amps = _apply_element(amps, element, theta, n)
-        if w:
-            block[:, :w] = _apply_element(block[:, :w], element, theta, n)
-        if isinstance(element, RotationElement):
-            w = max(w, element.param_index + 1)
-            block[:, element.param_index] += -0.5j * apply_pauli_array(amps, element.generator)
-    return Statevector(n, amps), block.T
+    block = _forward(ansatz, theta, k)
+    return Statevector(n, block[:, 0].copy()), block[:, 1:].T
 
 
 def compute_M(derivs) -> np.ndarray:
@@ -218,8 +219,12 @@ def evolve(
     """Fixed-step RK4 integration of the variational equations of motion.
 
     The per-step linear system is solved by Tikhonov-regularized least
-    squares (ridge on the diagonal, pseudo-inverse cutoff 1e-10).
+    squares (ridge on the diagonal, pseudo-inverse cutoff 1e-10). More
+    than MAX_VARQTE_STEPS steps are refused before the first one runs.
     """
+    for name, value in (("t_final", t_final), ("dt", dt), ("regularization", regularization)):
+        if not isfinite(value):
+            raise ValueError("%s must be finite, got %s" % (name, value))
     if dt <= 0:
         raise ValueError("dt must be positive")
     if regularization < 0:
@@ -229,7 +234,10 @@ def evolve(
     theta = np.array(theta0, dtype=float)
     if theta.shape != (ansatz.n_params,):
         raise ValueError("theta0 has wrong length")
-    steps = max(0, int(round(t_final / dt)))
+    quotient = t_final / dt
+    if quotient > MAX_VARQTE_STEPS:
+        raise ValueError("t_final / dt = %g steps; capped at %d" % (quotient, MAX_VARQTE_STEPS))
+    steps = max(0, int(round(quotient)))
     times = [0.0]
     thetas = [theta.copy()]
     residuals = []
@@ -251,10 +259,10 @@ def evolve(
         # Taylor work grows with t_final, not with its square; only the states
         # are needed, so no derivative vectors are built
         fids = []
-        exact = Statevector(ansatz.n_qubits, _state(ansatz, thetas[0]))
+        exact = Statevector(ansatz.n_qubits, _forward(ansatz, thetas[0], 0)[:, 0])
         previous = 0.0
         for t, th in zip(times, thetas):
-            state = _state(ansatz, th)
+            state = _forward(ansatz, th, 0)[:, 0]
             exact = evolve_exact(hamiltonian, exact, t - previous)
             previous = t
             fids.append(min(1.0, abs(np.vdot(exact.amplitudes, state)) ** 2))

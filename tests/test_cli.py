@@ -362,6 +362,26 @@ def test_varqte_derivative_block_too_large_is_a_validation_error():
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("option, value, named", [
+    ("--t-final", "1e9", "t_final / dt"),
+    ("--t-final", "inf", "t_final"),
+    ("--t-final", "nan", "t_final"),
+    ("--dt", "nan", "dt"),
+    ("--regularization", "nan", "regularization"),
+    ("--regularization", "inf", "regularization"),
+])
+def test_varqte_bad_input_is_a_validation_error(option, value, named):
+    # 1e9 / 0.01 = 1e11 RK4 steps: refused before the first one runs
+    result = subprocess.run(
+        [sys.executable, "-m", "qmit.cli", "varqte", "--n", "2", "--layers", "1",
+         "--dt", "0.01", option, value],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 3
+    assert "validation error: %s" % named in result.stderr
+    assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
+
+
 def test_oversized_trotter_circuit_is_a_validation_error():
     # 2.8e10 gates: refused from the closed-form count, before any is built
     result = run_cli("trotter", "--n", "2000000", "--steps", "1000")

@@ -214,6 +214,33 @@ def test_evolve_validation():
                method="euler")
 
 
+@pytest.mark.parametrize("t_final, dt, regularization, named", [
+    (float("inf"), 0.01, 1e-6, "t_final"),
+    (float("nan"), 0.01, 1e-6, "t_final"),
+    (1.0, float("nan"), 1e-6, "dt"),
+    (1.0, 0.01, float("nan"), "regularization"),
+    (1.0, 0.01, float("inf"), "regularization"),
+    (1e9, 0.01, 1e-6, "t_final / dt"),
+])
+def test_evolve_refuses_bad_inputs_before_any_stage(monkeypatch, t_final, dt, regularization,
+                                                    named):
+    def no_stage(*args):
+        raise AssertionError("a stage ran before the input check")
+
+    monkeypatch.setattr(varqte, "state_and_derivatives", no_stage)
+    with pytest.raises(ValueError, match=named):
+        evolve(rx_ansatz(), [0.0], Observable.from_label("X"), t_final, dt,
+               regularization=regularization)
+
+
+def test_step_cap_admits_the_largest_step_count(monkeypatch):
+    monkeypatch.setattr(varqte, "MAX_VARQTE_STEPS", 4)
+    with pytest.raises(ValueError, match="capped at 4"):
+        evolve(rx_ansatz(), [0.0], Observable.from_label("Z"), 0.5, 0.1)
+    traj = evolve(rx_ansatz(), [0.0], Observable.from_label("Z"), 0.4, 0.1)
+    assert len(traj.times) == 5
+
+
 # --- reference: the per-vector derivative loop and double-loop Gram systems ---
 
 def reference_state_and_derivatives(ansatz, theta):
@@ -301,11 +328,20 @@ def random_hamiltonian(rng, n_qubits, n_terms=5):
     return Observable.from_terms(n_qubits, terms)
 
 
+def with_reversed_cx(ansatz):
+    """The ansatz with a CX on the reversed pair (1, 0) before its last
+    rotation, when it has two qubits or more."""
+    if ansatz.n_qubits < 2:
+        return ansatz
+    e = ansatz.elements
+    return Ansatz(ansatz.n_qubits, e[:-1] + (FixedElement(Gate("cx", (1, 0))),) + e[-1:])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("layers", [0, 1, 2])
 def test_block_derivatives_bit_identical_on_hardware_efficient(n, layers):
     rng = np.random.default_rng(100 * n + layers)
-    ansatz = hardware_efficient_ansatz(n, layers)
+    ansatz = with_reversed_cx(hardware_efficient_ansatz(n, layers))
     theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
     state, derivs = state_and_derivatives(ansatz, theta)
     ref_state, ref_derivs = reference_state_and_derivatives(ansatz, theta)
@@ -325,6 +361,8 @@ def test_block_derivatives_match_reference_on_random_ansatz(n):
         state, derivs = state_and_derivatives(ansatz, theta)
         ref_state, ref_derivs = reference_state_and_derivatives(ansatz, theta)
         assert np.abs(state.amplitudes - ref_state).max() < 1e-12
+        # the fidelity pass applies each element to the state column alone
+        assert np.array_equal(varqte._forward(ansatz, theta, 0)[:, 0], ref_state)
         assert len(derivs) == len(ref_derivs)
         for p in range(ansatz.n_params):
             assert np.abs(derivs[p] - ref_derivs[p]).max() < 1e-12
@@ -424,3 +462,36 @@ def test_fidelity_tracking_matches_the_reference_states():
         previous = t
         state = reference_state_and_derivatives(ansatz, th)[0]
         assert fid == min(1.0, abs(np.vdot(exact.amplitudes, state)) ** 2)
+
+
+@pytest.mark.parametrize("n, layers", [(1, 0), (2, 1), (3, 2), (5, 1), (8, 2)])
+def test_fidelity_pass_returns_the_derivative_pass_state(n, layers):
+    # bit for bit where the fixed gates are real, as on the hardware-efficient
+    # ansatz: BLAS may round a complex gate matrix (rz, rzz) differently on
+    # one column and on several, so on the random ansaetze the state of
+    # state_and_derivatives is held to the reference within 1e-12 only
+    rng = np.random.default_rng(n)
+    ansatz = with_reversed_cx(hardware_efficient_ansatz(n, layers))
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+        state, _ = state_and_derivatives(ansatz, theta)
+        assert np.array_equal(varqte._forward(ansatz, theta, 0)[:, 0], state.amplitudes)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_mclachlan_system_same_on_contiguous_copies(n):
+    # the state is a column of the derivative block; read as a strided view,
+    # BLAS rounds C differently, and the pinv solve carries that into theta
+    from qmit.hamiltonian import build
+    from qmit.simulator import Statevector
+
+    rng = np.random.default_rng(n)
+    ansatz = hardware_efficient_ansatz(n, 2)
+    theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+    h = build(n, seed=n).observable()
+    state, derivs = state_and_derivatives(ansatz, theta)
+    # the derivative vectors as the columns of a C-contiguous (2^n, K) array
+    copies = (np.ascontiguousarray(derivs.T).T,
+              Statevector(n, np.ascontiguousarray(state.amplitudes)))
+    for x, y in zip(compute_mclachlan(derivs, state, h), compute_mclachlan(*copies, h)):
+        assert np.array_equal(x, y)
