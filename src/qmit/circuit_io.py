@@ -16,16 +16,8 @@ from __future__ import annotations
 
 import re
 
+from . import ParseError
 from .circuits import GATE_ARITY, PARAMETRIC_GATES, Gate, Layer, QuantumCircuit
-
-
-class ParseError(ValueError):
-    """Syntax or validation error with a 1-based source location."""
-
-    def __init__(self, message: str, line: int, column: int):
-        self.line = line
-        self.column = column
-        super().__init__("line %d, column %d: %s" % (line, column, message))
 
 
 _HEADER_RE = re.compile(r"qubits\s+(\d+)\s*;\s*$")

@@ -216,14 +216,16 @@ def synthesize_decay_data(
     apply the channel d times, so <Q>_d = f(Q)^d exactly. With `shots` the
     +-1 measurement outcomes are sampled binomially (per-probe RNG stream).
     """
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1, got %r" % shots)
     data = {}
     for idx, q in enumerate(probes):
         f = pauli_fidelity(model, q)
-        rng = philox_rng(seed, idx) if shots else None
+        rng = philox_rng(seed, idx) if shots is not None else None
         points = []
         for d in depths:
             value = f ** d
-            if shots:
+            if shots is not None:
                 k = rng.binomial(shots, (1.0 + value) / 2.0)
                 value = 2.0 * k / shots - 1.0
             points.append((d, value))

@@ -237,23 +237,6 @@ def apply_pauli_sum(arr: np.ndarray, groups: list[tuple[int, np.ndarray]]) -> np
     return np.zeros(arr.shape, dtype=complex) if out is None else out
 
 
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    n = p.n_qubits
-    idx = np.arange(2 ** n)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z_mask) & 1)
-    phase = 1j ** ((p.x_mask & p.z_mask).bit_count() % 4)
-    mat = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    mat[idx ^ p.x_mask, idx] = phase * signs
-    return mat
-
-
-def observable_matrix(obs: Observable) -> np.ndarray:
-    mat = np.zeros((2 ** obs.n_qubits,) * 2, dtype=complex)
-    for coeff, p in obs.terms:
-        mat += coeff * pauli_matrix(p)
-    return mat
-
-
 def _check_statevector_size(n_qubits: int) -> None:
     """Reject oversized statevectors before any amplitude is allocated."""
     if n_qubits > MAX_STATEVECTOR_QUBITS:

@@ -13,6 +13,7 @@ from conftest import (
     benchmark_observable,
     random_circuit,
 )
+from dense import observable_matrix
 from qmit.circuit_io import ParseError, parse, serialize
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.hamiltonian import build, trotter_bound_order1, trotter_circuit
@@ -28,7 +29,7 @@ from qmit.pec import (
     zne_estimate,
 )
 from qmit.resources import cnot_volume, t_volume
-from qmit.simulator import expectation, observable_matrix, run, run_array
+from qmit.simulator import expectation, run, run_array
 from qmit.varqte import (
     Ansatz,
     FixedElement,

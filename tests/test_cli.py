@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -5,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from qmit import cli, noise, pec
+import qmit
+from qmit import circuit_io, cli, noise, pec
 
 BELL = "qubits 2;\nh 0;\n\ncx 0, 1;\n"
 NOISE = "qubits 2\nXI 0.01\nIY 0.02\n"
@@ -202,6 +204,97 @@ def test_noise_learn_runs_with_scipy_blocked(noise_file, shots):
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stderr == ""
     assert blocked.stdout == run_cli(*argv).stdout
+
+
+def test_package_exports_resolve_to_their_submodules():
+    assert set(qmit.__all__) == {"__version__", "ParseError", *qmit._SUBMODULE}
+    namespace = {}
+    exec("from qmit import *", namespace)
+    for name, module in qmit._SUBMODULE.items():
+        expected = getattr(importlib.import_module("qmit." + module), name)
+        assert namespace[name] is expected
+        assert getattr(qmit, name) is expected
+    assert namespace["ParseError"] is circuit_io.ParseError is qmit.ParseError
+    assert not hasattr(qmit, "no_such_name")
+    # a bare `import qmit` still reaches every submodule as an attribute
+    code = "import qmit; print(qmit.knit.__name__, qmit.varqte.evolve.__module__)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.stdout == "qmit.knit qmit.varqte\n", result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["scale", "--q", "100", "--m", "4", "--l", "3", "--t", "2", "--p", "5"],
+    ["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9", "--format", "csv"],
+])
+def test_numpy_free_commands_run_with_numpy_blocked(argv):
+    # sys.modules["numpy"] = None makes every `import numpy` raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from qmit import cli\n"
+        "sys.exit(cli.main(%r))\n" % argv
+    )
+    blocked = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stderr == ""
+    assert blocked.stdout == run_cli(*argv).stdout
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["simulate", "{bell}", "--observable", "ZZ"],
+     ["qmit.pec", "qmit.knit", "qmit.varqte", "qmit.noise", "qmit.hamiltonian"]),
+    (["cut", "--circuit", "{bell}", "--cut", "0:1", "--observable", "ZZ"],
+     ["qmit.pec", "qmit.varqte", "qmit.noise", "qmit.hamiltonian"]),
+    (["trotter", "--n", "4", "--steps", "2"],
+     ["qmit.circuit_io", "qmit.pec", "qmit.knit", "qmit.varqte", "qmit.noise"]),
+])
+def test_command_leaves_modules_it_does_not_use_unloaded(bell_file, argv, unused):
+    argv = [arg.format(bell=bell_file) for arg in argv]
+    code = (
+        "import contextlib, io, sys\n"
+        "from qmit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(%r) == 0\n"
+        "print(sorted(m for m in %r if m in sys.modules))\n" % (argv, unused)
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_fmt_prints_numpy_scalars_as_python_values():
+    for x in (0.1, 1e-300, -2.5e17, float("inf")):
+        assert cli._fmt(np.float64(x)) == repr(x)
+    assert cli._fmt(np.int64(7)) == "7"
+    assert cli._fmt(np.complex128(1 - 2j)) == str(1 - 2j)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{bell}", "--shots", "0"],
+    ["simulate", "{bell}", "--shots", "-1"],
+    ["noise-learn", "--noise", "{noise}", "--shots", "0"],
+    ["noise-learn", "--noise", "{noise}", "--shots", "-5"],
+])
+def test_fewer_than_one_shot_is_a_usage_error(bell_file, noise_file, argv):
+    # --shots 0 used to be ignored: simulate printed amplitudes and
+    # noise-learn fitted exact data under a shots=0 header
+    result = run_cli(*[arg.format(bell=bell_file, noise=noise_file) for arg in argv])
+    assert result.returncode == 2
+    assert "argument --shots: must be >= 1" in result.stderr
+    assert result.stdout == ""
+
+
+def test_linalg_error_is_a_validation_error(bell_file, noise_file, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, so main reports it with exit 3
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(pec, "noisy_expectation", no_convergence)
+    code = cli.main(["zne", "--circuit", bell_file, "--noise", noise_file,
+                     "--observable", "ZZ"])
+    assert code == 3
+    assert "validation error: SVD did not converge" in capsys.readouterr().err
 
 
 def test_noise_learn(noise_file):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dense import observable_matrix
 from qmit import hamiltonian
 from qmit.circuits import Layer, QuantumCircuit
 from qmit.hamiltonian import (
@@ -17,7 +18,7 @@ from qmit.hamiltonian import (
     trotter_circuit,
 )
 from qmit.pauli import Observable, PauliString, parse_pauli
-from qmit.simulator import observable_matrix, run_array
+from qmit.simulator import run_array
 
 
 def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from dense import pauli_matrix
 from qmit import noise
 from qmit.noise import (
     DEFAULT_DEPTHS,
@@ -26,7 +27,7 @@ from qmit.noise import (
     virtual_distillation_expectation,
 )
 from qmit.pauli import Observable, PauliString, parse_pauli
-from qmit.simulator import DensityMatrix, Statevector, pauli_gather, pauli_matrix, philox_rng
+from qmit.simulator import DensityMatrix, Statevector, pauli_gather, philox_rng
 
 
 def planted_model():
@@ -233,6 +234,13 @@ def test_decay_data_is_exact_powers():
         for d, v in points:
             assert v == pytest.approx(f ** d)
     assert tuple(d for d, _ in data[probes[0]]) == DEFAULT_DEPTHS
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+def test_decay_data_refuses_fewer_than_one_shot(shots):
+    # shots=0 used to be read as "no shots" and gave exact data
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        synthesize_decay_data(planted_model(), [parse_pauli("ZIII")], shots=shots)
 
 
 def test_learning_round_trip_exact():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dense import pauli_matrix
 from qmit.pauli import Observable, PauliString, format_pauli, parse_pauli
-from qmit.simulator import pauli_matrix
 
 _I = np.eye(2)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

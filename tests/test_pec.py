@@ -78,7 +78,7 @@ def test_inverse_composed_with_channel_is_identity():
     mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     out = model.apply_to_matrix(mat)
     # signed inverse: per generator, a * id + b * conjugation by P
-    from qmit.simulator import pauli_matrix
+    from dense import pauli_matrix
     for p, a, b in decomp.entries:
         pm = pauli_matrix(p)
         out = a * out + b * (pm @ out @ pm.conj().T)

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import bell_circuit, random_circuit
+from dense import observable_matrix, pauli_matrix
 from qmit.circuits import PARAMETRIC_GATES, Gate, Layer, QuantumCircuit
 from qmit.hamiltonian import _bond_template, build, trotter_circuit
 from qmit.noise import PauliLindbladModel, virtual_distillation_expectation
@@ -19,9 +20,7 @@ from qmit.simulator import (
     expectation,
     expectation_array,
     gate_matrix,
-    observable_matrix,
     pauli_gather,
-    pauli_matrix,
     pauli_sum,
     philox_rng,
     run,

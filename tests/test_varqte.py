@@ -277,7 +277,7 @@ def reference_state_and_derivatives(ansatz, theta):
 
 
 def reference_systems(derivs, amps, hamiltonian):
-    from qmit.simulator import observable_matrix
+    from dense import observable_matrix
 
     k = len(derivs)
     h_phi = observable_matrix(hamiltonian) @ amps
