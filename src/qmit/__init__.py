@@ -14,6 +14,10 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the largest shot count numpy's binomial and multinomial samplers accept
+# (a C long); here, not in `simulator`, so the CLI bounds --shots without numpy
+MAX_SHOTS = 2 ** 63 - 1
+
 
 class ParseError(ValueError):
     """Syntax or validation error with a 1-based source location."""
@@ -36,13 +40,12 @@ _SUBMODULE = {
         "noise": "PauliLindbladModel UnidentifiableModelError learn_rates"
                  " learn_rates_from_model pauli_fidelity virtual_distillation_expectation",
         "pec": "MitigatedEstimate QuasiProbabilityDecomposition gamma_total invert_channel"
-               " noisy_expectation overhead_table pec_estimate runtime_estimate"
-               " sampling_overhead zne_estimate",
+               " noisy_expectation pec_estimate sampling_overhead zne_estimate",
         "knit": "CutPlan execute_plan plan_wire_cut",
         "varqte": "Ansatz FixedElement RotationElement VarQTETrajectory compute_M compute_V"
                   " compute_mclachlan evolve hardware_efficient_ansatz state_and_derivatives",
         "resources": "FtOverheadReport ModularSystem cnot_volume ft_report modular_scale"
-                     " t_volume",
+                     " overhead_table runtime_estimate t_volume",
         "circuit_io": "parse serialize",
     }.items()
     for name in names.split()

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 GATE_ARITY = {
     "x": 1, "y": 1, "z": 1, "h": 1, "s": 1, "sdg": 1,
@@ -20,7 +22,8 @@ _INVERSE_FIXED = {"x": "x", "y": "y", "z": "z", "h": "h", "s": "sdg", "sdg": "s"
 class Gate:
     """One gate application: a named gate or a custom unitary ('u').
 
-    Custom unitaries are validated here, at insertion time.
+    Custom unitaries are validated here, at insertion time; only they
+    import numpy, so named-gate circuits are built without it.
     """
 
     name: str
@@ -30,6 +33,7 @@ class Gate:
 
     def __post_init__(self):
         if self.name == "u":
+            import numpy as np
             if self.matrix is None:
                 raise ValueError("custom gate requires a matrix")
             dim = 2 ** len(self.qubits)

@@ -18,21 +18,27 @@ import argparse
 import os
 import sys
 
-from . import ParseError, __version__
+from . import MAX_SHOTS, ParseError, __version__
 
 
-def _integer(text: str, minimum=None) -> int:
+def _integer(text: str, minimum=None, maximum=None) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("must be an integer, got %r" % text) from None
     if minimum is not None and value < minimum:
         raise argparse.ArgumentTypeError("must be >= %d, got %r" % (minimum, text))
+    if maximum is not None and value > maximum:
+        raise argparse.ArgumentTypeError("must be <= %d, got %r" % (maximum, text))
     return value
 
 
 def _positive_integer(text: str) -> int:
     return _integer(text, minimum=1)
+
+
+def _shot_count(text: str) -> int:
+    return _integer(text, minimum=1, maximum=MAX_SHOTS)
 
 
 def _env_default(parser, name, convert, default):
@@ -117,19 +123,20 @@ def _load_noise(path: str):
 def _cmd_trotter(args, out):
     from . import hamiltonian
     chain = hamiltonian.build(args.n, seed=args.seed if args.random_fields else None)
-    circuit = hamiltonian.trotter_circuit(chain, args.t, args.steps, args.order)
+    cnots, gates, layers = hamiltonian.trotter_counts(args.n, args.steps, args.order)
     row = {
         "n": args.n,
         "steps": args.steps,
         "order": args.order,
-        "cnots": circuit.cnot_count(),
-        "gates": circuit.gate_count(),
-        "layers": len(circuit.layers),
+        "cnots": cnots,
+        "gates": gates,
+        "layers": layers,
         "bound": hamiltonian.trotter_bound_order1(chain, args.t, args.steps),
     }
     _emit(out, list(row.keys()), [row], args.format)
     if args.emit_circuit:
         from . import circuit_io
+        circuit = hamiltonian.trotter_circuit(chain, args.t, args.steps, args.order)
         with open(args.emit_circuit, "w", encoding="utf-8") as fh:
             fh.write(circuit_io.serialize(circuit))
 
@@ -264,10 +271,10 @@ def _cmd_scale(args, out):
 
 
 def _cmd_overhead_table(args, out):
-    from . import pec
+    from . import resources
     steps_list = [int(s) for s in args.steps.split(",")]
     lambdas = [float(v) for v in args.lambdas.split(",")]
-    rows = pec.overhead_table(args.n, steps_list, lambdas, eps=args.eps)
+    rows = resources.overhead_table(args.n, steps_list, lambdas, eps=args.eps)
     _emit(out, ["lambda", "steps", "layers", "instances"], rows, args.format)
 
 
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-learn", help="learn rates of a planted model")
     p.add_argument("--noise", required=True)
-    p.add_argument("--shots", type=_positive_integer, default=None)
+    p.add_argument("--shots", type=_shot_count, default=None)
     _add_common(p, seed)
     p.set_defaults(func=_cmd_noise_learn)
 
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a circuit file exactly")
     p.add_argument("circuit")
     p.add_argument("--observable", default=None)
-    p.add_argument("--shots", type=_positive_integer, default=None)
+    p.add_argument("--shots", type=_shot_count, default=None)
     _add_common(p, seed)
     p.set_defaults(func=_cmd_simulate)
 

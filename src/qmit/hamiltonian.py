@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .circuits import Gate, Layer, QuantumCircuit
 from .pauli import Observable, PauliString
-from .simulator import philox_rng
 
 MAX_TROTTER_GATES = 2 ** 22
 
@@ -52,6 +51,7 @@ def build(n: int, fields=None, seed: int | None = None) -> SpinChainHamiltonian:
         if seed is None:
             fields = (0.0,) * n
         else:
+            from .simulator import philox_rng  # numpy only for seeded fields
             rng = philox_rng(seed)
             fields = tuple(float(v) for v in rng.uniform(-1.0, 1.0, size=n))
     return SpinChainHamiltonian(n, tuple(float(h) for h in fields))
@@ -86,6 +86,25 @@ def _field_layer(fields, theta: float) -> Layer:
     return Layer(gates)
 
 
+def trotter_counts(n: int, steps: int, order: int = 1) -> tuple[int, int, int]:
+    """(cnots, gates, layers) of `trotter_circuit` on an n-site chain, without
+    building it: per step, 3 CNOTs and 13 gates per bond template, n field
+    rotations per field layer (order 1 has one, order 2 two halves), and 9
+    layers per bond block (one block when n = 2, else two). A circuit of more
+    than MAX_TROTTER_GATES gates is refused."""
+    if n < 2:
+        raise ValueError("chain needs at least 2 sites")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if order not in (1, 2):
+        raise ValueError("unsupported order %d" % order)
+    gates = (13 * (n - 1) + order * n) * steps
+    if gates > MAX_TROTTER_GATES:
+        raise ValueError("Trotter circuit capped at %d gates, got %d" % (MAX_TROTTER_GATES, gates))
+    blocks = 1 if n == 2 else 2
+    return 3 * (n - 1) * steps, gates, (9 * blocks + order) * steps
+
+
 def trotter_circuit(chain: SpinChainHamiltonian, t: float, steps: int, order: int = 1) -> QuantumCircuit:
     """Product-formula circuit. Order 1: even bonds, odd bonds, fields per
     step. Order 2: symmetric arrangement with field rotations split around
@@ -93,15 +112,8 @@ def trotter_circuit(chain: SpinChainHamiltonian, t: float, steps: int, order: in
     between steps, so consecutive step pairs form a palindrome; bond blocks
     appear once per step and the CNOT count is unchanged. A circuit of more
     than MAX_TROTTER_GATES gates is refused before any is built."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if order not in (1, 2):
-        raise ValueError("unsupported order %d" % order)
     n = chain.n
-    # 13 gates per bond template, n field rotations per field layer
-    gates = (13 * (n - 1) + order * n) * steps
-    if gates > MAX_TROTTER_GATES:
-        raise ValueError("Trotter circuit capped at %d gates, got %d" % (MAX_TROTTER_GATES, gates))
+    trotter_counts(n, steps, order)
     dt = t / steps
     # dt is fixed, so every step repeats the same blocks: build them once
     even = _bond_block(list(range(0, n - 1, 2)), dt)
@@ -119,6 +131,8 @@ def trotter_circuit(chain: SpinChainHamiltonian, t: float, steps: int, order: in
 
 def trotter_bound_order1(chain: SpinChainHamiltonian, t: float, steps: int) -> float:
     """(t^2 / 2r) * sum over term pairs of the commutator spectral norm."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite, got %r" % t)
     return commutator_norm_sum(chain.observable()) * t * t / (2 * steps)
 
 

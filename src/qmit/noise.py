@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import MAX_SHOTS
 from .pauli import Observable, PauliString, format_pauli, parse_pauli
 from .simulator import (
     DensityMatrix,
@@ -218,6 +219,8 @@ def synthesize_decay_data(
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1, got %r" % shots)
+    if shots is not None and shots > MAX_SHOTS:
+        raise ValueError("shots capped at %d, got %d" % (MAX_SHOTS, shots))
     data = {}
     for idx, q in enumerate(probes):
         f = pauli_fidelity(model, q)

@@ -1,6 +1,7 @@
 """Probabilistic error cancellation: quasi-probability channel inversion,
-the sampled estimator, overhead and runtime cost models, and zero-noise
-extrapolation.
+the sampled estimator, its sampling overhead, and zero-noise extrapolation.
+The closed-form instance and runtime cost models live in `resources`, which
+needs no numpy, and are re-exported here.
 
 Sampling is deterministic and worker-count independent: samples are split
 into fixed-size chunks, chunk c draws from Philox stream (seed, c), and
@@ -42,6 +43,7 @@ import numpy as np
 from .circuits import QuantumCircuit
 from .noise import PauliLindbladModel, insertion_table, sample_insertions
 from .pauli import Observable, PauliString
+from .resources import overhead_table, runtime_estimate  # re-exported
 from .simulator import (
     DensityMatrix,
     Statevector,
@@ -323,41 +325,6 @@ def sampling_overhead(per_layer_models, eps: float) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     return gamma_total(per_layer_models) ** 2 / eps ** 2
-
-
-def runtime_estimate(n: int, d: int, lambda_bar: float, beta: float) -> float:
-    """Total runtime d * (e^{4 lambda_bar})^{d n} * beta in units of beta."""
-    if n < 0 or d < 0 or lambda_bar < 0 or beta < 0:
-        raise ValueError("inputs must be nonnegative")
-    if beta == 0:
-        return 0.0  # not inf * 0 = nan where the overhead factor overflows
-    with np.errstate(over="ignore"):  # a cost beyond the float range is inf
-        return float(d * np.exp(4.0 * lambda_bar) ** (d * n) * beta)
-
-
-def overhead_table(
-    n: int,
-    trotter_steps_list,
-    lambda_grid,
-    eps: float = 1.0,
-    layers_per_step: int = 2,
-):
-    """Required circuit instances per (steps, lambda) cell; lambda is the
-    per-qubit per-layer average rate."""
-    steps_list = list(trotter_steps_list)
-    grid = list(lambda_grid)
-    if not steps_list or not grid:
-        raise ValueError("grids must be nonempty")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    rows = []
-    for steps in steps_list:
-        for lam in grid:
-            d = layers_per_step * steps
-            with np.errstate(over="ignore"):  # a count beyond the float range is inf
-                instances = float(np.exp(4.0 * lam * d * n)) / eps ** 2
-            rows.append({"lambda": lam, "steps": steps, "layers": d, "instances": instances})
-    return rows
 
 
 def noisy_expectation(

@@ -1,5 +1,6 @@
 """Closed-form resource calculators: surface-code space-time volumes per
-logical gate and the modular-system scale formula.
+logical gate, the modular-system scale formula, and PEC's circuit-instance
+and runtime cost models.
 
 The per-gate volume fits (physical qubits x syndrome cycles, as a function
 of total logical circuit size N) are
@@ -9,6 +10,9 @@ of total logical circuit size N) are
 
 Both are evaluated literally; outputs stay real (the fits are approximate,
 so rounding to integer qubits would be false precision).
+
+Every input must be finite (NaN included), and counts, rates and sizes
+nonnegative; a cost beyond the float range is inf. Nothing here needs numpy.
 """
 from __future__ import annotations
 
@@ -16,16 +20,29 @@ import math
 from dataclasses import dataclass
 
 
+def _check_nonnegative(name: str, value) -> None:
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise ValueError("%s must be finite and >= 0, got %r" % (name, value))
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf where it exceeds the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def cnot_volume(n: float) -> float:
     """Space-time volume of one logical CNOT in a circuit of size N."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError("circuit size N must be >= 1")
     return 1610.0 + 45.0 * math.log10(n) ** 2.77
 
 
 def t_volume(n: float) -> float:
     """Space-time volume of one logical T gate in a circuit of size N."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError("circuit size N must be >= 1")
     return 3.13 + 3220.0 * math.log10(n) ** 3.20
 
@@ -54,8 +71,10 @@ def ft_report(n_cnot_logical: float, n_t_logical: float,
     logical error budgets at their defaults, so real circuits with tighter
     fidelity targets cost more.
     """
-    if n_cnot_logical < 0 or n_t_logical < 0:
-        raise ValueError("gate counts must be nonnegative")
+    _check_nonnegative("n_cnot", n_cnot_logical)
+    _check_nonnegative("n_t", n_t_logical)
+    if circuit_size is not None and not math.isfinite(circuit_size):
+        raise ValueError("circuit_size must be finite, got %r" % circuit_size)
     n = circuit_size if circuit_size is not None else n_cnot_logical + n_t_logical
     if n < 1:
         n = 1.0
@@ -93,3 +112,46 @@ class ModularSystem:
 def modular_scale(system: ModularSystem) -> int:
     """Total effective qubit count n = q * m * l * t * p."""
     return system.q * system.m * system.l * system.t * system.p
+
+
+def runtime_estimate(n: int, d: int, lambda_bar: float, beta: float) -> float:
+    """Total PEC runtime d * (e^{4 lambda_bar})^{d n} * beta in units of beta,
+    for n qubits, d layers, average rate lambda_bar and beta per layer."""
+    for name, value in (("n", n), ("d", d), ("lambda_bar", lambda_bar), ("beta", beta)):
+        _check_nonnegative(name, value)
+    if beta == 0:
+        return 0.0  # not inf * 0 = nan where the overhead factor overflows
+    try:
+        return d * _exp(4.0 * lambda_bar) ** (d * n) * beta
+    except OverflowError:  # the power is beyond the float range
+        return math.inf
+
+
+def overhead_table(
+    n: int,
+    trotter_steps_list,
+    lambda_grid,
+    eps: float = 1.0,
+    layers_per_step: int = 2,
+):
+    """PEC circuit instances e^{4 lambda d n} / eps^2 per (steps, lambda)
+    cell, with d = layers_per_step * steps; lambda is the per-qubit per-layer
+    average rate."""
+    steps_list = list(trotter_steps_list)
+    grid = list(lambda_grid)
+    if not steps_list or not grid:
+        raise ValueError("grids must be nonempty")
+    _check_nonnegative("n", n)
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive, got %r" % eps)
+    for steps in steps_list:
+        _check_nonnegative("steps", steps)
+    for lam in grid:
+        _check_nonnegative("lambda", lam)
+    rows = []
+    for steps in steps_list:
+        for lam in grid:
+            d = layers_per_step * steps
+            instances = _exp(4.0 * lam * d * n) / eps ** 2
+            rows.append({"lambda": lam, "steps": steps, "layers": d, "instances": instances})
+    return rows

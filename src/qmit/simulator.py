@@ -37,6 +37,7 @@ from math import ceil, cos, sin, sqrt
 
 import numpy as np
 
+from . import MAX_SHOTS
 from .circuits import Gate, QuantumCircuit
 from .pauli import Observable, PauliString
 
@@ -329,6 +330,8 @@ def sample_counts(state: Statevector, shots: int, seed: int, stream: int = 0) ->
     """Multinomial bitstring sample; qubit 0 is the leftmost character."""
     if shots <= 0:
         raise ValueError("shots must be positive")
+    if shots > MAX_SHOTS:
+        raise ValueError("shots capped at %d, got %d" % (MAX_SHOTS, shots))
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = philox_rng(seed, stream)

@@ -115,13 +115,17 @@ def _forward(ansatz: Ansatz, theta, k: int) -> np.ndarray:
     or 0 for the state alone. Each element is applied once, to the columns
     reached so far (later ones are still zero), and the rotation with index
     p then adds (-i G/2) times the state to column 1 + p, so the
-    contributions of a tied parameter sum."""
+    contributions of a tied parameter sum. Once every column is reached (at
+    once when k = 0), each element's result is rebound, not copied back."""
     n = ansatz.n_qubits
     block = np.zeros((2 ** n, 1 + k), dtype=complex)
     block[0, 0] = 1.0
     w = 1
     for element in ansatz.elements:
-        block[:, :w] = _apply_element(block[:, :w], element, theta, n)
+        if w == 1 + k:
+            block = _apply_element(block, element, theta, n)
+        else:
+            block[:, :w] = _apply_element(block[:, :w], element, theta, n)
         if k and isinstance(element, RotationElement):
             col = element.param_index + 1
             w = max(w, col + 1)

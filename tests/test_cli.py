@@ -226,6 +226,11 @@ def test_package_exports_resolve_to_their_submodules():
     ["--version"],
     ["scale", "--q", "100", "--m", "4", "--l", "3", "--t", "2", "--p", "5"],
     ["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9", "--format", "csv"],
+    ["trotter", "--n", "100", "--steps", "100", "--order", "1", "--t", "1.0"],
+    ["trotter", "--n", "7", "--steps", "3", "--order", "2", "--t", "0.7", "--format", "csv"],
+    ["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "1e-4,3e-4,1e-3"],
+    ["overhead-table", "--n", "100", "--steps", "50,100", "--lambdas", "1e-4,2.3e-4,3e-4",
+     "--eps", "0.01", "--format", "csv"],
 ])
 def test_numpy_free_commands_run_with_numpy_blocked(argv):
     # sys.modules["numpy"] = None makes every `import numpy` raise ImportError
@@ -239,6 +244,103 @@ def test_numpy_free_commands_run_with_numpy_blocked(argv):
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stderr == ""
     assert blocked.stdout == run_cli(*argv).stdout
+
+
+def test_trotter_emits_the_same_circuit_with_numpy_blocked(tmp_path):
+    argv = ["trotter", "--n", "5", "--steps", "2", "--order", "2", "--emit-circuit"]
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from qmit import cli\n"
+        "sys.exit(cli.main(%r))\n" % (argv + [str(tmp_path / "blocked.qc")])
+    )
+    blocked = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stderr == ""
+    plain = run_cli(*argv, str(tmp_path / "plain.qc"))
+    assert blocked.stdout.replace("blocked.qc", "plain.qc") == plain.stdout
+    assert (tmp_path / "blocked.qc").read_bytes() == (tmp_path / "plain.qc").read_bytes()
+
+
+def test_circuit_modules_import_without_numpy():
+    # numpy is loaded only to check a custom unitary, which is still refused
+    # when it is not unitary
+    code = (
+        "import sys\n"
+        "import qmit.hamiltonian, qmit.circuits, qmit.circuit_io\n"
+        "print('numpy' in sys.modules)\n"
+        "qmit.hamiltonian.trotter_circuit(qmit.hamiltonian.build(3), 0.5, 2, 2)\n"
+        "print('numpy' in sys.modules)\n"
+        "from qmit.circuits import Gate\n"
+        "try:\n"
+        "    Gate('u', (0,), matrix=[[1, 0], [0, 2]])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(Gate('u', (0,), matrix=[[0, 1], [1, 0]]).matrix.dtype)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "False", "False", "custom gate matrix is not unitary", "complex128"]
+
+
+def test_capped_trotter_is_refused_before_the_observable_is_built(monkeypatch, capsys):
+    from qmit import hamiltonian
+
+    def observable(self):
+        raise AssertionError("observable built")
+
+    monkeypatch.setattr(hamiltonian.SpinChainHamiltonian, "observable", observable)
+    # order 2 on 3 qubits: 32 gates per step, so 2^17 + 1 steps exceed the cap
+    code = cli.main(["trotter", "--n", "3", "--steps", str(2 ** 17 + 1), "--order", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "validation error: Trotter circuit capped at %d gates, got %d\n"
+        % (hamiltonian.MAX_TROTTER_GATES, 32 * (2 ** 17 + 1)))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate-ft", "--n-cnot", "nan", "--n-t", "1"], "n_cnot must be finite and >= 0, got nan"),
+    (["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9", "--circuit-size", "inf"],
+     "circuit_size must be finite, got inf"),
+    (["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "nan"],
+     "lambda must be finite and >= 0, got nan"),
+    (["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "1e-4", "--eps", "nan"],
+     "eps must be finite and positive, got nan"),
+    (["overhead-table", "--n", "100", "--steps", "-1", "--lambdas", "1e-4"],
+     "steps must be finite and >= 0, got -1"),
+    (["overhead-table", "--n", "-4", "--steps", "10", "--lambdas", "-0.01"],
+     "n must be finite and >= 0, got -4"),
+    (["trotter", "--n", "4", "--steps", "2", "--t", "nan"], "t must be finite, got nan"),
+])
+def test_closed_form_commands_refuse_non_finite_and_negative_input(argv, message):
+    # each used to exit 0 and print nan, inf or a negative layer count
+    result = run_cli(*argv)
+    assert result.returncode == 3
+    assert result.stderr == "validation error: %s\n" % message
+    assert result.stdout.count("\n") == 3  # the header alone
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{bell}", "--shots", "100000000000000000000"],
+    ["simulate", "{bell}", "--shots", "9223372036854775808"],
+    ["noise-learn", "--noise", "{noise}", "--shots", "100000000000000000000"],
+])
+def test_more_shots_than_numpy_can_draw_is_a_usage_error(bell_file, noise_file, argv):
+    # numpy's samplers take a C long: these used to exit 4 with
+    # "Python int too large to convert to C long"
+    result = run_cli(*[arg.format(bell=bell_file, noise=noise_file) for arg in argv])
+    assert result.returncode == 2
+    assert "argument --shots: must be <= %d" % qmit.MAX_SHOTS in result.stderr
+    assert result.stdout == ""
+
+
+def test_shot_cap_is_the_largest_count_numpy_draws(bell_file):
+    assert qmit.MAX_SHOTS == np.iinfo(np.int64).max
+    result = run_cli("simulate", bell_file, "--shots", str(qmit.MAX_SHOTS), "--format", "csv")
+    assert result.returncode == 0, result.stderr
+    counts = [int(ln.split(",")[1]) for ln in result.stdout.splitlines()[4:]]
+    assert sum(counts) == qmit.MAX_SHOTS
 
 
 @pytest.mark.parametrize("argv, unused", [

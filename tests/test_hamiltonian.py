@@ -16,6 +16,7 @@ from qmit.hamiltonian import (
     commutator_norm_sum,
     trotter_bound_order1,
     trotter_circuit,
+    trotter_counts,
 )
 from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit.simulator import run_array
@@ -92,6 +93,46 @@ def test_oversized_trotter_circuit_is_rejected_before_building(monkeypatch):
         trotter_circuit(chain, 1.0, 2 ** 17 + 1, 2)
     with pytest.raises(ValueError, match="capped"):
         trotter_circuit(build(2_000_000), 1.0, 1000, 1)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_trotter_counts_match_built_circuit(n, order, seed):
+    chain = build(n, seed=seed)
+    for steps in range(1, 6):
+        circuit = trotter_circuit(chain, 0.9, steps, order)
+        assert trotter_counts(n, steps, order) == (
+            circuit.cnot_count(), circuit.gate_count(), len(circuit.layers))
+
+
+def test_trotter_counts_refuse_what_the_circuit_refuses():
+    # order 2 on 3 qubits: 32 gates per step, so 2^17 steps sit exactly at the cap
+    assert trotter_counts(3, 2 ** 17, 2)[1] == MAX_TROTTER_GATES
+    for n, steps, order in [(3, 2 ** 17 + 1, 2), (2_000_000, 1000, 1), (3, 0, 1), (3, 1, 3)]:
+        with pytest.raises(ValueError) as counted:
+            trotter_counts(n, steps, order)
+        with pytest.raises(ValueError) as built:
+            trotter_circuit(build(n), 1.0, steps, order)
+        assert str(counted.value) == str(built.value)
+    with pytest.raises(ValueError, match="at least 2 sites"):
+        trotter_counts(1, 1, 1)
+
+
+def test_trotter_circuit_checks_its_cap_through_trotter_counts(monkeypatch):
+    # one formula: the circuit's refusal is the one trotter_counts raises
+    def counts(n, steps, order):
+        raise ValueError("counted %d %d %d" % (n, steps, order))
+
+    monkeypatch.setattr(hamiltonian, "trotter_counts", counts)
+    with pytest.raises(ValueError, match="counted 4 3 2"):
+        trotter_circuit(build(4), 1.0, 3, 2)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_bound_refuses_a_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite, got %s" % t):
+        trotter_bound_order1(build(3), t, 2)
 
 
 def test_trotter_error_below_bound_and_monotone():

@@ -243,6 +243,17 @@ def test_decay_data_refuses_fewer_than_one_shot(shots):
         synthesize_decay_data(planted_model(), [parse_pauli("ZIII")], shots=shots)
 
 
+def test_decay_data_refuses_more_shots_than_numpy_can_draw():
+    # numpy's binomial takes a C long; above it, it raised OverflowError
+    from qmit import MAX_SHOTS
+
+    probes = [parse_pauli("ZIII")]
+    with pytest.raises(ValueError, match="shots capped at %d" % MAX_SHOTS):
+        synthesize_decay_data(planted_model(), probes, shots=MAX_SHOTS + 1)
+    data = synthesize_decay_data(planted_model(), probes, shots=MAX_SHOTS)
+    assert all(-1.0 <= value <= 1.0 for _, value in data[probes[0]])
+
+
 def test_learning_round_trip_exact():
     m = planted_model()
     learned, residuals = learn_rates_from_model(m)

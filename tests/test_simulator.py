@@ -141,6 +141,15 @@ def test_sample_counts_deterministic():
     assert sample_counts(state, 1000, seed=9) == sample_counts(state, 1000, seed=9)
 
 
+def test_sample_counts_refuses_more_shots_than_numpy_can_draw():
+    from qmit import MAX_SHOTS
+
+    state = run(bell_circuit())
+    with pytest.raises(ValueError, match="shots capped at %d" % MAX_SHOTS):
+        sample_counts(state, MAX_SHOTS + 1, seed=9)
+    assert sum(sample_counts(state, MAX_SHOTS, seed=9).values()) == MAX_SHOTS
+
+
 def test_philox_streams_independent():
     a = philox_rng(1, 0).random(4)
     b = philox_rng(1, 1).random(4)

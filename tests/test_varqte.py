@@ -478,6 +478,58 @@ def test_fidelity_pass_returns_the_derivative_pass_state(n, layers):
         assert np.array_equal(varqte._forward(ansatz, theta, 0)[:, 0], state.amplitudes)
 
 
+def forward_writing_back(ansatz, theta, k):
+    """`_forward` as it was when it wrote every element's result back into
+    the block, also on the state-only pass."""
+    n = ansatz.n_qubits
+    block = np.zeros((2 ** n, 1 + k), dtype=complex)
+    block[0, 0] = 1.0
+    w = 1
+    for element in ansatz.elements:
+        block[:, :w] = varqte._apply_element(block[:, :w], element, theta, n)
+        if k and isinstance(element, RotationElement):
+            col = element.param_index + 1
+            w = max(w, col + 1)
+            block[:, col] += -0.5j * varqte.apply_pauli_array(block[:, 0], element.generator)
+    return block
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_pass_rebinds_each_element_result(n, monkeypatch):
+    # the state-only pass keeps each element's result instead of copying it
+    # into the block, and its state is the derivative pass's bit for bit
+    results = []
+
+    def apply_element(*args):
+        results.append(apply(*args))
+        return results[-1]
+
+    apply = varqte._apply_element
+    monkeypatch.setattr(varqte, "_apply_element", apply_element)
+    rng = np.random.default_rng(100 + n)
+    ansatz = hardware_efficient_ansatz(n, 2)
+    theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_params)
+    block = varqte._forward(ansatz, theta, 0)
+    assert block is results[-1]
+    state, derivs = state_and_derivatives(ansatz, theta)
+    assert np.array_equal(block[:, 0], state.amplitudes)
+    reference = forward_writing_back(ansatz, theta, ansatz.n_params)
+    assert np.array_equal(state.amplitudes, reference[:, 0])
+    assert np.array_equal(derivs, reference[:, 1:].T)
+
+
+def test_varqte_stdout_unchanged_by_rebinding(monkeypatch, capsys):
+    from qmit import cli
+
+    argv = ["varqte", "--n", "4", "--layers", "2", "--t-final", "0.1", "--dt", "0.01",
+            "--seed", "7", "--format", "csv"]
+    assert cli.main(argv) == 0
+    rebound = capsys.readouterr().out
+    monkeypatch.setattr(varqte, "_forward", forward_writing_back)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == rebound
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_mclachlan_system_same_on_contiguous_copies(n):
     # the state is a column of the derivative block; read as a strided view,
