@@ -63,25 +63,4 @@ def __getattr__(name):
     return value
 
 
-__all__ = [
-    "__version__",
-    "Observable", "PauliString", "format_pauli", "parse_pauli",
-    "Gate", "Layer", "QuantumCircuit",
-    "DensityMatrix", "Statevector", "evolve_exact", "expectation",
-    "philox_rng", "run", "sample_counts",
-    "SpinChainHamiltonian", "build", "choose_steps",
-    "trotter_bound_order1", "trotter_circuit",
-    "PauliLindbladModel", "UnidentifiableModelError", "learn_rates",
-    "learn_rates_from_model", "pauli_fidelity",
-    "virtual_distillation_expectation",
-    "MitigatedEstimate", "QuasiProbabilityDecomposition", "gamma_total",
-    "invert_channel", "noisy_expectation", "overhead_table", "pec_estimate",
-    "runtime_estimate", "sampling_overhead", "zne_estimate",
-    "CutPlan", "execute_plan", "plan_wire_cut",
-    "Ansatz", "FixedElement", "RotationElement", "VarQTETrajectory",
-    "compute_M", "compute_V", "compute_mclachlan", "evolve",
-    "hardware_efficient_ansatz", "state_and_derivatives",
-    "FtOverheadReport", "ModularSystem", "cnot_volume", "ft_report",
-    "modular_scale", "t_volume",
-    "ParseError", "parse", "serialize",
-]
+__all__ = ["__version__", "ParseError", *_SUBMODULE]

@@ -1,6 +1,7 @@
 """Layered quantum circuits with explicit two-qubit-gate layers."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -50,6 +51,8 @@ class Gate:
                 raise ValueError("gate %r takes %d qubit(s)" % (self.name, GATE_ARITY[self.name]))
             if (self.name in PARAMETRIC_GATES) != (self.param is not None):
                 raise ValueError("gate %r parameter mismatch" % self.name)
+            if self.param is not None and not math.isfinite(self.param):
+                raise ValueError("gate %r parameter %r is not finite" % (self.name, self.param))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
 

@@ -8,6 +8,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -131,6 +132,9 @@ class Observable:
                 merged[key] = 0.0
                 order.append(key)
             merged[key] += float(coeff)
+        for key in order:
+            if not math.isfinite(merged[key]):
+                raise ValueError("observable coefficient %r is not finite" % merged[key])
         normalized = tuple(
             (merged[key], PauliString(self.n_qubits, key[0], key[1])) for key in order
         )

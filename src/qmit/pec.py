@@ -21,6 +21,12 @@ insertions applied as one signed gather. B is set by AMPLITUDE_BUDGET; a
 wider chunk is processed in consecutive row slices of the same uniform
 block. Which worker runs a chunk therefore changes nothing in its result.
 
+`enumerate_signed` runs the same `_sample_block` on rows that are not
+random: one row per insertion pattern, with 0.0 where the pattern inserts
+the generator and 1.0 where it does not. Weighing each record by its
+pattern's probability gives the estimator's exact mean, which is the
+noiseless value when the sampler's insertions and signs are right.
+
 Pooled calls (workers > 1 and more than one chunk) share one process pool.
 It starts on the first pooled call and then stays alive, so a process keeps
 `workers` idle worker processes until it exits or a call asks for a
@@ -52,14 +58,13 @@ from .simulator import (
     apply_pauli_array,
     compile_ops,
     density_run,
-    expectation_array,
     pauli_gather,
     philox_rng,
 )
 
 CHUNK_SIZE = 1024
 AMPLITUDE_BUDGET = 2 ** 20  # amplitudes evolved at once: 16 MiB of complex128
-MAX_ENUMERATED_GENERATORS = 10  # enumerate_signed walks 4^generators leaves: 2^20
+MAX_ENUMERATED_GENERATORS = 10  # enumerate_signed runs 4^generators patterns: 2^20
 
 
 @dataclass(frozen=True)
@@ -274,57 +279,39 @@ def pec_estimate(
 def enumerate_signed(
     circuit: QuantumCircuit, per_layer_models, observable: Observable
 ) -> float:
-    """Exhaustive signed enumeration of every noise/inverse insertion
-    pattern, weighted by its signed probability. Equals the noiseless
-    expectation (estimator unbiasedness); exponential in generator count,
-    so capped at MAX_ENUMERATED_GENERATORS over all noisy layers."""
+    """Exact mean of `pec_estimate`'s analytic estimator: gamma_total times
+    `_sample_block`'s records over every noise/inverse insertion pattern,
+    each weighted by its probability. Equals the noiseless expectation
+    (estimator unbiasedness); exponential in generator count, so capped at
+    MAX_ENUMERATED_GENERATORS over all noisy layers."""
     n = circuit.n_qubits
     _check_statevector_size(n)
-    compiled = _compile(circuit, per_layer_models)
-    if sum(len(table[2]) for _, table in compiled if table is not None) > MAX_ENUMERATED_GENERATORS:
+    models = per_layer(circuit, per_layer_models)
+    compiled = _compile(circuit, models)
+    # the insertion probability of each uniform in a row: per noisy layer,
+    # the noise half and then the inverse half
+    q = np.array([qi for _, table in compiled if table is not None
+                  for qi in (*table[2], *table[2])])
+    if len(q) > 2 * MAX_ENUMERATED_GENERATORS:
         raise ValueError("enumerate_signed capped at %d generators (4^generators branches)"
                          % MAX_ENUMERATED_GENERATORS)
-
-    def recurse(layer_idx, amps, weight):
-        if layer_idx == len(compiled):
-            return weight * expectation_array(amps, observable)
-        ops, table = compiled[layer_idx]
-        for mat, qubits in ops:
-            amps = _apply_unitary(amps, mat, qubits, n)
-        if table is None:
-            return recurse(layer_idx + 1, amps, weight)
-        x_masks, z_masks, q = table
-
-        # branch over (noise inserted?, inverse inserted?) per generator;
-        # inserting P twice is the identity, so each node applies P once
-        def gen_branch(k, amps_k, w_k):
-            if k == len(q):
-                return recurse(layer_idx + 1, amps_k, w_k)
-            q_ins = q[k]
-            e2l = 1.0 - 2.0 * q_ins  # e^{-2 lam}
-            a = (1.0 + 1.0 / e2l) / 2.0  # signed inverse weight, "do nothing"
-            b = (1.0 - 1.0 / e2l) / 2.0  # signed inverse weight, "insert P"
-            flipped = apply_pauli_array(
-                amps_k, PauliString(n, int(x_masks[k]), int(z_masks[k])))
-            sub = 0.0
-            for noise_p, noise_amp, inverse_amp in ((1.0 - q_ins, amps_k, flipped),
-                                                    (q_ins, flipped, amps_k)):
-                sub += gen_branch(k + 1, noise_amp, w_k * noise_p * a)
-                sub += gen_branch(k + 1, inverse_amp, w_k * noise_p * b)
-            return sub
-
-        return gen_branch(0, amps, weight)
-
-    initial = np.zeros(2 ** n, dtype=complex)
-    initial[0] = 1.0
-    return float(recurse(0, initial, 1.0))
+    patterns = 1 << len(q)
+    width = min(CHUNK_SIZE, max(1, AMPLITUDE_BUDGET >> n))
+    total = 0.0
+    for start in range(0, patterns, width):
+        # bit j set: uniform j is 0.0, which inserts its generator
+        bits = np.arange(start, min(start + width, patterns))[:, None] >> np.arange(len(q)) & 1
+        weights = np.where(bits, q, 1.0 - q).prod(axis=1)
+        total += weights @ _sample_block(compiled, n, observable, "analytic", 1.0 - bits)
+    return float(gamma_total(models) * total)
 
 
 def sampling_overhead(per_layer_models, eps: float) -> float:
     """Circuit instances needed for precision eps: gamma_total^2 / eps^2."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return gamma_total(per_layer_models) ** 2 / eps ** 2
+    eps2 = eps ** 2  # 0.0 below eps of about 1.5e-162: the count is then inf
+    return gamma_total(per_layer_models) ** 2 / eps2 if eps2 else np.inf
 
 
 def noisy_expectation(
@@ -362,9 +349,13 @@ def _zne_factors(scale_factors, order: int) -> list[float]:
     cs = [float(c) for c in scale_factors]
     if len(set(cs)) != len(cs):
         raise ValueError("scale factors must be distinct")
+    # np.polyfit divides each Vandermonde column by its norm, sqrt(sum c^(2 order))
+    limit = (np.finfo(float).max / len(cs)) ** (0.5 / order) if order > 0 else np.inf
     for c in cs:
         if not (np.isfinite(c) and c >= 1.0):
             raise ValueError("scale factor %r must be finite and >= 1" % c)
+        if c > limit:
+            raise ValueError("scale factor %r overflows a degree-%d fit" % (c, order))
     if 1.0 not in cs:
         raise ValueError("scale factors must include 1")
     if len(cs) < order + 1:

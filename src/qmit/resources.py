@@ -148,10 +148,11 @@ def overhead_table(
         _check_nonnegative("steps", steps)
     for lam in grid:
         _check_nonnegative("lambda", lam)
+    eps2 = eps ** 2  # 0.0 below eps of about 1.5e-162: the count is then inf
     rows = []
     for steps in steps_list:
         for lam in grid:
             d = layers_per_step * steps
-            instances = _exp(4.0 * lam * d * n) / eps ** 2
+            instances = _exp(4.0 * lam * d * n) / eps2 if eps2 else math.inf
             rows.append({"lambda": lam, "steps": steps, "layers": d, "instances": instances})
     return rows

@@ -229,6 +229,8 @@ def evolve(
     for name, value in (("t_final", t_final), ("dt", dt), ("regularization", regularization)):
         if not isfinite(value):
             raise ValueError("%s must be finite, got %s" % (name, value))
+    if t_final < 0:
+        raise ValueError("t_final must be nonnegative, got %s" % t_final)
     if dt <= 0:
         raise ValueError("dt must be positive")
     if regularization < 0:

@@ -110,3 +110,11 @@ def test_round_trip_property(seed):
     rng = np.random.default_rng(seed)
     circuit = random_circuit(rng, int(rng.integers(1, 5)), int(rng.integers(0, 4)))
     assert circuits_equal(parse(serialize(circuit)), circuit)
+
+
+@pytest.mark.parametrize("param", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name, qubits", [("rz", (0,)), ("rxx", (0, 1))])
+def test_gate_refuses_a_non_finite_parameter(name, qubits, param):
+    # such a gate would serialize to text that parse refuses
+    with pytest.raises(ValueError, match="gate %r parameter %s is not finite" % (name, param)):
+        Gate(name, qubits, param)

@@ -123,6 +123,15 @@ def test_overhead_table_overflow_prints_inf_quietly():
     assert result.stdout.splitlines()[-1] == "0.001,100000000,200000000,inf"
 
 
+def test_overhead_table_eps_whose_square_underflows_prints_inf():
+    # 1e-200 ** 2 is 0.0; the count used to divide by it and exit 4
+    result = run_cli("overhead-table", "--n", "4", "--steps", "3", "--lambdas", "0.01",
+                     "--eps", "1e-200", "--format", "csv")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == "0.01,3,6,inf"
+
+
 def test_overhead_table_values_unchanged():
     result = run_cli("overhead-table", "--n", "100", "--steps", "50,100",
                      "--lambdas", "1e-4,2.3e-4,3e-4", "--eps", "0.01", "--format", "csv")
@@ -204,6 +213,10 @@ def test_noise_learn_runs_with_scipy_blocked(noise_file, shots):
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stderr == ""
     assert blocked.stdout == run_cli(*argv).stdout
+
+
+def test_package_all_is_derived_from_the_export_table():
+    assert qmit.__all__ == ["__version__", "ParseError", *qmit._SUBMODULE]
 
 
 def test_package_exports_resolve_to_their_submodules():
@@ -564,6 +577,7 @@ def test_varqte_derivative_block_too_large_is_a_validation_error():
     ("--dt", "nan", "dt"),
     ("--regularization", "nan", "regularization"),
     ("--regularization", "inf", "regularization"),
+    ("--t-final", "-1", "t_final must be nonnegative, got -1.0"),
 ])
 def test_varqte_bad_input_is_a_validation_error(option, value, named):
     # 1e9 / 0.01 = 1e11 RK4 steps: refused before the first one runs
@@ -669,6 +683,28 @@ def test_non_finite_zne_factor_is_named_before_any_simulation(bell_file, tmp_pat
     assert "scale factor %s must be finite and >= 1" % factor in result.stderr
     assert "DLASCL" not in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_zne_factor_that_overflows_the_fit_is_named_before_any_simulation(bell_file,
+                                                                         noise_file):
+    result = run_cli("zne", "--circuit", bell_file, "--noise", noise_file,
+                     "--observable", "ZZ", "--factors", "1,1e308")
+    assert result.returncode == 3
+    assert result.stderr == "validation error: scale factor 1e+308 overflows a degree-1 fit\n"
+    assert [ln for ln in result.stdout.splitlines() if not ln.startswith("#")] == []
+
+
+@pytest.mark.parametrize("command, observable", [("simulate", "nan*ZZ"), ("pec", "inf*ZZ"),
+                                                 ("zne", "ZZ, -inf*XX")])
+def test_non_finite_observable_coefficient_is_a_validation_error(bell_file, noise_file,
+                                                                 command, observable):
+    args = [bell_file] if command == "simulate" else ["--circuit", bell_file,
+                                                      "--noise", noise_file]
+    result = run_cli(command, *args, "--observable", observable)
+    assert result.returncode == 3
+    coeff = observable.split(",")[-1].split("*")[0].strip()
+    assert result.stderr == "validation error: observable coefficient %s is not finite\n" % coeff
+    assert [ln for ln in result.stdout.splitlines() if not ln.startswith("#")] == []
 
 
 def _kill_worker(args):

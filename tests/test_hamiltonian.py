@@ -135,6 +135,13 @@ def test_bound_refuses_a_non_finite_time(t):
         trotter_bound_order1(build(3), t, 2)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+@pytest.mark.parametrize("order", [1, 2])
+def test_trotter_circuit_refuses_a_non_finite_time(t, order):
+    with pytest.raises(ValueError, match="parameter .* is not finite"):
+        trotter_circuit(build(3), t, 2, order)
+
+
 def test_trotter_error_below_bound_and_monotone():
     chain = build(6, seed=3)
     exact = expm(-1j * observable_matrix(chain.observable()))

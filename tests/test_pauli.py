@@ -109,6 +109,17 @@ def test_observable_add_and_bound():
     assert total.bound() == pytest.approx(2.75)
 
 
+@pytest.mark.parametrize("terms, named", [
+    ([(float("nan"), "ZZ")], "nan"),
+    ([(float("inf"), "ZZ")], "inf"),
+    ([(1.0, "XI"), (float("-inf"), "ZZ")], "-inf"),
+    ([(1e308, "ZZ"), (1e308, "ZZ")], "inf"),  # merged past the float range
+])
+def test_observable_refuses_a_non_finite_coefficient(terms, named):
+    with pytest.raises(ValueError, match="observable coefficient %s is not finite" % named):
+        Observable.from_terms(2, [(c, parse_pauli(label)) for c, label in terms])
+
+
 def test_observable_size_mismatch():
     with pytest.raises(ValueError):
         Observable.from_terms(2, [(1.0, parse_pauli("XXX"))])

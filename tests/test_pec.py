@@ -1,6 +1,7 @@
 import itertools
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -10,18 +11,21 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     bell_circuit,
     benchmark_circuit,
     benchmark_model,
     benchmark_observable,
+    random_circuit,
 )
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.noise import PauliLindbladModel, insertion_table, sample_insertions
 from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit import pec
 from qmit.pec import (
+    MAX_ENUMERATED_GENERATORS,
     enumerate_signed,
     gamma_total,
     invert_channel,
@@ -384,12 +388,58 @@ def test_enumerate_signed_runs_the_reduced_benchmark_instance():
     assert abs(value - expectation(run(circuit), obs)) < 1e-10
 
 
+def test_enumerate_signed_reads_the_samplers_signs(monkeypatch):
+    # one noisy layer: an odd count parity flips every record's sign
+    def wrong_parity(table, uniforms):
+        x, z, count = sample_insertions(table, uniforms)
+        return x, z, count + 1
+
+    monkeypatch.setattr(pec, "sample_insertions", wrong_parity)
+    circuit, models = two_layer_instance()
+    circuit = QuantumCircuit(2, circuit.layers[:2])
+    obs = Observable.from_label("ZZ")
+    ideal = expectation(run(circuit), obs)
+    assert abs(ideal) > 0.5
+    assert enumerate_signed(circuit, models[:1], obs) == pytest.approx(-ideal, abs=1e-10)
+
+
+def random_pauli(n, code):
+    """The Pauli whose X mask is the low n bits of code, its Z mask the rest."""
+    return PauliString(n, int(code) & (2 ** n - 1), int(code) >> n)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 4), n_layers=st.integers(1, 4),
+       n_generators=st.integers(0, MAX_ENUMERATED_GENERATORS), n_terms=st.integers(1, 3))
+@example(seed=1, n=4, n_layers=4, n_generators=MAX_ENUMERATED_GENERATORS, n_terms=2)
+def test_enumerate_signed_equals_the_noiseless_value(seed, n, n_layers, n_generators,
+                                                     n_terms):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n, n_layers)
+    noisy = len(circuit.two_qubit_layer_indices())
+    # n_generators distinct non-identity generators spread over the noisy layers
+    per_layer = np.bincount(rng.integers(noisy, size=n_generators if noisy else 0),
+                            minlength=noisy)
+    models = [PauliLindbladModel(n, tuple(
+        (random_pauli(n, code), float(rng.uniform(0.0, 0.2)))
+        for code in rng.choice(np.arange(1, 4 ** n), size=k, replace=False)))
+        for k in per_layer]
+    obs = Observable.from_terms(n, [(float(rng.normal()), random_pauli(n, rng.integers(4 ** n)))
+                                    for _ in range(n_terms)])
+    assert abs(enumerate_signed(circuit, models, obs) - expectation(run(circuit), obs)) < 1e-10
+
+
 def test_sampling_overhead():
     models = [benchmark_model(0.05)] * 4
     g = gamma_total(models)
     assert sampling_overhead(models, 0.01) == pytest.approx(g * g / 1e-4)
     with pytest.raises(ValueError):
         sampling_overhead(models, 0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 5e-324])
+def test_sampling_overhead_is_inf_where_eps_squared_underflows(eps):
+    assert sampling_overhead([benchmark_model(0.05)] * 4, eps) == np.inf
 
 
 def test_runtime_estimate_values():
@@ -453,6 +503,31 @@ def test_zne_rejects_non_finite_scale_factor_before_simulating(monkeypatch, fact
     circuit, models = two_layer_instance()
     with pytest.raises(ValueError, match="scale factor %r must be finite and >= 1" % factor):
         zne_estimate(circuit, models[0], Observable.from_label("ZZ"), (1.0, 2.0, factor))
+
+
+@pytest.mark.parametrize("factors, order, named", [
+    ((1.0, 1e308), 1, 1e308),
+    ((1.0, 9.5e153), 1, 9.5e153),  # 1 + c^2 overflows
+    ((1.0, 2.0, 1.1e77), 2, 1.1e77),  # c^4 overflows
+])
+def test_zne_rejects_a_factor_that_overflows_the_fit_before_simulating(monkeypatch, factors,
+                                                                      order, named):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the factors were checked")
+
+    monkeypatch.setattr(pec, "noisy_expectation", no_simulation)
+    circuit, models = two_layer_instance()
+    message = "scale factor %r overflows a degree-%d fit" % (named, order)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        zne_estimate(circuit, models[0], Observable.from_label("ZZ"), factors, order)
+
+
+def test_zne_fits_the_largest_first_order_factor_without_warnings():
+    circuit, models = two_layer_instance()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = zne_estimate(circuit, models[0], Observable.from_label("ZZ"), (1.0, 9.4e153))
+    assert np.isfinite(value)
 
 
 @pytest.mark.parametrize("workers", [0, -3])

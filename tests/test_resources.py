@@ -158,6 +158,16 @@ def test_runtime_estimate_refuses_out_of_domain_input(args, name):
         runtime_estimate(*args)
 
 
+@pytest.mark.parametrize("eps", [1e-200, 1e-162, 5e-324])
+def test_overhead_table_counts_inf_where_eps_squared_underflows(eps):
+    # eps ** 2 is 0.0 here: the count is beyond the float range
+    assert eps ** 2 == 0.0
+    (row,) = overhead_table(4, [3], [0.01], eps=eps)
+    assert row["instances"] == math.inf
+    (row,) = overhead_table(0, [3], [0.0], eps=eps)
+    assert row["instances"] == math.inf
+
+
 def numpy_instances(n, steps, lam, eps=1.0, layers_per_step=2):
     """overhead_table's formula as it was written with np.exp."""
     with np.errstate(over="ignore"):

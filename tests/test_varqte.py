@@ -221,6 +221,7 @@ def test_evolve_validation():
     (1.0, 0.01, float("nan"), "regularization"),
     (1.0, 0.01, float("inf"), "regularization"),
     (1e9, 0.01, 1e-6, "t_final / dt"),
+    (-1.0, 0.01, 1e-6, "t_final must be nonnegative, got -1.0"),
 ])
 def test_evolve_refuses_bad_inputs_before_any_stage(monkeypatch, t_final, dt, regularization,
                                                     named):
