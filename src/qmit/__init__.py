@@ -17,6 +17,8 @@ __version__ = "0.1.0"
 # the largest shot count numpy's binomial and multinomial samplers accept
 # (a C long); here, not in `simulator`, so the CLI bounds --shots without numpy
 MAX_SHOTS = 2 ** 63 - 1
+# pooled PEC threads at once, each holding up to pec.AMPLITUDE_BUDGET amplitudes (16 MiB)
+MAX_WORKERS = 64
 
 
 class ParseError(ValueError):

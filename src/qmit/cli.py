@@ -8,9 +8,11 @@ of the subcommand except ``--seed``, which has its own header line, and
 the worker count never changes results.
 
 Environment overrides: ``QMIT_SEED`` for the default seed and
-``QMIT_WORKERS`` for the default worker-pool size. A value that is not an
-integer (or, for the worker count, is below 1) is a usage error, exit 2, as
-is ``--workers`` or ``--shots`` below 1.
+``QMIT_WORKERS`` for the default number of ``qmit pec`` worker threads
+(otherwise the CPU count, at most ``MAX_WORKERS``). A value that is not an
+integer (or, for the worker count, is outside 1 to ``MAX_WORKERS``) is a
+usage error, exit 2, and so is such a ``--workers`` value or a ``--shots``
+below 1.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import argparse
 import os
 import sys
 
-from . import MAX_SHOTS, ParseError, __version__
+from . import MAX_SHOTS, MAX_WORKERS, ParseError, __version__
 
 
 def _integer(text: str, minimum=None, maximum=None) -> int:
@@ -33,8 +35,8 @@ def _integer(text: str, minimum=None, maximum=None) -> int:
     return value
 
 
-def _positive_integer(text: str) -> int:
-    return _integer(text, minimum=1)
+def _worker_count(text: str) -> int:
+    return _integer(text, minimum=1, maximum=MAX_WORKERS)
 
 
 def _shot_count(text: str) -> int:
@@ -304,7 +306,7 @@ def _add_common(p, seed=None, workers=None):
     if seed is not None:
         p.add_argument("--seed", type=int, default=seed)
     if workers is not None:
-        p.add_argument("--workers", type=_positive_integer, default=workers)
+        p.add_argument("--workers", type=_worker_count, default=workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version="qmit %s" % __version__)
     seed = _env_default(parser, "QMIT_SEED", _integer, 0)
-    workers = _env_default(parser, "QMIT_WORKERS", _positive_integer, os.cpu_count() or 1)
+    workers = _env_default(parser, "QMIT_WORKERS", _worker_count,
+                           min(os.cpu_count() or 1, MAX_WORKERS))
     parser.set_defaults(seed=seed)  # the header's seed for commands without --seed
     sub = parser.add_subparsers(dest="command", required=True)
 

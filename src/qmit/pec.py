@@ -27,25 +27,21 @@ the generator and 1.0 where it does not. Weighing each record by its
 pattern's probability gives the estimator's exact mean, which is the
 noiseless value when the sampler's insertions and signs are right.
 
-Pooled calls (workers > 1 and more than one chunk) share one process pool.
-It starts on the first pooled call and then stays alive, so a process keeps
-`workers` idle worker processes until it exits or a call asks for a
-different worker count, which replaces the pool. Calls from several
-threads take turns on it. A pool broken by a dead worker is dropped, and
-the call that finds it broken runs once more on a fresh pool (chunks are
-pure, so the values are the same); if that pool breaks too, the call fails.
-A forked child drops the pool it inherits unused.
+Pooled calls (workers > 1 and more than one chunk) run the chunks on a
+thread pool opened and closed inside the call. A chunk's numpy calls
+release the GIL, so threads overlap without starting processes or pickling
+the compiled circuit. Each running thread holds one block of up to
+AMPLITUDE_BUDGET amplitudes, so `workers` is capped at MAX_WORKERS. A chunk
+that raises fails the call with its own exception, and the chunks not yet
+started are cancelled.
 """
 from __future__ import annotations
 
-import atexit
-import os
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import MAX_WORKERS
 from .circuits import QuantumCircuit
 from .noise import PauliLindbladModel, insertion_table, sample_insertions
 from .pauli import Observable, PauliString
@@ -178,60 +174,6 @@ def _pec_chunk(args):
     return out
 
 
-_pool = None  # (workers, ProcessPoolExecutor) shared by pooled calls
-_pool_lock = threading.Lock()
-
-
-def _pooled_map(chunks, workers: int):
-    """_pec_chunk of every chunk on the shared pool, in chunk order."""
-    global _pool
-    from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay its import
-    from concurrent.futures.process import BrokenProcessPool
-
-    with _pool_lock:
-        if _pool is not None and _pool[0] != workers:
-            _pool[1].shutdown()
-            _pool = None
-        for retry in (False, True):
-            if _pool is None:
-                _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-            try:
-                return list(_pool[1].map(_pec_chunk, chunks))  # yielded in chunk order
-            except BrokenProcessPool:
-                # a worker died, perhaps while the pool sat idle
-                _pool[1].shutdown()
-                _pool = None
-                if retry:
-                    raise
-
-
-def _shutdown_pool():
-    """Stop the shared pool's workers at exit, while the modules its
-    clean-up uses are still loaded."""
-    global _pool
-    with _pool_lock:
-        pool, _pool = _pool, None
-    if pool is not None:
-        pool[1].shutdown()
-
-
-def _forget_pool():
-    """In a forked child: the inherited pool's threads and processes are
-    the parent's, so drop the pool without a call on it, and the lock with
-    it, which another parent thread may have held at the fork. Its workers
-    also leave multiprocessing's list of this process's children, as in
-    every child multiprocessing starts itself; its exit handler would
-    otherwise try to join them."""
-    global _pool, _pool_lock
-    if _pool is not None:
-        sys.modules["multiprocessing.process"]._children.clear()
-    _pool, _pool_lock = None, threading.Lock()
-
-
-atexit.register(_shutdown_pool)
-os.register_at_fork(after_in_child=_forget_pool)
-
-
 def pec_estimate(
     circuit: QuantumCircuit,
     per_layer_models,
@@ -245,8 +187,8 @@ def pec_estimate(
     per-sample observable records. `per_layer_models` follows `per_layer`."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError("workers must be >= 1 and <= %d, got %r" % (MAX_WORKERS, workers))
     if mode not in ("analytic", "shot"):
         raise ValueError("mode must be 'analytic' or 'shot'")
     n = circuit.n_qubits
@@ -258,7 +200,10 @@ def pec_estimate(
                min(CHUNK_SIZE, samples - start))
               for start in range(0, samples, CHUNK_SIZE)]
     if workers > 1 and len(chunks) > 1:
-        values = np.concatenate(_pooled_map(chunks, workers))
+        from concurrent.futures import ThreadPoolExecutor  # only pooled runs pay its import
+
+        with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+            values = np.concatenate(list(pool.map(_pec_chunk, chunks)))  # in chunk order
     else:
         values = np.concatenate([_pec_chunk(c) for c in chunks])
     mean = float(values.mean())
@@ -346,6 +291,8 @@ def zne_estimate(
 
 def _zne_factors(scale_factors, order: int) -> list[float]:
     """The scale factors as floats, checked before any simulation."""
+    if order < 0:
+        raise ValueError("order %r must be >= 0" % order)
     cs = [float(c) for c in scale_factors]
     if len(set(cs)) != len(cs):
         raise ValueError("scale factors must be distinct")
@@ -360,6 +307,11 @@ def _zne_factors(scale_factors, order: int) -> list[float]:
         raise ValueError("scale factors must include 1")
     if len(cs) < order + 1:
         raise ValueError("need at least order + 1 scale factors")
+    # np.polyfit's own rank test: its column-scaled Vandermonde matrix at its rcond
+    lhs = np.vander(cs, order + 1)
+    lhs /= np.sqrt((lhs * lhs).sum(axis=0))
+    if np.linalg.lstsq(lhs, np.zeros(len(cs)), len(cs) * np.finfo(float).eps)[2] <= order:
+        raise ValueError("scale factors %s make a rank-deficient degree-%d fit" % (cs, order))
     return cs
 
 

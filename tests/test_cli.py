@@ -2,12 +2,14 @@ import importlib
 import os
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 import qmit
-from qmit import circuit_io, cli, noise, pec
+from qmit import MAX_WORKERS, circuit_io, cli, noise, pec
 
 BELL = "qubits 2;\nh 0;\n\ncx 0, 1;\n"
 NOISE = "qubits 2\nXI 0.01\nIY 0.02\n"
@@ -174,8 +176,8 @@ def test_varqte_trajectory_moves():
 
 
 def test_cli_import_leaves_scipy_and_process_pool_unloaded():
-    # a cold start pays for the process pool only in pooled PEC, and no
-    # command, noise learning included, loads scipy
+    # no command starts a process pool, and none, noise learning included,
+    # loads scipy
     code = (
         "import sys, qmit.cli\n"
         "print(sorted(m for m in ('scipy', 'concurrent.futures.process')"
@@ -707,16 +709,64 @@ def test_non_finite_observable_coefficient_is_a_validation_error(bell_file, nois
     assert [ln for ln in result.stdout.splitlines() if not ln.startswith("#")] == []
 
 
-def _kill_worker(args):
-    os._exit(1)
+def test_chunk_error_passes_through_and_cancels_the_queued_chunks(bell_file, noise_file,
+                                                                  monkeypatch, capsys):
+    started = []
 
+    def chunk(args):
+        started.append(args[5])
+        if args[5] == 0:
+            raise MemoryError("Unable to allocate chunk 0")
+        time.sleep(0.05)  # the other thread is busy when chunk 0's error arrives
+        return np.zeros(args[6])
 
-def test_killed_worker_is_a_numeric_error(bell_file, noise_file, monkeypatch, capsys):
+    monkeypatch.setattr(pec, "CHUNK_SIZE", 1)
+    monkeypatch.setattr(pec, "_pec_chunk", chunk)
     argv = ["pec", "--circuit", bell_file, "--noise", noise_file, "--observable", "ZZ",
-            "--samples", str(2 * pec.CHUNK_SIZE), "--workers", "2"]
-    monkeypatch.setattr(pec, "_pec_chunk", _kill_worker)  # looked up by name in the worker
-    assert cli.main(argv) == 4
-    assert "numeric error" in capsys.readouterr().err
+            "--samples", "16", "--workers", "2"]
+    assert cli.main(argv) == 3  # a MemoryError, not a wrapper around it
+    assert capsys.readouterr().err == "validation error: Unable to allocate chunk 0\n"
+    assert len(started) < 16
+
+
+@pytest.mark.parametrize("env, argv", [({}, ["--workers", str(MAX_WORKERS + 1)]),
+                                       ({"QMIT_WORKERS": str(MAX_WORKERS + 1)}, [])])
+def test_more_workers_than_the_cap_is_a_usage_error(bell_file, noise_file, monkeypatch, capsys,
+                                                    env, argv):
+    def no_chunk(args):
+        raise AssertionError("a chunk ran before the worker count was checked")
+
+    monkeypatch.setattr(pec, "_pec_chunk", no_chunk)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["pec", "--circuit", bell_file, "--noise", noise_file, "--observable", "ZZ",
+                  "--samples", str(2 * pec.CHUNK_SIZE), *argv])
+    assert info.value.code == 2
+    assert "must be <= %d, got '%d'" % (MAX_WORKERS, MAX_WORKERS + 1) in capsys.readouterr().err
+
+
+def test_default_worker_count_is_capped(monkeypatch):
+    monkeypatch.delenv("QMIT_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4 * MAX_WORKERS)
+    args = cli.build_parser().parse_args(["pec", "--circuit", "c.qc", "--noise", "m.noise",
+                                          "--observable", "ZZ"])
+    assert args.workers == MAX_WORKERS
+
+
+def test_zne_fit_that_polyfit_would_warn_on_is_refused_before_any_simulation(
+        bell_file, noise_file, monkeypatch, capsys):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the factors were checked")
+
+    monkeypatch.setattr(pec, "noisy_expectation", no_simulation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["zne", "--circuit", bell_file, "--noise", noise_file,
+                         "--observable", "ZZ", "--factors", "1,2,1e76", "--order", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == ("validation error: scale factors [1.0, 2.0, 1e+76] make"
+                                       " a rank-deficient degree-2 fit\n")
 
 
 def test_seed_env_default_reaches_the_header_of_commands_without_seed(bell_file, noise_file,

@@ -1,13 +1,10 @@
 import itertools
 import multiprocessing
-import os
 import re
 import subprocess
 import sys
 import threading
-import time
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from conftest import (
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.noise import PauliLindbladModel, insertion_table, sample_insertions
 from qmit.pauli import Observable, PauliString, parse_pauli
-from qmit import pec
+from qmit import MAX_WORKERS, pec
 from qmit.pec import (
     MAX_ENUMERATED_GENERATORS,
     enumerate_signed,
@@ -522,6 +519,37 @@ def test_zne_rejects_a_factor_that_overflows_the_fit_before_simulating(monkeypat
         zne_estimate(circuit, models[0], Observable.from_label("ZZ"), factors, order)
 
 
+def test_zne_rejects_an_order_below_zero_before_simulating(monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the order was checked")
+
+    monkeypatch.setattr(pec, "noisy_expectation", no_simulation)
+    circuit, models = two_layer_instance()
+    with pytest.raises(ValueError, match="order -1 must be >= 0"):
+        zne_estimate(circuit, models[0], Observable.from_label("ZZ"), (1.0, 2.0, 3.0), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), extra=st.lists(st.floats(1.0, 1e80, exclude_min=True), min_size=1,
+                                      max_size=4, unique=True))
+@example(data=None, extra=[2.0, 1e76])
+def test_zne_factors_refuse_exactly_what_polyfit_warns_on(data, extra):
+    cs = [1.0] + extra
+    order = 2 if data is None else data.draw(st.integers(0, len(cs) - 1))
+    try:
+        pec._zne_factors(cs, order)
+        refused = False
+    except ValueError as exc:
+        if "overflows" in str(exc):
+            return
+        assert str(exc) == "scale factors %s make a rank-deficient degree-%d fit" % (cs, order)
+        refused = True
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.polyfit(cs, np.arange(len(cs), dtype=float), order)
+    assert refused == bool(caught)
+
+
 def test_zne_fits_the_largest_first_order_factor_without_warnings():
     circuit, models = two_layer_instance()
     with warnings.catch_warnings():
@@ -538,39 +566,18 @@ def test_pec_rejects_fewer_than_one_worker(workers):
 
 
 def pooled_instance():
-    """Three chunks on two qubits: a pooled call costs little beyond the pool."""
+    """Three chunks on two qubits: a pooled call costs little beyond its threads."""
     circuit, models = two_layer_instance()
     return circuit, models, Observable.from_label("ZZ"), 3 * pec.CHUNK_SIZE
 
 
-def test_pooled_calls_reuse_one_executor():
-    circuit, models, obs, samples = pooled_instance()
-    first = pec_estimate(circuit, models, obs, samples, 5, workers=2)
-    executor = pec._pool[1]
-    assert pec_estimate(circuit, models, obs, samples, 5, workers=2) == first
-    assert pec._pool[1] is executor
-    assert len(multiprocessing.active_children()) == 2
-
-
-def test_new_worker_count_replaces_the_pool():
-    circuit, models, obs, samples = pooled_instance()
-    serial = pec_estimate(circuit, models, obs, samples, 8, workers=1)
-    executors = []
-    for workers in (2, 3, 2):
-        assert pec_estimate(circuit, models, obs, samples, 8, workers=workers) == serial
-        assert pec._pool[0] == workers
-        executors.append(pec._pool[1])
-        # the replaced pool's workers have stopped
-        assert len(multiprocessing.active_children()) == workers
-    assert len({id(e) for e in executors}) == 3
-
-
 def test_threads_share_the_pool_safely():
-    # more workers than cores, and thread switches between most bytecodes:
-    # a replacement racing another thread's call would fail or leak a pool
+    # concurrent callers, more workers than cores, and thread switches between
+    # most bytecodes: each call's own pool still gives the serial result
     circuit, models, obs, samples = pooled_instance()
     serial = pec_estimate(circuit, models, obs, samples, 3, workers=1)
     results, errors = [], []
+    threads_before = threading.active_count()
 
     def calls(first):
         try:
@@ -593,41 +600,22 @@ def test_threads_share_the_pool_safely():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [serial] * 12
-    assert len(multiprocessing.active_children()) == pec._pool[0]
+    assert multiprocessing.active_children() == []  # threads only, no worker processes
+    assert threading.active_count() == threads_before  # every call closed its pool
 
 
-def _kill_worker(args):
-    os._exit(1)
+def test_pec_rejects_more_than_max_workers_before_any_chunk(monkeypatch):
+    def no_chunk(args):
+        raise AssertionError("a chunk ran before the worker count was checked")
 
-
-def test_killed_worker_fails_that_call_and_the_next_starts_a_fresh_pool(monkeypatch):
+    monkeypatch.setattr(pec, "_pec_chunk", no_chunk)
     circuit, models, obs, samples = pooled_instance()
-    expected = pec_estimate(circuit, models, obs, samples, 9, workers=2)
-    broken = pec._pool[1]
-    with monkeypatch.context() as patch:
-        patch.setattr(pec, "_pec_chunk", _kill_worker)  # looked up by name in the worker
-        with pytest.raises(BrokenProcessPool) as info:
-            pec_estimate(circuit, models, obs, samples, 9, workers=2)
-    assert isinstance(info.value, RuntimeError)  # the CLI's numeric error, exit 4
-    assert pec._pool is None
-    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == expected
-    assert pec._pool[1] is not broken
-
-
-def test_worker_killed_while_the_pool_is_idle_does_not_fail_the_next_call():
-    circuit, models, obs, samples = pooled_instance()
-    serial = pec_estimate(circuit, models, obs, samples, 9, workers=1)
-    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == serial
-    broken = pec._pool[1]
-    multiprocessing.active_children()[0].kill()
-    time.sleep(0.5)
-    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == serial
-    assert pec._pool[1] is not broken
-    assert pec_estimate(circuit, models, obs, samples, 9, workers=2) == serial
+    with pytest.raises(ValueError, match="workers must be >= 1 and <= %d" % MAX_WORKERS):
+        pec_estimate(circuit, models, obs, samples, 7, workers=MAX_WORKERS + 1)
 
 
 SUBPROCESS_PRELUDE = (
-    "import multiprocessing, os, sys\n"
+    "import os, sys\n"
     "from qmit import circuit_io, noise, pec\n"
     "from qmit.pauli import Observable\n"
     "circuit = circuit_io.parse('qubits 2;\\nh 0;\\n\\ncx 0, 1;\\n')\n"
@@ -637,27 +625,21 @@ SUBPROCESS_PRELUDE = (
 
 
 def run_python(code):
-    # Python 3.12 warns on every fork of a process with threads running, as
-    # the parent with a live pool is; that warning is not under test here
-    return subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c",
-                           SUBPROCESS_PRELUDE + code], capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-c", SUBPROCESS_PRELUDE + code],
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_forked_child_starts_its_own_pool():
+    # no pool outlives its call, so the fork copies no running thread and
+    # Python 3.12 has nothing to warn about
     result = run_python(
         "parent = pec.pec_estimate(circuit, models, obs, samples, 4, workers=2)\n"
-        "inherited = pec._pool[1]\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
-        "    assert pec._pool is None\n"
         "    assert pec.pec_estimate(circuit, models, obs, samples, 4, workers=2) == parent\n"
-        "    assert pec._pool[1] is not inherited\n"
-        "    assert len(multiprocessing.active_children()) == 2\n"
         "    sys.exit(0)\n"
         "_, status = os.waitpid(pid, 0)\n"
         "assert os.waitstatus_to_exitcode(status) == 0\n"
-        "assert pec._pool[1] is inherited\n"
         "assert pec.pec_estimate(circuit, models, obs, samples, 4, workers=2) == parent\n"
     )
     assert result.returncode == 0, result.stderr
@@ -667,11 +649,13 @@ def test_forked_child_starts_its_own_pool():
 def test_process_with_pooled_calls_exits_cleanly():
     result = run_python(
         "pec.pec_estimate(circuit, models, obs, samples, 6, workers=1)\n"
-        "print('concurrent.futures.process' in sys.modules)\n"
+        "print('concurrent.futures.thread' in sys.modules)\n"
         "for _ in range(2):\n"
         "    pec.pec_estimate(circuit, models, obs, samples, 6, workers=2)\n"
-        "print('concurrent.futures.process' in sys.modules)\n"
+        "print('concurrent.futures.thread' in sys.modules)\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
     )
     assert result.returncode == 0, result.stderr
-    assert result.stderr == ""  # no exception from the pool's clean-up at exit
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stderr == ""
+    assert result.stdout.split("\n") == ["False", "True", "[]", ""]
