@@ -17,6 +17,9 @@ __version__ = "0.1.0"
 # the largest shot count numpy's binomial and multinomial samplers accept
 # (a C long); here, not in `simulator`, so the CLI bounds --shots without numpy
 MAX_SHOTS = 2 ** 63 - 1
+# PEC samples per call, and samples x cuts per sampled knitting call: one
+# float64 each is 1 GiB, the largest array either call allocates
+MAX_SAMPLES = 2 ** 27
 # pooled PEC threads at once, each holding up to pec.AMPLITUDE_BUDGET amplitudes (16 MiB)
 MAX_WORKERS = 64
 

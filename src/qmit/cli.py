@@ -11,8 +11,8 @@ Environment overrides: ``QMIT_SEED`` for the default seed and
 ``QMIT_WORKERS`` for the default number of ``qmit pec`` worker threads
 (otherwise the CPU count, at most ``MAX_WORKERS``). A value that is not an
 integer (or, for the worker count, is outside 1 to ``MAX_WORKERS``) is a
-usage error, exit 2, and so is such a ``--workers`` value or a ``--shots``
-below 1.
+usage error, exit 2, and so is such a ``--workers`` value, a ``--shots``
+below 1, or a ``--cut`` that is not QUBIT:BOUNDARY.
 """
 from __future__ import annotations
 
@@ -41,6 +41,18 @@ def _worker_count(text: str) -> int:
 
 def _shot_count(text: str) -> int:
     return _integer(text, minimum=1, maximum=MAX_SHOTS)
+
+
+def _cut_point(text: str) -> str:
+    """`text` itself once it reads as QUBIT:BOUNDARY, two integers, so the
+    config echo is unchanged; `_cmd_cut` splits it."""
+    try:
+        qubit, boundary = text.split(":")
+        int(qubit), int(boundary)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "must be QUBIT:BOUNDARY, two integers, got %r" % text) from None
+    return text
 
 
 def _env_default(parser, name, convert, default):
@@ -201,10 +213,7 @@ def _cmd_zne(args, out):
 def _cmd_cut(args, out):
     from . import knit
     circuit = _load_circuit(args.circuit)
-    cut_points = []
-    for cut_text in args.cut:
-        q_text, b_text = cut_text.split(":")
-        cut_points.append((int(q_text), int(b_text)))
+    cut_points = [tuple(map(int, text.split(":"))) for text in args.cut]
     plan = knit.plan_wire_cut(circuit, cut_points)
     obs = _parse_observable(args.observable, circuit.n_qubits)
     result = knit.execute_plan(
@@ -359,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cut", help="wire-cut a circuit and recombine")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--cut", action="append", required=True,
+    p.add_argument("--cut", type=_cut_point, action="append", required=True,
                    metavar="QUBIT:BOUNDARY")
     p.add_argument("--observable", required=True)
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")

@@ -22,6 +22,7 @@ from math import sqrt
 
 import numpy as np
 
+from . import MAX_SAMPLES
 from .circuits import Gate, Layer, QuantumCircuit
 from .pauli import _CHAR_TO_XZ, Observable, PauliString
 from .simulator import (MAX_STATEVECTOR_QUBITS, _check_statevector_size, apply_pauli_array,
@@ -271,17 +272,23 @@ def execute_plan(
     Each fragment runs once, and each observable term reads one table per
     fragment. Exact mode sums the records of all 8^cuts cut-term
     assignments; sampled mode draws assignments with probability
-    |coeff| / 4^cuts, reads each draw's record and rescales.
+    |coeff| / 4^cuts, reads each draw's record and rescales. Exact mode
+    takes no `samples`; sampled mode takes at most MAX_SAMPLES samples x cuts.
     Returns {value, std_error, terms, gamma_cut}.
     """
     if observable.n_qubits != plan.circuit.n_qubits:
         raise ValueError("observable and circuit sizes differ")
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
+    if mode == "exact" and samples is not None:
+        raise ValueError("exact mode takes no samples, got %r" % samples)
     if mode == "sampled" and (samples is None or seed is None):
         raise ValueError("sampled mode requires samples and seed")
     if mode == "sampled" and samples < 1:
         raise ValueError("samples must be >= 1")
+    if mode == "sampled" and samples * max(1, len(plan.cuts)) > MAX_SAMPLES:
+        raise ValueError("sampled mode capped at %d samples x cuts, got %d x %d"
+                         % (MAX_SAMPLES, samples, len(plan.cuts)))
     _check_plan_size(plan, observable, mode)
     blocks = [_fragment_state(frag) for frag in plan.fragments]
     tables = [[_fragment_value(frag, block, pauli) for frag, block in zip(plan.fragments, blocks)]
@@ -292,12 +299,12 @@ def execute_plan(
         value = float(_records(plan, observable, tables, rows).sum())
         std_error = None
     else:
-        rng = philox_rng(seed)
-        weights = np.abs(_COEFFS)
-        picks = rng.choice(len(CUT_TERMS), size=(samples, n_cuts), p=weights / weights.sum())
-        # record of a sample: its term's value over prod |c|, i.e. sign * total;
-        # the remaining factor gamma_cut is applied to the mean
-        values = _records(plan, observable, tables, picks) / np.prod(weights[picks], axis=1)
+        # every |c| is 1/2, so each term has probability 1/8: floor(8 u) picks
+        # it, as inverse-CDF sampling over |c| / 4^cuts would
+        picks = (philox_rng(seed).random((samples, n_cuts)) * 8).astype(np.intp)
+        # record of a sample: its term's value over prod |c| = 2^-cuts, i.e.
+        # sign * total; the remaining factor gamma_cut is applied to the mean
+        values = _records(plan, observable, tables, picks) * 2.0 ** n_cuts
         value = plan.gamma_cut * float(values.mean())
         std_error = (float(plan.gamma_cut * values.std(ddof=1) / np.sqrt(samples))
                      if samples > 1 else 0.0)

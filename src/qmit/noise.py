@@ -11,11 +11,12 @@ mixes each generator's P rho P into that copy in place. Rates must be
 finite and nonnegative.
 
 Every sampler inserts P_i independently with probability
-q_i = 1 - w_i = (1 - exp(-2 lam_i)) / 2: stochastic noise here, and PEC's
-noise realization and signed inverse sample in `pec`. q is the model's
-`insertion_probabilities`; `insertion_table` gives its
-(x_masks, z_masks, q) arrays, and `sample_insertions` maps a (B, g) block of
-uniforms to each row's product of insertions and count.
+q_i = 1 - w_i = (1 - exp(-2 lam_i)) / 2 through `sample_insertions`:
+`apply_stochastic` here, and PEC's noise realization and signed inverse
+sample in `pec`. q is the model's `insertion_probabilities`;
+`insertion_table` gives its (x_masks, z_masks, q) arrays, and
+`sample_insertions` maps a (B, g) block of uniforms to each row's product of
+insertions and count.
 
 Rate learning fits each probe's decay and solves A lam = b for lam >= 0,
 where A is the probe-candidate anticommutation matrix, built in one
@@ -33,7 +34,7 @@ from .pauli import Observable, PauliString, format_pauli, parse_pauli
 from .simulator import (
     DensityMatrix,
     Statevector,
-    apply_pauli_array,
+    apply_pauli_array,  # unused here; qbench/layers.py patches noise.apply_pauli_array
     expectation_array,
     pauli_gather,
     philox_rng,
@@ -145,29 +146,18 @@ def sample_insertions(table, uniforms: np.ndarray):
     return x, z, inserted.sum(axis=0)
 
 
-def stochastic_insertions(model: PauliLindbladModel, rng: np.random.Generator) -> list[PauliString]:
-    """One channel realization: generator i is inserted when the i-th of
-    len(generators) uniforms is below its insertion probability q_i."""
-    hits = rng.random(len(model.generators)) < model.insertion_probabilities
-    return [p for (p, _), hit in zip(model.generators, hits) if hit]
-
-
 def apply_stochastic(
     state: Statevector, model: PauliLindbladModel, rng: np.random.Generator
-) -> tuple[Statevector, list[PauliString]]:
-    inserted = stochastic_insertions(model, rng)
-    amps = state.amplitudes
-    for p in inserted:
-        amps = apply_pauli_array(amps, p)
-    return Statevector(state.n_qubits, amps), inserted
-
-
-def apply_exact(rho: DensityMatrix, model: PauliLindbladModel) -> DensityMatrix:
-    if rho.n_qubits > 6:
-        raise ValueError("exact channel application capped at 6 qubits")
-    if rho.n_qubits != model.n_qubits:
+) -> tuple[Statevector, int]:
+    """One channel realization: one row of uniforms through
+    `sample_insertions`, applied as one `pauli_gather`. Returns the state,
+    up to a global phase, and the number of insertions."""
+    if state.n_qubits != model.n_qubits:
         raise ValueError("state and model sizes differ")
-    return DensityMatrix(rho.n_qubits, model.apply_to_matrix(rho.matrix))
+    (x,), (z,), (count,) = sample_insertions(
+        insertion_table(model), rng.random((1, len(model.generators))))
+    amps = pauli_gather(state.amplitudes, int(x), int(z))
+    return Statevector(state.n_qubits, amps), int(count)
 
 
 def virtual_distillation_expectation(rho: DensityMatrix, obs: Observable) -> float:

@@ -115,7 +115,8 @@ class Observable:
     """Real linear combination of Pauli strings on a fixed register.
 
     Duplicate Pauli strings are merged by summing coefficients at
-    construction; normalization is idempotent.
+    construction; normalization is idempotent. The merged coefficients and
+    the sum of their absolute values must be finite.
     """
 
     n_qubits: int
@@ -139,6 +140,10 @@ class Observable:
             (merged[key], PauliString(self.n_qubits, key[0], key[1])) for key in order
         )
         object.__setattr__(self, "terms", normalized)
+        # a finite bound caps every compiled diagonal and every expectation
+        bound = self.bound()
+        if not math.isfinite(bound):
+            raise ValueError("observable bound (sum of |coefficients|) overflows to %r" % bound)
 
     @classmethod
     def from_label(cls, label: str, coeff: float = 1.0) -> "Observable":

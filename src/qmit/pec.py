@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import MAX_WORKERS
+from . import MAX_SAMPLES, MAX_WORKERS
 from .circuits import QuantumCircuit
 from .noise import PauliLindbladModel, insertion_table, sample_insertions
 from .pauli import Observable, PauliString
@@ -187,6 +187,8 @@ def pec_estimate(
     per-sample observable records. `per_layer_models` follows `per_layer`."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError("samples capped at %d, got %d" % (MAX_SAMPLES, samples))
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError("workers must be >= 1 and <= %d, got %r" % (MAX_WORKERS, workers))
     if mode not in ("analytic", "shot"):

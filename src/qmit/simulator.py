@@ -2,7 +2,7 @@
 
 Amplitude ordering: basis index b carries qubit k in bit k of b, matching
 the Pauli-mask convention. Soft caps: 24 qubits for statevectors, 10 for
-density matrices.
+density matrices, 12 for exact time evolution.
 
 A density matrix is read as the 2n-qubit vector rho.reshape(-1): row index
 in bits n..2n-1, column index in bits 0..n-1, so U rho U^dag is U on qubits
@@ -43,6 +43,7 @@ from .pauli import Observable, PauliString
 
 MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 10
+MAX_EXACT_EVOLUTION_QUBITS = 12
 
 _SQ2 = 1 / sqrt(2)
 
@@ -308,8 +309,8 @@ def expectation_array(amps: np.ndarray, obs: Observable) -> float:
 
 
 def evolve_exact(hamiltonian: Observable, state: Statevector, t: float) -> Statevector:
-    if hamiltonian.n_qubits > 12:
-        raise ValueError("exact evolution capped at 12 qubits")
+    if hamiltonian.n_qubits > MAX_EXACT_EVOLUTION_QUBITS:
+        raise ValueError("exact evolution capped at %d qubits" % MAX_EXACT_EVOLUTION_QUBITS)
     if state.n_qubits != hamiltonian.n_qubits:
         raise ValueError("state and Hamiltonian sizes differ")
     # ceil(|t| * bound) steps keep ||H t / steps|| <= 1, so the Taylor terms

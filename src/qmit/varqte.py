@@ -37,6 +37,7 @@ import numpy as np
 from .circuits import Gate
 from .pauli import Observable, PauliString
 from .simulator import (
+    MAX_EXACT_EVOLUTION_QUBITS,
     MAX_STATEVECTOR_QUBITS,
     Statevector,
     _apply_unitary,
@@ -187,7 +188,7 @@ class VarQTETrajectory:
     times: np.ndarray
     thetas: np.ndarray  # shape (len(times), n_params)
     residuals: np.ndarray  # per-step ||A theta_dot - C|| at the step start
-    fidelities: np.ndarray | None = None  # vs exact evolution, n <= 12
+    fidelities: np.ndarray | None = None  # vs exact evolution, n <= MAX_EXACT_EVOLUTION_QUBITS
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -260,7 +261,7 @@ def evolve(
         residuals.append(res)
     residuals.append(0.0 if not residuals else residuals[-1])
     fidelities = None
-    if ansatz.n_qubits <= 12:
+    if ansatz.n_qubits <= MAX_EXACT_EVOLUTION_QUBITS:
         # the exact state is carried from one time point to the next, so the
         # Taylor work grows with t_final, not with its square; only the states
         # are needed, so no derivative vectors are built

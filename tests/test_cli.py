@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmit
-from qmit import MAX_WORKERS, circuit_io, cli, noise, pec
+from qmit import MAX_WORKERS, circuit_io, cli, knit, noise, pec
 
 BELL = "qubits 2;\nh 0;\n\ncx 0, 1;\n"
 NOISE = "qubits 2\nXI 0.01\nIY 0.02\n"
@@ -775,3 +775,57 @@ def test_seed_env_default_reaches_the_header_of_commands_without_seed(bell_file,
     assert cli.main(["zne", "--circuit", bell_file, "--noise", noise_file,
                      "--observable", "ZZ"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "# seed: 123"
+
+
+def test_overflowing_observable_bound_is_a_validation_error(bell_file):
+    # each coefficient is finite, but XX and YY share one compiled diagonal
+    result = run_cli("simulate", bell_file, "--observable", "ZZ,1e308*XX,1e308*YY")
+    assert result.returncode == 3
+    assert result.stderr == ("validation error: observable bound (sum of |coefficients|)"
+                             " overflows to inf\n")
+    assert [ln for ln in result.stdout.splitlines() if not ln.startswith("#")] == []
+
+
+@pytest.mark.parametrize("cut", ["1", "0:1:2", "a:1", "0:", ""])
+def test_malformed_cut_is_a_usage_error_naming_the_option(bell_file, capsys, cut):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["cut", "--circuit", bell_file, "--cut", cut, "--observable", "ZZ"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --cut: must be QUBIT:BOUNDARY, two integers, got %r" % cut in err
+
+
+def test_valid_cut_keeps_its_config_echo_and_output(bell_file, capsys):
+    assert cli.main(["cut", "--circuit", bell_file, "--cut", "0:1", "--observable", "ZZ,0.5*XX",
+                     "--mode", "sampled", "--samples", "3001", "--seed", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "# config: cut circuit=%s cut=['0:1'] observable=ZZ,0.5*XX mode=sampled samples=3001"
+        " format=table" % bell_file,
+        "value               std_error             terms  gamma_cut  fragments",
+        "1.4355214928357207  0.046962345463844514  8      4.0        2",
+    ]
+
+
+def test_exact_cut_with_samples_is_a_validation_error(bell_file, capsys):
+    assert cli.main(["cut", "--circuit", bell_file, "--cut", "0:1", "--observable", "ZZ",
+                     "--samples", "5"]) == 3
+    assert capsys.readouterr().err == "validation error: exact mode takes no samples, got 5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pec", "--noise", "NOISE", "--samples", "100000000000"],
+    ["pec", "--noise", "NOISE", "--samples", str(qmit.MAX_SAMPLES + 1), "--workers", "1"],
+    ["cut", "--cut", "0:1", "--mode", "sampled", "--samples", "300000000"],
+    ["cut", "--cut", "0:1", "--mode", "sampled", "--samples", str(qmit.MAX_SAMPLES + 1)],
+])
+def test_sample_count_over_the_cap_is_refused_before_any_sampling(bell_file, noise_file,
+                                                                  monkeypatch, capsys, argv):
+    def no_work(*args):
+        raise AssertionError("sampling started before the sample count was checked")
+
+    monkeypatch.setattr(pec, "_pec_chunk", no_work)
+    monkeypatch.setattr(knit, "_fragment_state", no_work)
+    argv = [noise_file if arg == "NOISE" else arg for arg in argv]
+    assert cli.main(argv + ["--circuit", bell_file, "--observable", "ZZ"]) == 3
+    err = capsys.readouterr().err
+    assert "capped at %d" % qmit.MAX_SAMPLES in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bell_circuit, random_circuit
-from qmit import knit
+from qmit import MAX_SAMPLES, knit
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.knit import CUT_TERMS, PREP_STATES, execute_plan, plan_wire_cut
 from qmit.pauli import _CHAR_TO_XZ, Observable, PauliString, parse_pauli
@@ -254,6 +254,32 @@ def test_sampled_mode_matches_reference(cuts, samples, seed):
     assert result["std_error"] == std_error
 
 
+def choice_sampled(plan, observable, samples, seed):
+    """Sampled recombination drawn as one rng.choice block over |c| / 4^cuts,
+    with each record divided by the product of its |c|."""
+    weights = np.array([abs(c) for _, _, c in CUT_TERMS])
+    picks = philox_rng(seed).choice(len(CUT_TERMS), size=(samples, len(plan.cuts)),
+                                    p=weights / weights.sum())
+    records = knit._records(plan, observable, fragment_tables(plan, observable), picks)
+    values = records / np.prod(weights[picks], axis=1)
+    std_error = (float(plan.gamma_cut * values.std(ddof=1) / np.sqrt(samples))
+                 if samples > 1 else 0.0)
+    return plan.gamma_cut * float(values.mean()), std_error
+
+
+@pytest.mark.parametrize("samples", [1, 2, 1024, 3001])
+def test_sampled_mode_matches_an_rng_choice_draw(samples):
+    # every |c| is 1/2: what lets execute_plan read floor(8 u) for the pick
+    assert {abs(c) for _, _, c in CUT_TERMS} == {0.5}
+    rng = np.random.default_rng(samples)
+    circuit = random_chain_circuit(rng)
+    plan = plan_wire_cut(circuit, [(1, 2), (2, 4)])
+    obs = Observable.from_terms(4, [(0.5, parse_pauli("ZZZZ")), (-1.5, parse_pauli("XIYZ"))])
+    for seed in range(10):
+        result = execute_plan(plan, obs, mode="sampled", samples=samples, seed=seed)
+        assert (result["value"], result["std_error"]) == choice_sampled(plan, obs, samples, seed)
+
+
 def random_rotations(rng, n):
     return Layer([Gate(str(rng.choice(["rx", "ry", "rz"])), (q,),
                        float(rng.uniform(-np.pi, np.pi))) for q in range(n)])
@@ -489,3 +515,19 @@ def test_oversized_block_is_rejected_before_any_fragment_runs(monkeypatch):
     for kwargs in ({}, {"mode": "sampled", "samples": 10, "seed": 0}):
         with pytest.raises(ValueError, match="block of 6\\^in preparations capped"):
             execute_plan(plan, obs, **kwargs)
+
+
+def test_exact_mode_refuses_samples():
+    plan = plan_wire_cut(bell_circuit(), [(0, 1)])
+    with pytest.raises(ValueError, match="exact mode takes no samples, got 5"):
+        execute_plan(plan, Observable.from_label("ZZ"), samples=5)
+
+
+def test_sampled_mode_caps_samples_times_cuts_before_any_fragment_runs(monkeypatch):
+    circuit, cuts = cut_chain(np.random.default_rng(0), 2)
+    plan = plan_wire_cut(circuit, cuts)
+    obs = Observable.from_label("Z" * circuit.n_qubits)
+    refuse_fragment_runs(monkeypatch)
+    for samples, error in ((MAX_SAMPLES // 2 + 1, ValueError), (MAX_SAMPLES // 2, AssertionError)):
+        with pytest.raises(error, match="capped at %d samples x cuts|ran before" % MAX_SAMPLES):
+            execute_plan(plan, obs, mode="sampled", samples=samples, seed=0)

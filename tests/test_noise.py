@@ -10,7 +10,6 @@ from qmit.noise import (
     PauliLindbladModel,
     UnidentifiableModelError,
     anticommutation_matrix,
-    apply_exact,
     apply_stochastic,
     default_probes,
     dumps,
@@ -22,7 +21,6 @@ from qmit.noise import (
     nnls,
     pauli_fidelity,
     sample_insertions,
-    stochastic_insertions,
     synthesize_decay_data,
     virtual_distillation_expectation,
 )
@@ -183,24 +181,38 @@ def scalar_stochastic_insertions(model, rng):
     return inserted
 
 
-@pytest.mark.parametrize("n", [3, 70])
-def test_stochastic_insertions_match_the_scalar_loop(n):
+@pytest.mark.parametrize("n", [3, 6])
+def test_apply_stochastic_matches_the_scalar_loop(n):
     labels = ["X", "Y", "Z", "XX", "YY", "ZX", "XYZ", "YZY"]
     m = PauliLindbladModel(n, tuple(
         (parse_pauli("I" * (n - len(l)) + l), 0.05 * (k + 1)) for k, l in enumerate(labels)))
+    amps = [1.0, 1j] @ np.random.default_rng(n).normal(size=(2, 2 ** n))
+    state = Statevector(n, amps / np.linalg.norm(amps))
     block, scalar = philox_rng(5), philox_rng(5)
-    draws = [stochastic_insertions(m, block) for _ in range(200)]
-    assert draws == [scalar_stochastic_insertions(m, scalar) for _ in range(200)]
-    assert 0 < sum(map(len, draws)) < 200 * len(labels)
+    total = 0
+    for _ in range(200):
+        out, count = apply_stochastic(state, m, block)
+        inserted = scalar_stochastic_insertions(m, scalar)
+        expected = state.amplitudes
+        for p in inserted:
+            expected = pauli_matrix(p) @ expected
+        assert count == len(inserted)
+        phase = np.vdot(expected, out.amplitudes)  # equal up to a global phase
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert np.abs(out.amplitudes - phase * expected).max() < 1e-12
+        total += count
+    assert 0 < total < 200 * len(labels)
     assert block.random() == scalar.random()  # the same numbers were consumed
 
 
-def test_apply_exact_caps():
-    m = PauliLindbladModel(7, ((PauliString.single(7, 0, "X"), 0.1),))
-    rho = np.zeros((128, 128), dtype=complex)
-    rho[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        apply_exact(DensityMatrix(7, rho), m)
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_apply_stochastic_refuses_a_state_of_another_size(lam):
+    # checked before the draw, so a mismatch fails even when nothing is inserted
+    m = PauliLindbladModel(3, ((parse_pauli("XII"), lam),))
+    rng = philox_rng(0)
+    for _ in range(20):
+        with pytest.raises(ValueError, match="state and model sizes differ"):
+            apply_stochastic(Statevector.zero(2), m, rng)
 
 
 def test_virtual_distillation_suppresses_mixture():

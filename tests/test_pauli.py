@@ -120,6 +120,20 @@ def test_observable_refuses_a_non_finite_coefficient(terms, named):
         Observable.from_terms(2, [(c, parse_pauli(label)) for c, label in terms])
 
 
+@pytest.mark.parametrize("coeffs", [(1.0, 1e308, 1e308), (-1e308, 1.0, -1e308)])
+def test_observable_refuses_a_bound_that_overflows(coeffs):
+    # each coefficient is finite, but XX and YY share one compiled diagonal
+    terms = [(c, parse_pauli(label)) for c, label in zip(coeffs, ("XX", "ZZ", "YY"))]
+    with pytest.raises(ValueError, match=r"observable bound \(sum of \|coefficients\|\)"
+                                         " overflows to inf"):
+        Observable.from_terms(2, terms)
+
+
+def test_observable_admits_the_largest_finite_bound():
+    obs = Observable.from_terms(2, [(1e308, parse_pauli("XX")), (-7.9e307, parse_pauli("YY"))])
+    assert obs.bound() == 1.79e308
+
+
 def test_observable_size_mismatch():
     with pytest.raises(ValueError):
         Observable.from_terms(2, [(1.0, parse_pauli("XXX"))])

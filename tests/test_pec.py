@@ -20,7 +20,7 @@ from conftest import (
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.noise import PauliLindbladModel, insertion_table, sample_insertions
 from qmit.pauli import Observable, PauliString, parse_pauli
-from qmit import MAX_WORKERS, pec
+from qmit import MAX_SAMPLES, MAX_WORKERS, pec
 from qmit.pec import (
     MAX_ENUMERATED_GENERATORS,
     enumerate_signed,
@@ -481,6 +481,34 @@ def test_zne_validations():
         zne_estimate(circuit, model, obs, scale_factors=(1.0, 2.0), order=2)
 
 
+@pytest.mark.parametrize("cs, order", [
+    ((1.0, 3.0), 0),
+    ((1.0, 2.0), 1),
+    ((1.0, 1.5, 2.0, 3.0), 1),
+    ((1.0, 2.0, 3.0), 2),
+    ((1.0, 1.5, 2.5, 4.0, 5.0), 3),
+])
+def test_zne_intercept_is_the_constant_term_of_exact_polynomial_data(cs, order):
+    rng = np.random.default_rng(10 * order + len(cs))
+    for _ in range(20):
+        coeffs = rng.uniform(-1.0, 1.0, size=order + 1)  # highest degree first
+        values = [float(np.polyval(coeffs, c)) for c in cs]
+        assert abs(pec._zne_intercept(cs, values, order) - coeffs[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("factors", [(1.0, 2.0), (1.0, 2.0, 3.0), (1.0, 1.5, 3.0, 4.0)])
+def test_zne_estimate_is_the_lagrange_extrapolation_of_the_noisy_values(factors):
+    circuit, models = two_layer_instance()
+    obs = Observable.from_terms(2, [(1.0, parse_pauli("ZZ")), (0.5, parse_pauli("XY"))])
+    values = [noisy_expectation(circuit, models[0].scaled(c), obs) for c in factors]
+    # sum_i v_i L_i(0), with L_i(0) = prod over j != i of c_j / (c_j - c_i)
+    lagrange = sum(v * np.prod([cj / (cj - ci) for cj in factors if cj != ci])
+                   for ci, v in zip(factors, values))
+    estimate = zne_estimate(circuit, models[0], obs, factors, order=len(factors) - 1)
+    assert abs(estimate - lagrange) < 1e-12
+    assert abs(estimate - values[0]) > 1e-3  # the extrapolation moves the value
+
+
 def test_zne_improves_over_unmitigated():
     circuit = benchmark_circuit()
     model = benchmark_model(0.02)
@@ -612,6 +640,17 @@ def test_pec_rejects_more_than_max_workers_before_any_chunk(monkeypatch):
     circuit, models, obs, samples = pooled_instance()
     with pytest.raises(ValueError, match="workers must be >= 1 and <= %d" % MAX_WORKERS):
         pec_estimate(circuit, models, obs, samples, 7, workers=MAX_WORKERS + 1)
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10 ** 11])
+def test_pec_rejects_more_than_max_samples_before_any_chunk(monkeypatch, samples):
+    def no_chunk(args):
+        raise AssertionError("a chunk ran before the sample count was checked")
+
+    monkeypatch.setattr(pec, "_pec_chunk", no_chunk)
+    circuit, models, obs, _ = pooled_instance()
+    with pytest.raises(ValueError, match="samples capped at %d, got %d" % (MAX_SAMPLES, samples)):
+        pec_estimate(circuit, models, obs, samples, 7)
 
 
 SUBPROCESS_PRELUDE = (

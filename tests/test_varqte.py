@@ -186,6 +186,28 @@ def test_heisenberg_heuristic_run():
     assert np.all((traj.fidelities >= 0) & (traj.fidelities <= 1 + 1e-9))
 
 
+@pytest.mark.parametrize("method", ["mclachlan", "tdvp"])
+def test_residuals_are_the_misfit_of_each_step_start_solve(method):
+    rng = np.random.default_rng(4)
+    ansatz = hardware_efficient_ansatz(3, 1)
+    theta0 = rng.uniform(-0.5, 0.5, size=ansatz.n_params)
+    h = Observable.from_terms(3, [(1.0, parse_pauli("XXI")), (0.7, parse_pauli("IZZ")),
+                                  (0.4, parse_pauli("ZIY"))])
+    traj = evolve(ansatz, theta0, h, 0.1, 0.02, method=method)
+    assert len(traj.residuals) == len(traj.thetas) == 6
+    for theta, residual in zip(traj.thetas[:-1], traj.residuals[:-1]):
+        state, derivs = state_and_derivatives(ansatz, theta)
+        if method == "tdvp":
+            a, c = compute_M(derivs), compute_V(derivs, state, h)
+        else:
+            a, c = compute_mclachlan(derivs, state, h)
+        dot = np.linalg.pinv(a + 1e-6 * np.eye(len(c)), rcond=1e-10) @ c
+        misfit = np.linalg.norm(a @ dot - c)
+        assert residual == pytest.approx(misfit, rel=1e-9, abs=1e-15)
+        assert abs(residual - np.linalg.norm(a @ dot)) > 1e-3  # not ||A theta_dot||
+    assert traj.residuals[-1] == traj.residuals[-2]
+
+
 def test_fidelity_tracking_builds_no_derivatives(monkeypatch):
     # only the 4 RK4 stages per step need derivative vectors
     calls = []
