@@ -18,10 +18,17 @@ sample in `pec`. q is the model's `insertion_probabilities`;
 `sample_insertions` maps a (B, g) block of uniforms to each row's product of
 insertions and count.
 
-Rate learning fits each probe's decay and solves A lam = b for lam >= 0,
-where A is the probe-candidate anticommutation matrix, built in one
-broadcast over the Pauli masks. `nnls` solves it in numpy, so no command
-imports scipy.
+Rate learning runs in one pass over arrays. `synthesize_decay_data` takes
+every probe's fidelity from one probe-generator anticommutation matrix,
+adding the rates column by column in generator order, so each equals
+`pauli_fidelity` bit for bit. With shots it builds one Philox generator per
+call and re-keys it to stream (seed, idx) for probe idx (`rekey_philox`),
+so the draws are those of a new generator per probe without its 12 us
+set-up. `learn_rates` pads the decay points into (probes, depths) arrays,
+masks the nonpositive ones, and fits every slope -1/2 sum d log v / sum d^2
+in one expression. It then solves A lam = b for lam >= 0, where A is the
+probe-candidate anticommutation matrix, built in one broadcast over the
+Pauli masks. `nnls` solves it in numpy, so no command imports scipy.
 """
 from __future__ import annotations
 
@@ -38,6 +45,7 @@ from .simulator import (
     expectation_array,
     pauli_gather,
     philox_rng,
+    rekey_philox,
 )
 
 
@@ -205,20 +213,35 @@ def synthesize_decay_data(
 ):
     """Decay curves <Q>_d for each probe: prepare a +1 eigenstate of Q and
     apply the channel d times, so <Q>_d = f(Q)^d exactly. With `shots` the
-    +-1 measurement outcomes are sampled binomially (per-probe RNG stream).
+    +-1 measurement outcomes are sampled binomially, probe idx from Philox
+    stream (seed, idx).
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1, got %r" % shots)
     if shots is not None and shots > MAX_SHOTS:
         raise ValueError("shots capped at %d, got %d" % (MAX_SHOTS, shots))
+    probes = list(probes)
+    if any(q.n_qubits != model.n_qubits for q in probes):
+        raise ValueError("Pauli acts on wrong number of qubits")
+    a = anticommutation_matrix(probes, [p for p, _ in model.generators])
+    # one rate column at a time, in generator order: the additions of
+    # pauli_fidelity's sum, so every fidelity is the same float (a @ lam
+    # would add in another order)
+    exponent = np.zeros(len(probes))
+    for j, (_, lam) in enumerate(model.generators):
+        exponent += a[:, j] * lam
+    fidelities = np.exp(-2.0 * exponent).tolist()
+    rng = philox_rng(seed) if shots is not None else None
     data = {}
-    for idx, q in enumerate(probes):
-        f = pauli_fidelity(model, q)
-        rng = philox_rng(seed, idx) if shots is not None else None
+    for idx, (q, f) in enumerate(zip(probes, fidelities)):
+        if rng is not None:
+            rekey_philox(rng, seed, idx)
         points = []
         for d in depths:
             value = f ** d
             if shots is not None:
+                # one scalar draw per depth: faster than one array draw
+                # over a handful of depths
                 k = rng.binomial(shots, (1.0 + value) / 2.0)
                 value = 2.0 * k / shots - 1.0
             points.append((d, value))
@@ -299,7 +322,8 @@ def learn_rates(decay_data, candidates, n_qubits: int):
 
     Returns (model, residuals) where residuals maps each probe to the
     per-probe misfit A lam - b. Depths with nonpositive expectations are
-    dropped; a probe with fewer than two usable depths is an error.
+    dropped; a probe with fewer than two usable depths, or with no usable
+    depth but 0, is an error.
     """
     probes = list(decay_data.keys())
     a = anticommutation_matrix(probes, candidates)
@@ -308,17 +332,30 @@ def learn_rates(decay_data, candidates, n_qubits: int):
         _, sv, vt = np.linalg.svd(a)
         null = vt[rank:].T
         raise UnidentifiableModelError(null)
-    b = np.zeros(len(probes))
-    for i, q in enumerate(probes):
-        usable = [(d, v) for d, v in decay_data[q] if v > 0.0]
-        if len(usable) < 2:
-            raise ValueError(
-                "probe %s has fewer than 2 usable depths" % format_pauli(q)
-            )
-        ds = np.array([d for d, _ in usable], dtype=float)
-        logs = np.log([v for _, v in usable])
-        slope = float(ds @ logs) / float(ds @ ds)
-        b[i] = -0.5 * slope
+    # one row per probe, ragged depth lists padded with (0, 0.0) points,
+    # which are unusable like every nonpositive value
+    rows = [list(decay_data[q]) for q in probes]
+    width = max(map(len, rows), default=0)
+    table = np.array([r + [(0, 0.0)] * (width - len(r)) for r in rows], dtype=float)
+    table = table.reshape(len(probes), width, 2)
+    usable = table[:, :, 1] > 0.0
+    short = np.flatnonzero(usable.sum(axis=1) < 2)
+    if short.size:
+        raise ValueError(
+            "probe %s has fewer than 2 usable depths" % format_pauli(probes[short[0]])
+        )
+    # unusable points enter each row's dot products as exact zeros, which
+    # leave an in-order sum unchanged; vecdot calls the BLAS dot that a
+    # per-probe ds @ logs calls, so each slope is that fit's float. (A BLAS
+    # that blocks long dots, as OpenBLAS does from 16 entries, may round
+    # rows of 16 or more depths differently.)
+    ds = np.where(usable, table[:, :, 0], 0.0)
+    logs = np.log(np.where(usable, table[:, :, 1], 1.0))
+    denominators = np.vecdot(ds, ds)
+    flat = np.flatnonzero(denominators == 0.0)
+    if flat.size:
+        raise ValueError("probe %s has no usable depth but 0" % format_pauli(probes[flat[0]]))
+    b = -0.5 * (np.vecdot(ds, logs) / denominators)
     rates, _ = nnls(a, b)
     misfit = a @ rates - b
     residuals = {q: float(misfit[i]) for i, q in enumerate(probes)}

@@ -2,7 +2,8 @@
 
 Amplitude ordering: basis index b carries qubit k in bit k of b, matching
 the Pauli-mask convention. Soft caps: 24 qubits for statevectors, 10 for
-density matrices, 12 for exact time evolution.
+density matrices, 12 for exact time evolution, which also takes at most
+MAX_EXACT_EVOLUTION_STEPS (2^16) Taylor steps per call.
 
 A density matrix is read as the 2n-qubit vector rho.reshape(-1): row index
 in bits n..2n-1, column index in bits 0..n-1, so U rho U^dag is U on qubits
@@ -28,12 +29,13 @@ Nothing is fused across a stop.
 
 RNG: all sampling uses the counter-based Philox generator. Independent
 streams are derived from (seed, stream) key pairs; parallel workers use
-their stream id as the second key word.
+their stream id as the second key word. `rekey_philox` moves one generator
+to the start of another stream, for loops over many short streams.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, cos, sin, sqrt
+from math import ceil, cos, isfinite, sin, sqrt
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from .pauli import Observable, PauliString
 MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 10
 MAX_EXACT_EVOLUTION_QUBITS = 12
+MAX_EXACT_EVOLUTION_STEPS = 2 ** 16  # Taylor steps per evolve_exact call
 
 _SQ2 = 1 / sqrt(2)
 
@@ -64,10 +67,29 @@ _YY = np.kron(_FIXED_1Q["y"], _FIXED_1Q["y"])
 _ZZ = np.kron(_FIXED_1Q["z"], _FIXED_1Q["z"])
 
 
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    return np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+
+
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG; (seed, stream) selects an independent stream."""
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def rekey_philox(rng: np.random.Generator, seed: int, stream: int) -> None:
+    """Move a `philox_rng` generator to the start of stream (seed, stream):
+    key (seed, stream), counter 0 and an empty buffer, so it then draws what
+    a new philox_rng(seed, stream) draws. Setting the state costs about 1 us;
+    building a Philox costs about 12 us, because it seeds an unused
+    SeedSequence from OS entropy."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(seed, stream)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -308,15 +330,27 @@ def expectation_array(amps: np.ndarray, obs: Observable) -> float:
     return float(total.real)
 
 
+def exact_evolution_steps(hamiltonian: Observable, t: float) -> int:
+    """The Taylor steps `evolve_exact` takes for time t: ceil(|t| * bound),
+    which keeps ||H t / steps|| <= 1, so the terms of each step fall like
+    1 / k!. A non-finite t, or more than MAX_EXACT_EVOLUTION_STEPS steps, is
+    refused."""
+    if not isfinite(t):
+        raise ValueError("evolution time must be finite, got %s" % t)
+    scaled = abs(t) * hamiltonian.bound()
+    if scaled > MAX_EXACT_EVOLUTION_STEPS:
+        raise ValueError("exact evolution needs |t| * bound = %g Taylor steps; capped at %d"
+                         % (scaled, MAX_EXACT_EVOLUTION_STEPS))
+    return ceil(scaled)
+
+
 def evolve_exact(hamiltonian: Observable, state: Statevector, t: float) -> Statevector:
     if hamiltonian.n_qubits > MAX_EXACT_EVOLUTION_QUBITS:
         raise ValueError("exact evolution capped at %d qubits" % MAX_EXACT_EVOLUTION_QUBITS)
     if state.n_qubits != hamiltonian.n_qubits:
         raise ValueError("state and Hamiltonian sizes differ")
-    # ceil(|t| * bound) steps keep ||H t / steps|| <= 1, so the Taylor terms
-    # of each step fall like 1 / k! and are summed until negligible
+    steps = exact_evolution_steps(hamiltonian, t)
     h = pauli_sum(hamiltonian)
-    steps = ceil(abs(t) * hamiltonian.bound())
     amps = state.amplitudes
     for _ in range(steps):
         term, k = amps, 0

@@ -44,6 +44,7 @@ from .simulator import (
     apply_pauli_array,
     apply_pauli_sum,
     evolve_exact,
+    exact_evolution_steps,
     gate_matrix,
     pauli_sum,
 )
@@ -225,7 +226,10 @@ def evolve(
 
     The per-step linear system is solved by Tikhonov-regularized least
     squares (ridge on the diagonal, pseudo-inverse cutoff 1e-10). More
-    than MAX_VARQTE_STEPS steps are refused before the first one runs.
+    than MAX_VARQTE_STEPS steps are refused before the first one runs, and
+    so is a dt whose exact evolution (the fidelity reference, up to
+    MAX_EXACT_EVOLUTION_QUBITS) needs more than MAX_EXACT_EVOLUTION_STEPS
+    Taylor steps.
     """
     for name, value in (("t_final", t_final), ("dt", dt), ("regularization", regularization)):
         if not isfinite(value):
@@ -245,6 +249,9 @@ def evolve(
     if quotient > MAX_VARQTE_STEPS:
         raise ValueError("t_final / dt = %g steps; capped at %d" % (quotient, MAX_VARQTE_STEPS))
     steps = max(0, int(round(quotient)))
+    track_fidelity = ansatz.n_qubits <= MAX_EXACT_EVOLUTION_QUBITS
+    if track_fidelity and steps:
+        exact_evolution_steps(hamiltonian, dt)
     times = [0.0]
     thetas = [theta.copy()]
     residuals = []
@@ -261,7 +268,7 @@ def evolve(
         residuals.append(res)
     residuals.append(0.0 if not residuals else residuals[-1])
     fidelities = None
-    if ansatz.n_qubits <= MAX_EXACT_EVOLUTION_QUBITS:
+    if track_fidelity:
         # the exact state is carried from one time point to the next, so the
         # Taylor work grows with t_final, not with its square; only the states
         # are needed, so no derivative vectors are built

@@ -593,6 +593,19 @@ def test_varqte_bad_input_is_a_validation_error(option, value, named):
     assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
 
 
+def test_varqte_fidelity_reference_over_the_exact_step_cap_is_a_validation_error():
+    # one RK4 step whose exact reference needs about 1e300 Taylor steps: it
+    # ran until killed; now it is refused before the first RK4 step
+    result = subprocess.run(
+        [sys.executable, "-m", "qmit.cli", "varqte", "--n", "2", "--layers", "1",
+         "--t-final", "1e300", "--dt", "1e300"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 3
+    assert "validation error: exact evolution needs" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_oversized_trotter_circuit_is_a_validation_error():
     # 2.8e10 gates: refused from the closed-form count, before any is built
     result = run_cli("trotter", "--n", "2000000", "--steps", "1000")

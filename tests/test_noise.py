@@ -1,10 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from dense import pauli_matrix
-from qmit import noise
+from qmit import MAX_SHOTS, noise
 from qmit.noise import (
     DEFAULT_DEPTHS,
     PauliLindbladModel,
@@ -24,7 +27,7 @@ from qmit.noise import (
     synthesize_decay_data,
     virtual_distillation_expectation,
 )
-from qmit.pauli import Observable, PauliString, parse_pauli
+from qmit.pauli import Observable, PauliString, format_pauli, parse_pauli
 from qmit.simulator import DensityMatrix, Statevector, pauli_gather, philox_rng
 
 
@@ -257,8 +260,6 @@ def test_decay_data_refuses_fewer_than_one_shot(shots):
 
 def test_decay_data_refuses_more_shots_than_numpy_can_draw():
     # numpy's binomial takes a C long; above it, it raised OverflowError
-    from qmit import MAX_SHOTS
-
     probes = [parse_pauli("ZIII")]
     with pytest.raises(ValueError, match="shots capped at %d" % MAX_SHOTS):
         synthesize_decay_data(planted_model(), probes, shots=MAX_SHOTS + 1)
@@ -288,6 +289,157 @@ def test_learning_deterministic():
     a, _ = learn_rates_from_model(m, shots=1000, seed=4)
     b, _ = learn_rates_from_model(m, shots=1000, seed=4)
     assert a.generators == b.generators
+
+
+# --- reference: the per-probe decay loop and slope fit ---
+
+def reference_decay_data(model, probes, depths=DEFAULT_DEPTHS, shots=None, seed=0):
+    """Probe by probe: pauli_fidelity, a new philox_rng(seed, idx), and one
+    scalar binomial draw per depth."""
+    data = {}
+    for idx, q in enumerate(probes):
+        f = pauli_fidelity(model, q)
+        rng = philox_rng(seed, idx) if shots is not None else None
+        points = []
+        for d in depths:
+            value = f ** d
+            if shots is not None:
+                k = rng.binomial(shots, (1.0 + value) / 2.0)
+                value = 2.0 * k / shots - 1.0
+            points.append((d, value))
+        data[q] = points
+    return data
+
+
+def reference_slopes(decay_data):
+    """-1/2 times each probe's least-squares slope ds @ logs / ds @ ds over
+    its usable (positive) points; the first probe with fewer than two is an
+    error."""
+    b = []
+    for q, points in decay_data.items():
+        usable = [(d, v) for d, v in points if v > 0.0]
+        if len(usable) < 2:
+            raise ValueError("probe %s has fewer than 2 usable depths" % format_pauli(q))
+        ds = np.array([d for d, _ in usable], dtype=float)
+        logs = np.log([v for _, v in usable])
+        b.append(-0.5 * (float(ds @ logs) / float(ds @ ds)))
+    return np.array(b)
+
+
+def reference_learn_rates(decay_data, candidates, n_qubits):
+    a = anticommutation_matrix(list(decay_data), candidates)
+    b = reference_slopes(decay_data)
+    rates, _ = nnls(a, b)
+    misfit = a @ rates - b
+    model = PauliLindbladModel(
+        n_qubits, tuple((p, float(lam)) for p, lam in zip(candidates, rates)))
+    return model, {q: float(misfit[i]) for i, q in enumerate(decay_data)}
+
+
+def exact_points(data):
+    """Each point as (depth, float bits, type name), so equal means bit for bit."""
+    return {q: [(d, float(v).hex(), type(v).__name__) for d, v in points]
+            for q, points in data.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("shots", [None, 1, 10 ** 5, MAX_SHOTS])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_decay_data_and_learned_rates_equal_the_per_probe_loop(n, shots, seed):
+    probes = default_probes(n, line_edges(n))
+    for model in (planted_on_probes(n, seed), PauliLindbladModel(n, ())):
+        data = synthesize_decay_data(model, probes, shots=shots, seed=seed)
+        expected = reference_decay_data(model, probes, shots=shots, seed=seed)
+        assert list(data) == list(expected)
+        assert exact_points(data) == exact_points(expected)
+        try:
+            reference = reference_learn_rates(expected, probes, n)
+        except ValueError as error:  # shots=1 leaves probes with no usable depths
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                learn_rates(data, probes, n)
+            continue
+        learned, residuals = learn_rates(data, probes, n)
+        assert learned.generators == reference[0].generators
+        assert residuals == reference[1]
+        assert learn_rates_from_model(model, probes, probes, shots=shots, seed=seed) == (
+            learned, residuals)
+
+
+def test_decay_data_refuses_a_probe_of_another_size_without_generators():
+    for model in (PauliLindbladModel(2, ()), planted_on_probes(2, 0)):
+        with pytest.raises(ValueError, match="wrong number of qubits"):
+            synthesize_decay_data(model, [parse_pauli("XI"), parse_pauli("XYZ")])
+
+
+def test_shot_limited_decay_points_have_binomial_mean_and_variance():
+    # a point is 2k / shots - 1 with k ~ Binomial(shots, (1 + m) / 2) and
+    # m = f^d: mean m and variance (1 - m^2) / shots. Over N independent
+    # points the mean z-score has standard deviation 1 / sqrt(N), and the
+    # mean z^2 has sqrt(sum(E z^4 - 1)) / N with E z^4 = 3 + (1 - 6pq) / (shots pq)
+    shots = 10 ** 5
+    z, fourth = [], []
+    for seed in range(5):
+        model = planted_on_probes(8, seed)
+        probes = default_probes(8, line_edges(8))
+        data = synthesize_decay_data(model, probes, shots=shots, seed=seed)
+        for q in probes:
+            f = pauli_fidelity(model, q)
+            for d, value in data[q]:
+                m = f ** d
+                if m == 1.0:
+                    continue  # a probe that commutes with every generator is never flipped
+                z.append((value - m) / np.sqrt((1.0 - m * m) / shots))
+                pq = (1.0 - m * m) / 4.0
+                fourth.append(3.0 + (1.0 - 6.0 * pq) / (shots * pq))
+    z = np.array(z)
+    count = z.size
+    assert count > 1000
+    assert abs(z.mean()) < 5.0 / np.sqrt(count)
+    assert abs((z * z).mean() - 1.0) < 5.0 * np.sqrt(np.sum(np.array(fourth) - 1.0)) / count
+
+
+def test_learned_slopes_are_the_least_squares_fit_over_every_usable_depth(monkeypatch):
+    # not exponential, ragged, unsorted, with nonpositive points: each slope
+    # uses every positive point, so fitting a subset of them moves it
+    x, y, z = parse_pauli("X"), parse_pauli("Y"), parse_pauli("Z")
+    data = {
+        x: [(1, 0.9), (2, -0.1), (3, 0.7), (5, 0.2)],
+        y: [(1, 0.95), (4, 0.0), (2, 0.8)],
+        z: [(2, 0.5), (1, 0.99), (6, 0.3), (3, -0.2), (9, 0.05), (4, 0.4)],
+    }
+    systems = []
+
+    def capture(a, b):
+        systems.append(b.copy())
+        return nnls(a, b)
+
+    monkeypatch.setattr(noise, "nnls", capture)
+    model, residuals = learn_rates(data, [x, y, z], 1)
+    (b,), expected = systems, reference_slopes(data)
+    assert b.tobytes() == expected.tobytes()
+    for got, points in zip(b, data.values()):
+        usable = [(d, v) for d, v in points if v > 0.0]
+        slope = math.fsum(d * math.log(v) for d, v in usable) / math.fsum(d * d for d, _ in usable)
+        assert got == pytest.approx(-0.5 * slope, rel=1e-14)
+    assert (model, residuals) == reference_learn_rates(data, [x, y, z], 1)
+
+
+def test_learning_names_the_first_probe_without_two_usable_depths():
+    x, y, z = parse_pauli("X"), parse_pauli("Y"), parse_pauli("Z")
+    data = {x: [(1, 0.9), (2, 0.8)], y: [(1, 0.9), (2, -0.1)], z: [(1, 0.0)]}
+    with pytest.raises(ValueError, match="probe Y has fewer than 2 usable depths"):
+        learn_rates(data, [x, y, z], 1)
+    # the rank check comes first
+    with pytest.raises(UnidentifiableModelError):
+        learn_rates(data, [x, x], 1)
+
+
+def test_learning_refuses_a_probe_whose_usable_depths_are_all_0():
+    # its slope would be 0 / 0; the per-probe fit raised ZeroDivisionError
+    x, y = parse_pauli("X"), parse_pauli("Y")
+    data = {x: [(1, 0.9), (2, 0.8)], y: [(0, 0.9), (0, 0.8), (3, -0.5)]}
+    with pytest.raises(ValueError, match="probe Y has no usable depth but 0"):
+        learn_rates(data, [x, y], 1)
 
 
 def random_paulis(rng, n, count):

@@ -8,7 +8,9 @@ from qmit.circuits import PARAMETRIC_GATES, Gate, Layer, QuantumCircuit
 from qmit.hamiltonian import _bond_template, build, trotter_circuit
 from qmit.noise import PauliLindbladModel, virtual_distillation_expectation
 from qmit.pauli import Observable, PauliString, parse_pauli
+from qmit import simulator
 from qmit.simulator import (
+    MAX_EXACT_EVOLUTION_STEPS,
     DensityMatrix,
     Statevector,
     _apply_unitary,
@@ -17,12 +19,14 @@ from qmit.simulator import (
     compile_ops,
     density_run,
     evolve_exact,
+    exact_evolution_steps,
     expectation,
     expectation_array,
     gate_matrix,
     pauli_gather,
     pauli_sum,
     philox_rng,
+    rekey_philox,
     run,
     run_array,
     sample_counts,
@@ -126,6 +130,33 @@ def test_evolve_exact_matches_expm():
     assert np.abs(got.amplitudes - expected).max() < 1e-10
 
 
+@pytest.mark.parametrize("hamiltonian, t, message", [
+    (Observable.from_label("ZZ", 1e300), 1e10, "capped at %d" % MAX_EXACT_EVOLUTION_STEPS),
+    (Observable.from_label("ZZ", 1.0), MAX_EXACT_EVOLUTION_STEPS * 1.5, "capped"),
+    (Observable.from_label("ZZ", 1.0), float("nan"), "must be finite, got nan"),
+    (Observable.from_label("ZZ", 1.0), float("inf"), "must be finite, got inf"),
+    (Observable.from_label("ZZ", 1.0), -float("inf"), "must be finite, got -inf"),
+])
+def test_evolve_exact_refuses_a_step_count_over_the_cap_before_any_step(
+        monkeypatch, hamiltonian, t, message):
+    # 1e300 * 1e10 overflowed to inf and raised OverflowError; a large finite
+    # |t| * bound ran that many Taylor steps
+    def no_step(*args):
+        raise AssertionError("a Taylor step ran before the step check")
+
+    monkeypatch.setattr(simulator, "apply_pauli_sum", no_step)
+    with pytest.raises(ValueError, match=message):
+        evolve_exact(hamiltonian, Statevector.zero(2), t)
+
+
+def test_exact_evolution_step_cap_admits_the_largest_step_count():
+    h = Observable.from_label("ZZ", 0.5)
+    assert exact_evolution_steps(h, 2.0 * MAX_EXACT_EVOLUTION_STEPS) == MAX_EXACT_EVOLUTION_STEPS
+    assert exact_evolution_steps(h, -3.0) == 2
+    with pytest.raises(ValueError, match="capped"):
+        exact_evolution_steps(h, np.nextafter(2.0 * MAX_EXACT_EVOLUTION_STEPS, np.inf))
+
+
 def test_sample_counts_convergence():
     state = run(bell_circuit())
     shots = 10 ** 6
@@ -155,6 +186,19 @@ def test_philox_streams_independent():
     b = philox_rng(1, 1).random(4)
     assert not np.allclose(a, b)
     assert np.allclose(a, philox_rng(1, 0).random(4))
+
+
+@pytest.mark.parametrize("seed, stream", [(1, 0), (7, 3), (-1, 2 ** 64 + 5)])
+def test_rekeyed_generator_draws_the_new_stream(seed, stream):
+    rng = philox_rng(11, 4)
+    rng.random(3)
+    rng.integers(2 ** 32, dtype=np.uint32)  # leaves a buffered half word
+    rekey_philox(rng, seed, stream)
+    fresh = philox_rng(seed, stream)
+    assert rng.random(5).tobytes() == fresh.random(5).tobytes()
+    assert rng.binomial(1000, 0.3, size=4).tolist() == fresh.binomial(1000, 0.3, size=4).tolist()
+    assert rng.integers(2 ** 32, size=3, dtype=np.uint32).tolist() == fresh.integers(
+        2 ** 32, size=3, dtype=np.uint32).tolist()
 
 
 def test_density_matrix_checks():

@@ -244,6 +244,7 @@ def test_evolve_validation():
     (1.0, 0.01, float("inf"), "regularization"),
     (1e9, 0.01, 1e-6, "t_final / dt"),
     (-1.0, 0.01, 1e-6, "t_final must be nonnegative, got -1.0"),
+    (1e300, 1e300, 1e-6, "Taylor steps; capped"),  # one RK4 step, 1e300 exact steps
 ])
 def test_evolve_refuses_bad_inputs_before_any_stage(monkeypatch, t_final, dt, regularization,
                                                     named):
