@@ -220,6 +220,7 @@ def synthesize_decay_data(
         raise ValueError("shots must be >= 1, got %r" % shots)
     if shots is not None and shots > MAX_SHOTS:
         raise ValueError("shots capped at %d, got %d" % (MAX_SHOTS, shots))
+    depths = tuple(depths)  # read once: every probe walks the same depths
     probes = list(probes)
     if any(q.n_qubits != model.n_qubits for q in probes):
         raise ValueError("Pauli acts on wrong number of qubits")

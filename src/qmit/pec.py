@@ -15,17 +15,23 @@ noise realization and then one per generator for the signed inverse sample,
 and in shot mode one more per observable term at the end. Both halves of a
 layer go through `noise.sample_insertions` on the layer's
 `noise.insertion_table`; their XOR is the Pauli the sample applies, and the
-inverse half's insertion count fixes its sign. The samples are evolved
-together as the columns of one (2^n, B) amplitude array, with each layer's
-insertions applied as one signed gather. B is set by AMPLITUDE_BUDGET; a
-wider chunk is processed in consecutive row slices of the same uniform
-block. Which worker runs a chunk therefore changes nothing in its result.
+inverse half's insertion count fixes its sign. A sample's state depends
+only on the Paulis it applied so far, and most samples share them, so a
+block of B samples evolves one column per distinct insertion prefix: it
+starts from one column, and at each noisy layer every distinct (parent
+column, Pauli) pair becomes a column of the next (2^n, <= B) amplitude
+array, made by one signed gather. The observable is read once per final
+column. B is set by AMPLITUDE_BUDGET; a wider chunk is processed in
+consecutive row slices of the same uniform block. The columns are a
+function of the slice's uniforms alone, so which worker runs a chunk
+changes nothing in its result.
 
 `enumerate_signed` runs the same `_sample_block` on rows that are not
 random: one row per insertion pattern, with 0.0 where the pattern inserts
 the generator and 1.0 where it does not. Weighing each record by its
 pattern's probability gives the estimator's exact mean, which is the
-noiseless value when the sampler's insertions and signs are right.
+noiseless value when the sampler's insertions and signs are right. Patterns
+whose insertions multiply to the same Paulis share their columns there too.
 
 Pooled calls (workers > 1 and more than one chunk) run the chunks on a
 thread pool opened and closed inside the call. A chunk's numpy calls
@@ -130,11 +136,13 @@ def _column_expectations(amps, p):
 
 
 def _sample_block(compiled, n, obs, mode, uniforms):
-    """Signed records of len(uniforms) samples, evolved as the columns of
-    one (2^n, B) array; row s of uniforms holds sample s's draws."""
+    """Signed records of len(uniforms) samples; row s of uniforms holds
+    sample s's draws. The block evolves a prefix tree: one column per
+    distinct history of (x, z) masks so far, never more than the samples."""
     width = len(uniforms)
-    amps = np.zeros((2 ** n, width), dtype=complex)
+    amps = np.zeros((2 ** n, 1), dtype=complex)
     amps[0] = 1.0
+    leaf = np.zeros(width, dtype=np.int64)  # sample s evolves in column leaf[s]
     sign = np.ones(width)
     col = 0
     for ops, table in compiled:
@@ -147,11 +155,20 @@ def _sample_block(compiled, n, obs, mode, uniforms):
         xi, zi, count = sample_insertions(table, uniforms[:, col + g:col + 2 * g])  # signed inverse
         col += 2 * g
         sign *= 1.0 - 2.0 * (count & 1)
-        amps = pauli_gather(amps, xn ^ xi, zn ^ zi)  # phase i^popcount(x & z) is global per sample
+        # key each sample by (parent column, Pauli code): the code needs 2n <=
+        # 48 bits (n <= MAX_STATEVECTOR_QUBITS), and the key is below width^2
+        # <= 2^40 (a row slice holds at most AMPLITUDE_BUDGET samples), so
+        # both fit in int64
+        codes, code_index = np.unique((xn ^ xi) | (zn ^ zi) << n, return_inverse=True)
+        keys, leaf = np.unique(leaf * len(codes) + code_index, return_inverse=True)
+        parent, child = np.divmod(keys, len(codes))
+        code = codes[child]
+        # phase i^popcount(x & z) is global per column
+        amps = pauli_gather(amps[:, parent], code & (1 << n) - 1, code >> n)
     total = np.zeros(width, dtype=complex)
     for t, (coeff, p) in enumerate(obs.terms):
-        ev = _column_expectations(amps, p)
-        if mode == "shot":  # one +-1 eigenvalue draw per observable term
+        ev = _column_expectations(amps, p)[leaf]
+        if mode == "shot":  # one +-1 eigenvalue draw per sample and observable term
             ev = np.where(uniforms[:, col + t] < (1.0 + ev.real) / 2.0, 1.0, -1.0)
         total += coeff * ev
     if np.any(np.abs(total.imag) > 1e-10):
@@ -229,8 +246,10 @@ def enumerate_signed(
     """Exact mean of `pec_estimate`'s analytic estimator: gamma_total times
     `_sample_block`'s records over every noise/inverse insertion pattern,
     each weighted by its probability. Equals the noiseless expectation
-    (estimator unbiasedness); exponential in generator count, so capped at
-    MAX_ENUMERATED_GENERATORS over all noisy layers."""
+    (estimator unbiasedness). The 4^generators patterns are fed in blocks of
+    up to CHUNK_SIZE rows, each evolving one column per distinct Pauli
+    prefix; the pattern count is still exponential in generator count, so it
+    is capped at MAX_ENUMERATED_GENERATORS over all noisy layers."""
     n = circuit.n_qubits
     _check_statevector_size(n)
     models = per_layer(circuit, per_layer_models)

@@ -251,6 +251,15 @@ def test_decay_data_is_exact_powers():
     assert tuple(d for d, _ in data[probes[0]]) == DEFAULT_DEPTHS
 
 
+@pytest.mark.parametrize("shots", [None, 200])
+def test_decay_data_reads_a_one_shot_depths_iterator_for_every_probe(shots):
+    # a one-shot iterator of depths reaches every probe, not just the first
+    probes = default_probes(4, line_edges(4))[:3]
+    data = synthesize_decay_data(planted_model(), probes, iter((1, 2, 4)), shots, seed=3)
+    assert data == synthesize_decay_data(planted_model(), probes, (1, 2, 4), shots, seed=3)
+    assert all([d for d, _ in data[q]] == [1, 2, 4] for q in probes)
+
+
 @pytest.mark.parametrize("shots", [0, -5])
 def test_decay_data_refuses_fewer_than_one_shot(shots):
     # shots=0 used to be read as "no shots" and gave exact data

@@ -316,6 +316,130 @@ def test_batched_estimate_matches_reference():
             assert est.value == gamma * float(values.mean())
 
 
+# -- prefix-tree block against the column-per-sample block --------------------
+
+def column_per_sample_block(compiled, n, obs, mode, uniforms):
+    """The records `pec._sample_block` must reproduce, with every sample
+    evolved as its own column of one (2^n, B) array."""
+    width = len(uniforms)
+    amps = np.zeros((2 ** n, width), dtype=complex)
+    amps[0] = 1.0
+    sign = np.ones(width)
+    col = 0
+    for ops, table in compiled:
+        for mat, qubits in ops:
+            amps = _apply_unitary(amps, mat, qubits, n)
+        if table is None:
+            continue
+        g = len(table[2])
+        xn, zn, _ = sample_insertions(table, uniforms[:, col:col + g])
+        xi, zi, count = sample_insertions(table, uniforms[:, col + g:col + 2 * g])
+        col += 2 * g
+        sign *= 1.0 - 2.0 * (count & 1)
+        amps = pauli_gather(amps, xn ^ xi, zn ^ zi)
+    total = np.zeros(width, dtype=complex)
+    for t, (coeff, p) in enumerate(obs.terms):
+        ev = np.einsum("ij,ij->j", amps.conj(), apply_pauli_array(amps, p))
+        if mode == "shot":
+            ev = np.where(uniforms[:, col + t] < (1.0 + ev.real) / 2.0, 1.0, -1.0)
+        total += coeff * ev
+    return sign * total.real
+
+
+def chunk_uniforms(compiled, obs, mode, seed, count):
+    """Chunk 0's uniform block, as `pec._pec_chunk` draws it."""
+    draws = sum(2 * len(table[2]) for _, table in compiled if table is not None)
+    return philox_rng(seed, 0).random((count, draws + (len(obs.terms) if mode == "shot" else 0)))
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def y_carrying_model(rng, n):
+    """A weight-1 Y, a weight-2 generator with a Y, and up to three random
+    weight-1 or weight-2 generators, at rates up to 0.15."""
+    a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+    labels = [{a: "Y"}, {a: str(rng.choice(list("XYZ"))), b: "Y"}]
+    for _ in range(int(rng.integers(0, 4))):
+        qubits = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        labels.append({int(q): str(rng.choice(list("XYZ"))) for q in qubits})
+    gens = {parse_pauli("".join(label.get(n - 1 - q, "I") for q in range(n))): None
+            for label in labels}
+    return PauliLindbladModel(n, tuple((p, float(rng.uniform(0.01, 0.15))) for p in gens))
+
+
+def tree_instance(seed, n):
+    """A random circuit with custom 1- and 2-qubit `u` gates appended, a
+    `y_carrying_model` per noisy layer and a random 1-3 term observable."""
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, n, int(rng.integers(2, 6)))
+    a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+    circuit = circuit.concat(QuantumCircuit(n, [
+        Layer([Gate("u", (a, b), matrix=random_unitary(rng, 4))]),
+        Layer([Gate("u", (a,), matrix=random_unitary(rng, 2))]),
+    ]))
+    models = [y_carrying_model(rng, n) for _ in circuit.two_qubit_layer_indices()]
+    obs = Observable.from_terms(n, [(float(rng.normal()), random_pauli(n, rng.integers(4 ** n)))
+                                    for _ in range(int(rng.integers(1, 4)))])
+    return circuit, models, obs
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3, 4, 5, 12]),
+       count=st.integers(1, 600), mode=st.sampled_from(["analytic", "shot"]))
+@example(seed=11, n=12, count=600, mode="analytic")  # three row slices
+@example(seed=11, n=12, count=300, mode="shot")
+def test_prefix_tree_records_equal_the_column_per_sample_block(seed, n, count, mode):
+    circuit, models, obs = tree_instance(seed, n)
+    compiled = pec._compile(circuit, models)
+    uniforms = chunk_uniforms(compiled, obs, mode, seed, count)
+    width = max(1, pec.AMPLITUDE_BUDGET >> n)  # n = 12: slices of 256 rows
+    reference = np.concatenate([column_per_sample_block(compiled, n, obs, mode,
+                                                        uniforms[start:start + width])
+                                for start in range(0, count, width)])
+    records = pec._pec_chunk((compiled, n, obs, mode, seed, 0, count))
+    if n >= 4:
+        assert records.tobytes() == reference.tobytes()
+    else:
+        # below 4 qubits a gate's BLAS product rounds by its column count
+        assert np.abs(records - reference).max() < 1e-12
+
+
+def test_block_evolves_one_column_per_distinct_prefix(monkeypatch):
+    circuit, models, obs = wide_instance(4)
+    circuit = circuit.concat(QuantumCircuit(4, [Layer([Gate("rx", (q,), 0.3) for q in range(4)])]))
+    compiled = pec._compile(circuit, models)
+    assert len(compiled[0][0]) > 0 and len(compiled[-1][0]) > 0  # ops before and after
+    uniforms = chunk_uniforms(compiled, obs, "analytic", 3, pec.CHUNK_SIZE)
+    # each sample's Pauli per noisy layer, one sample and generator at a time
+    histories = [[] for _ in uniforms]
+    col = 0
+    for _, table in compiled[:-1]:
+        x_masks, z_masks, q = table
+        g = len(q)
+        for row, history in zip(uniforms, histories):
+            x = z = 0
+            for k in range(2 * g):
+                if row[col + k] < q[k % g]:
+                    x ^= int(x_masks[k % g])
+                    z ^= int(z_masks[k % g])
+            history.append((x, z))
+        col += 2 * g
+    distinct = [len({tuple(h[:layer]) for h in histories}) for layer in range(len(compiled))]
+    assert distinct[0] == 1 and 1 < distinct[-1] < len(uniforms)
+    widths = []
+
+    def spy(arr, mat, qubits, n):
+        widths.append(arr.shape[1])
+        return _apply_unitary(arr, mat, qubits, n)
+
+    monkeypatch.setattr(pec, "_apply_unitary", spy)
+    pec._sample_block(compiled, 4, obs, "analytic", uniforms)
+    assert widths == [d for (ops, _), d in zip(compiled, distinct) for _ in ops]
+
+
 def test_pec_rejects_oversized_circuit_before_allocating():
     circuit = QuantumCircuit(40, [Layer([Gate("cx", (0, 1))])])
     model = PauliLindbladModel(40, ((PauliString.single(40, 0, "X"), 0.01),))
