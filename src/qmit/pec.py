@@ -17,13 +17,15 @@ layer go through `noise.sample_insertions` on the layer's
 `noise.insertion_table`; their XOR is the Pauli the sample applies, and the
 inverse half's insertion count fixes its sign. A sample's state depends
 only on the Paulis it applied so far, and most samples share them, so a
-block of B samples evolves one column per distinct insertion prefix: it
-starts from one column, and at each noisy layer every distinct (parent
-column, Pauli) pair becomes a column of the next (2^n, <= B) amplitude
-array, made by one signed gather. The observable is read once per final
-column. B is set by AMPLITUDE_BUDGET; a wider chunk is processed in
-consecutive row slices of the same uniform block. The columns are a
-function of the slice's uniforms alone, so which worker runs a chunk
+block of B samples evolves one column per distinct insertion prefix. It
+draws every layer's Paulis first and sorts the samples once by history,
+first noisy layer first, so samples that share a prefix are contiguous at
+every layer. Starting from one column, at each noisy layer each new prefix
+becomes a column of the next (2^n, <= B) amplitude array, in (parent
+column, Pauli) order, made by one signed gather. The observable is read
+once per final column. B is set by AMPLITUDE_BUDGET; a wider chunk is
+processed in consecutive row slices of the same uniform block. The columns
+are a function of the slice's uniforms alone, so which worker runs a chunk
 changes nothing in its result.
 
 `enumerate_signed` runs the same `_sample_block` on rows that are not
@@ -138,33 +140,44 @@ def _column_expectations(amps, p):
 def _sample_block(compiled, n, obs, mode, uniforms):
     """Signed records of len(uniforms) samples; row s of uniforms holds
     sample s's draws. The block evolves a prefix tree: one column per
-    distinct history of (x, z) masks so far, never more than the samples."""
+    distinct history of (x, z) masks so far, never more than the samples.
+    The samples are sorted once by history, so those that share a prefix
+    are contiguous at every noisy layer."""
     width = len(uniforms)
-    amps = np.zeros((2 ** n, 1), dtype=complex)
-    amps[0] = 1.0
-    leaf = np.zeros(width, dtype=np.int64)  # sample s evolves in column leaf[s]
     sign = np.ones(width)
+    # row l: each sample's XOR'd Pauli at noisy layer l, as the code
+    # x | z << n, which needs 2n <= 48 bits (n <= MAX_STATEVECTOR_QUBITS)
+    codes = np.empty((len(compiled) - 1, width), dtype=np.int64)
     col = 0
-    for ops, table in compiled:
-        for mat, qubits in ops:
-            amps = _apply_unitary(amps, mat, qubits, n)
-        if table is None:
-            continue
+    for l, (_, table) in enumerate(compiled[:-1]):
         g = len(table[2])
         xn, zn, _ = sample_insertions(table, uniforms[:, col:col + g])  # noise realization
         xi, zi, count = sample_insertions(table, uniforms[:, col + g:col + 2 * g])  # signed inverse
         col += 2 * g
         sign *= 1.0 - 2.0 * (count & 1)
-        # key each sample by (parent column, Pauli code): the code needs 2n <=
-        # 48 bits (n <= MAX_STATEVECTOR_QUBITS), and the key is below width^2
-        # <= 2^40 (a row slice holds at most AMPLITUDE_BUDGET samples), so
-        # both fit in int64
-        codes, code_index = np.unique((xn ^ xi) | (zn ^ zi) << n, return_inverse=True)
-        keys, leaf = np.unique(leaf * len(codes) + code_index, return_inverse=True)
-        parent, child = np.divmod(keys, len(codes))
-        code = codes[child]
+        codes[l] = (xn ^ xi) | (zn ^ zi) << n
+    # np.lexsort's last key is its primary one, and it refuses zero keys
+    order = np.lexsort(codes[::-1]) if len(codes) else np.arange(width)
+    amps = np.zeros((2 ** n, 1), dtype=complex)
+    amps[0] = 1.0
+    column = np.zeros(width, dtype=np.int64)  # sorted sample i evolves in column[i]
+    new = np.zeros(width, dtype=bool)  # sorted sample i starts a prefix
+    new[0] = True
+    for l, (ops, table) in enumerate(compiled):
+        for mat, qubits in ops:
+            amps = _apply_unitary(amps, mat, qubits, n)
+        if table is None:
+            continue
+        # the prefixes come out in (parent column, code) order
+        s = codes[l][order]
+        new[1:] |= s[1:] != s[:-1]
+        first = np.flatnonzero(new)
+        code = s[first]
         # phase i^popcount(x & z) is global per column
-        amps = pauli_gather(amps[:, parent], code & (1 << n) - 1, code >> n)
+        amps = pauli_gather(amps[:, column[first]], code & (1 << n) - 1, code >> n)
+        column = np.cumsum(new) - 1
+    leaf = np.empty(width, dtype=np.int64)  # sample s evolves in column leaf[s]
+    leaf[order] = column
     total = np.zeros(width, dtype=complex)
     for t, (coeff, p) in enumerate(obs.terms):
         ev = _column_expectations(amps, p)[leaf]
@@ -220,6 +233,11 @@ def pec_estimate(
               for start in range(0, samples, CHUNK_SIZE)]
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor  # only pooled runs pay its import
+        # numpy loads numpy.random lazily, and it imports hashlib, which starts
+        # OpenSSL; loaded from a worker, OpenSSL's exit handler for that thread
+        # can hold its lock after this call returns, and a fork then copies the
+        # lock held, so the forked child hangs in exit()
+        import numpy.random  # noqa: F401
 
         with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
             values = np.concatenate(list(pool.map(_pec_chunk, chunks)))  # in chunk order

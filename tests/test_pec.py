@@ -1,6 +1,8 @@
 import itertools
 import multiprocessing
+import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -407,13 +409,9 @@ def test_prefix_tree_records_equal_the_column_per_sample_block(seed, n, count, m
         assert np.abs(records - reference).max() < 1e-12
 
 
-def test_block_evolves_one_column_per_distinct_prefix(monkeypatch):
-    circuit, models, obs = wide_instance(4)
-    circuit = circuit.concat(QuantumCircuit(4, [Layer([Gate("rx", (q,), 0.3) for q in range(4)])]))
-    compiled = pec._compile(circuit, models)
-    assert len(compiled[0][0]) > 0 and len(compiled[-1][0]) > 0  # ops before and after
-    uniforms = chunk_uniforms(compiled, obs, "analytic", 3, pec.CHUNK_SIZE)
-    # each sample's Pauli per noisy layer, one sample and generator at a time
+def sample_histories(compiled, n, uniforms):
+    """Each sample's Pauli per noisy layer as the code x | z << n, worked
+    out one sample and generator at a time."""
     histories = [[] for _ in uniforms]
     col = 0
     for _, table in compiled[:-1]:
@@ -425,8 +423,18 @@ def test_block_evolves_one_column_per_distinct_prefix(monkeypatch):
                 if row[col + k] < q[k % g]:
                     x ^= int(x_masks[k % g])
                     z ^= int(z_masks[k % g])
-            history.append((x, z))
+            history.append(x | z << n)
         col += 2 * g
+    return histories
+
+
+def test_block_evolves_one_column_per_distinct_prefix(monkeypatch):
+    circuit, models, obs = wide_instance(4)
+    circuit = circuit.concat(QuantumCircuit(4, [Layer([Gate("rx", (q,), 0.3) for q in range(4)])]))
+    compiled = pec._compile(circuit, models)
+    assert len(compiled[0][0]) > 0 and len(compiled[-1][0]) > 0  # ops before and after
+    uniforms = chunk_uniforms(compiled, obs, "analytic", 3, pec.CHUNK_SIZE)
+    histories = sample_histories(compiled, 4, uniforms)
     distinct = [len({tuple(h[:layer]) for h in histories}) for layer in range(len(compiled))]
     assert distinct[0] == 1 and 1 < distinct[-1] < len(uniforms)
     widths = []
@@ -438,6 +446,49 @@ def test_block_evolves_one_column_per_distinct_prefix(monkeypatch):
     monkeypatch.setattr(pec, "_apply_unitary", spy)
     pec._sample_block(compiled, 4, obs, "analytic", uniforms)
     assert widths == [d for (ops, _), d in zip(compiled, distinct) for _ in ops]
+
+
+def test_block_gathers_each_prefix_in_parent_column_then_code_order(monkeypatch):
+    circuit, models, obs = wide_instance(4)
+    compiled = pec._compile(circuit, models)
+    assert len(compiled) > 2  # at least two noisy layers, so key order matters
+    uniforms = chunk_uniforms(compiled, obs, "analytic", 5, pec.CHUNK_SIZE)
+    histories = sample_histories(compiled, 4, uniforms)
+    gathered = []
+
+    def spy(arr, x, z):
+        # a column's norm tells its index: the spy scales column j to norm
+        # j + 1, and gates and gathers keep norms
+        norms = np.linalg.norm(arr, axis=0)
+        parents = np.rint(norms).astype(int) - 1
+        gathered.append(list(zip(parents.tolist(), (x | z << 4).tolist())))
+        return pauli_gather(arr, x, z) / norms * np.arange(1, arr.shape[1] + 1)
+
+    monkeypatch.setattr(pec, "pauli_gather", spy)
+    pec._sample_block(compiled, 4, obs, "analytic", uniforms)
+    assert len(gathered) == len(compiled) - 1
+    columns = [()]  # the distinct prefixes before the first noisy layer
+    for layer, pairs in enumerate(gathered):
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+        prefixes = sorted({tuple(h[:layer + 1]) for h in histories})
+        assert pairs == [(columns.index(p[:-1]), p[-1]) for p in prefixes]
+        columns = prefixes
+    assert 1 < len(columns) < len(uniforms)
+
+
+def test_circuit_without_a_noisy_layer_gives_the_noiseless_value():
+    # no two-qubit layer: no noisy layer, no generator, gamma_total 1
+    circuit = QuantumCircuit(2, [Layer([Gate("h", (0,)), Gate("h", (1,))])])
+    obs = Observable.from_label("XX")
+    ideal = expectation(run(circuit), obs)
+    assert ideal == pytest.approx(1.0, abs=1e-12)
+    for mode in ("analytic", "shot"):
+        for workers in (1, 2):
+            est = pec_estimate(circuit, [], obs, 2 * pec.CHUNK_SIZE + 1, 3, mode=mode,
+                               workers=workers)
+            assert est.gamma_total == 1.0
+            assert est.value == pytest.approx(ideal, abs=1e-12)
+    assert enumerate_signed(circuit, [], obs) == pytest.approx(ideal, abs=1e-12)
 
 
 def test_pec_rejects_oversized_circuit_before_allocating():
@@ -788,17 +839,29 @@ SUBPROCESS_PRELUDE = (
 
 
 def run_python(code):
-    return subprocess.run([sys.executable, "-c", SUBPROCESS_PRELUDE + code],
-                          capture_output=True, text=True, timeout=120)
+    """Run the prelude and code in a new session. On a timeout the whole
+    process group is killed, forked children too, so none outlives the test."""
+    with subprocess.Popen([sys.executable, "-c", SUBPROCESS_PRELUDE + code], text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            stdout, stderr = proc.communicate()
+            pytest.fail("timed out after 120 s; stderr:\n" + stderr)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def test_forked_child_starts_its_own_pool():
     # no pool outlives its call, so the fork copies no running thread and
     # Python 3.12 has nothing to warn about
     result = run_python(
+        "import faulthandler\n"
         "parent = pec.pec_estimate(circuit, models, obs, samples, 4, workers=2)\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
+        "    faulthandler.dump_traceback_later(100, exit=True)  # a hang fails with its stack\n"
         "    assert pec.pec_estimate(circuit, models, obs, samples, 4, workers=2) == parent\n"
         "    sys.exit(0)\n"
         "_, status = os.waitpid(pid, 0)\n"
@@ -807,6 +870,22 @@ def test_forked_child_starts_its_own_pool():
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_pooled_call_imports_no_module_in_a_worker():
+    # numpy.random, loaded lazily, starts OpenSSL through hashlib; started in a
+    # worker, OpenSSL's lock can be held when the call returns (pec_estimate)
+    result = run_python(
+        "import threading\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if threading.current_thread() is not threading.main_thread():\n"
+        "            print(name)\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "pec.pec_estimate(circuit, models, obs, samples, 4, workers=2)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
 
 
 def test_process_with_pooled_calls_exits_cleanly():
