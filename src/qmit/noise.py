@@ -21,10 +21,9 @@ insertions and count.
 Rate learning runs in one pass over arrays. `synthesize_decay_data` takes
 every probe's fidelity from one probe-generator anticommutation matrix,
 adding the rates column by column in generator order, so each equals
-`pauli_fidelity` bit for bit. With shots it builds one Philox generator per
-call and re-keys it to stream (seed, idx) for probe idx (`rekey_philox`),
-so the draws are those of a new generator per probe without its 12 us
-set-up. `learn_rates` pads the decay points into (probes, depths) arrays,
+`pauli_fidelity` bit for bit. With shots every point comes from one
+binomial call over the (probes, depths) block, drawn from one Philox stream
+per call. `learn_rates` pads the decay points into (probes, depths) arrays,
 masks the nonpositive ones, and fits every slope -1/2 sum d log v / sum d^2
 in one expression. It then solves A lam = b for lam >= 0, where A is the
 probe-candidate anticommutation matrix, built in one broadcast over the
@@ -45,7 +44,6 @@ from .simulator import (
     expectation_array,
     pauli_gather,
     philox_rng,
-    rekey_philox,
 )
 
 
@@ -213,8 +211,8 @@ def synthesize_decay_data(
 ):
     """Decay curves <Q>_d for each probe: prepare a +1 eigenstate of Q and
     apply the channel d times, so <Q>_d = f(Q)^d exactly. With `shots` the
-    +-1 measurement outcomes are sampled binomially, probe idx from Philox
-    stream (seed, idx).
+    +-1 measurement outcomes are sampled binomially, every point from one
+    Philox stream `philox_rng(seed)`, probe by probe and depth by depth.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1, got %r" % shots)
@@ -232,22 +230,14 @@ def synthesize_decay_data(
     for j, (_, lam) in enumerate(model.generators):
         exponent += a[:, j] * lam
     fidelities = np.exp(-2.0 * exponent).tolist()
-    rng = philox_rng(seed) if shots is not None else None
-    data = {}
-    for idx, (q, f) in enumerate(zip(probes, fidelities)):
-        if rng is not None:
-            rekey_philox(rng, seed, idx)
-        points = []
-        for d in depths:
-            value = f ** d
-            if shots is not None:
-                # one scalar draw per depth: faster than one array draw
-                # over a handful of depths
-                k = rng.binomial(shots, (1.0 + value) / 2.0)
-                value = 2.0 * k / shots - 1.0
-            points.append((d, value))
-        data[q] = points
-    return data
+    # float ** int, not np.power, which rounds some powers differently
+    values = [[f ** d for d in depths] for f in fidelities]
+    if shots is not None:
+        # one (probes, depths) block from one stream: probe-major, so it
+        # draws what scalar calls probe by probe, depth by depth would draw
+        k = philox_rng(seed).binomial(shots, (1.0 + np.array(values)) / 2.0)
+        values = (2.0 * k / shots - 1.0).tolist()
+    return {q: list(zip(depths, row)) for q, row in zip(probes, values)}
 
 
 def _mask_words(paulis, words: int) -> np.ndarray:

@@ -29,8 +29,7 @@ Nothing is fused across a stop.
 
 RNG: all sampling uses the counter-based Philox generator. Independent
 streams are derived from (seed, stream) key pairs; parallel workers use
-their stream id as the second key word. `rekey_philox` moves one generator
-to the start of another stream, for loops over many short streams.
+their stream id as the second key word.
 """
 from __future__ import annotations
 
@@ -67,29 +66,10 @@ _YY = np.kron(_FIXED_1Q["y"], _FIXED_1Q["y"])
 _ZZ = np.kron(_FIXED_1Q["z"], _FIXED_1Q["z"])
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    return np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-
-
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG; (seed, stream) selects an independent stream."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
-
-
-def rekey_philox(rng: np.random.Generator, seed: int, stream: int) -> None:
-    """Move a `philox_rng` generator to the start of stream (seed, stream):
-    key (seed, stream), counter 0 and an empty buffer, so it then draws what
-    a new philox_rng(seed, stream) draws. Setting the state costs about 1 us;
-    building a Philox costs about 12 us, because it seeds an unused
-    SeedSequence from OS entropy."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": _philox_key(seed, stream)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:

@@ -303,12 +303,12 @@ def test_learning_deterministic():
 # --- reference: the per-probe decay loop and slope fit ---
 
 def reference_decay_data(model, probes, depths=DEFAULT_DEPTHS, shots=None, seed=0):
-    """Probe by probe: pauli_fidelity, a new philox_rng(seed, idx), and one
-    scalar binomial draw per depth."""
+    """Probe by probe: pauli_fidelity and one scalar binomial draw per depth,
+    every draw from one philox_rng(seed)."""
+    rng = philox_rng(seed) if shots is not None else None
     data = {}
-    for idx, q in enumerate(probes):
+    for q in probes:
         f = pauli_fidelity(model, q)
-        rng = philox_rng(seed, idx) if shots is not None else None
         points = []
         for d in depths:
             value = f ** d
@@ -372,6 +372,19 @@ def test_decay_data_and_learned_rates_equal_the_per_probe_loop(n, shots, seed):
         assert residuals == reference[1]
         assert learn_rates_from_model(model, probes, probes, shots=shots, seed=seed) == (
             learned, residuals)
+
+
+@pytest.mark.parametrize("shots", [None, 1, MAX_SHOTS])
+def test_decay_data_of_empty_and_single_point_blocks_equal_the_per_probe_loop(shots):
+    model = planted_on_probes(2, 3)
+    probe = model.generators[0][0]
+    assert synthesize_decay_data(model, [], shots=shots, seed=4) == {}
+    data = synthesize_decay_data(model, [probe, parse_pauli("ZZ")], depths=(), shots=shots, seed=4)
+    assert data == {probe: [], parse_pauli("ZZ"): []}
+    data = synthesize_decay_data(model, [probe], depths=(3,), shots=shots, seed=4)
+    expected = reference_decay_data(model, [probe], depths=(3,), shots=shots, seed=4)
+    assert exact_points(data) == exact_points(expected)
+    assert [type(v) for _, v in data[probe]] == [float]
 
 
 def test_decay_data_refuses_a_probe_of_another_size_without_generators():

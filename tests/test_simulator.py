@@ -26,7 +26,6 @@ from qmit.simulator import (
     pauli_gather,
     pauli_sum,
     philox_rng,
-    rekey_philox,
     run,
     run_array,
     sample_counts,
@@ -186,19 +185,6 @@ def test_philox_streams_independent():
     b = philox_rng(1, 1).random(4)
     assert not np.allclose(a, b)
     assert np.allclose(a, philox_rng(1, 0).random(4))
-
-
-@pytest.mark.parametrize("seed, stream", [(1, 0), (7, 3), (-1, 2 ** 64 + 5)])
-def test_rekeyed_generator_draws_the_new_stream(seed, stream):
-    rng = philox_rng(11, 4)
-    rng.random(3)
-    rng.integers(2 ** 32, dtype=np.uint32)  # leaves a buffered half word
-    rekey_philox(rng, seed, stream)
-    fresh = philox_rng(seed, stream)
-    assert rng.random(5).tobytes() == fresh.random(5).tobytes()
-    assert rng.binomial(1000, 0.3, size=4).tolist() == fresh.binomial(1000, 0.3, size=4).tolist()
-    assert rng.integers(2 ** 32, size=3, dtype=np.uint32).tolist() == fresh.integers(
-        2 ** 32, size=3, dtype=np.uint32).tolist()
 
 
 def test_density_matrix_checks():
