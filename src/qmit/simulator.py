@@ -13,7 +13,7 @@ Pauli action is the signed gather `pauli_gather`; with masks
 Pauli is a strided flip: axis 0 is split at the set bits of x | z, the X
 bits' axes are reversed, and one multiply by +-1 over the Z bits' axes
 writes the result, with no index array. A Pauli sum is compiled once per
-call by `pauli_sum` into one signed diagonal per distinct X mask, so
+Observable by `pauli_sum` into one signed diagonal per distinct X mask, so
 applying it costs one gather per mask, not per term.
 
 Validation is written so that NaN fails it (`not err <= tol`). A density
@@ -22,10 +22,15 @@ Cholesky factorization of rho + 1e-9 I.
 
 Gates are applied as fused ops: `compile_ops(circuit, stops)` multiplies, once
 per call, each run of gates on one or two qubits into one 2x2 or 4x4 matrix.
-The ops come in segments that end at the layer indices in `stops`, where
-something other than a gate must see the state: `density_run` stops at its
-channel layers, PEC at its noisy two-qubit layers, and `run_array` nowhere.
-Nothing is fused across a stop.
+On registers of WIDE_FUSION_QUBITS (8) or more qubits it then fuses those
+ops greedily, in program order, into blocks of at most MAX_FUSED_QUBITS (4)
+qubits, because there an op's cost is mostly the kernel's transpose and
+copy of the whole state, not its arithmetic; on smaller registers building
+the wider matrices costs about as much as it saves. The ops come in segments
+that end at the layer indices in `stops`, where something other than a gate
+must see the state: `density_run` stops at its channel layers, PEC at its
+noisy two-qubit layers, and `run_array` nowhere. Nothing is fused across a
+stop.
 
 RNG: all sampling uses the counter-based Philox generator. Independent
 streams are derived from (seed, stream) key pairs; parallel workers use
@@ -46,6 +51,8 @@ MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 10
 MAX_EXACT_EVOLUTION_QUBITS = 12
 MAX_EXACT_EVOLUTION_STEPS = 2 ** 16  # Taylor steps per evolve_exact call
+MAX_FUSED_QUBITS = 4  # widest fused op on a register of WIDE_FUSION_QUBITS or more
+WIDE_FUSION_QUBITS = 8  # smaller registers keep 1q and 2q ops only
 
 _SQ2 = 1 / sqrt(2)
 
@@ -97,7 +104,10 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 
 
 def _apply_unitary(arr: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Apply a 1- or 2-qubit unitary to axis 0 of arr (length 2**n)."""
+    """Apply an m-qubit unitary (2^m x 2^m, local bit j on qubits[j]) to
+    axis 0 of arr (length 2**n); trailing axes are a batch. Fused ops have m
+    up to MAX_FUSED_QUBITS, and building a fused matrix applies its ops to
+    an identity through this same kernel."""
     m = len(qubits)
     batch = arr.shape[1:]
     tensor = arr.reshape((2,) * n + batch)
@@ -127,7 +137,9 @@ def compile_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, t
     one holds the layers after the final stop. Within a segment, a 1q gate
     folds into the last op on its qubit, a 2q gate on the pair of the last op
     on both its qubits folds into that op, and a new 2q op absorbs the 1q ops
-    still pending on its qubits. Nothing is fused across a stop."""
+    still pending on its qubits. On a register of WIDE_FUSION_QUBITS or more,
+    `_fuse_blocks` then fuses each segment's ops into blocks of up to
+    MAX_FUSED_QUBITS qubits. Nothing is fused across a stop."""
     stops = set(stops)
     segments = []
     ops: list = []
@@ -161,7 +173,44 @@ def compile_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, t
             segments.append([tuple(op) for op in ops if op is not None])
             ops, last = [], {}
     segments.append([tuple(op) for op in ops if op is not None])
+    if circuit.n_qubits >= WIDE_FUSION_QUBITS:
+        segments = [_fuse_blocks(ops) for ops in segments]
     return segments
+
+
+def _fuse_blocks(ops):
+    """One segment's ops fused greedily, in program order, into blocks of at
+    most MAX_FUSED_QUBITS qubits. An op joins the latest block that holds
+    the last op on one of its qubits, if their union fits, and opens a new
+    block if not; an op that is the first on all its qubits commutes with
+    every block so far and joins the latest one it fits in. A block of one
+    op is that op unchanged; a wider one is built by applying its ops, in
+    order, to the identity on its qubits in ascending order."""
+    blocks: list[tuple[set, list]] = []  # (qubits, ops) in application order
+    last: dict[int, int] = {}  # qubit -> index in blocks of the last block on it
+    for op in ops:
+        qs = set(op[1])
+        near = [last[q] for q in qs if q in last]
+        candidates = [max(near)] if near else range(len(blocks))
+        t = next((b for b in reversed(candidates)
+                  if len(blocks[b][0] | qs) <= MAX_FUSED_QUBITS), len(blocks))
+        if t == len(blocks):
+            blocks.append((set(), []))
+        blocks[t][0].update(qs)
+        blocks[t][1].append(op)
+        for q in qs:
+            last[q] = t
+    fused = []
+    for qubits, members in blocks:
+        if len(members) == 1:
+            fused.append(members[0])
+            continue
+        qubits = tuple(sorted(qubits))
+        mat = np.eye(2 ** len(qubits), dtype=complex)
+        for g, qs in members:
+            mat = _apply_unitary(mat, g, tuple(qubits.index(q) for q in qs), len(qubits))
+        fused.append((mat, qubits))
+    return fused
 
 
 _SIGNS = (np.array([1.0, -1.0]), np.array([-1.0, 1.0]))  # indexed by the X bit
@@ -210,20 +259,29 @@ def apply_pauli_array(arr: np.ndarray, p: PauliString) -> np.ndarray:
     return out if k == 0 else 1j ** k * out
 
 
-def pauli_sum(obs: Observable) -> list[tuple[int, np.ndarray]]:
-    """Compile obs into [(x, d_x)], one entry per distinct X mask, such that
-    (O psi)[j] = sum_x d_x[j ^ x] * psi[j ^ x]. d_x[k] sums
-    c * i^popcount(x & z) * (-1)^popcount(k & z) over the terms with X mask x."""
+def pauli_sum(obs: Observable) -> tuple[tuple[int, np.ndarray], ...]:
+    """Compile obs into ((x, d_x), ...), one entry per distinct X mask, such
+    that (O psi)[j] = sum_x d_x[j ^ x] * psi[j ^ x]. d_x[k] sums
+    c * i^popcount(x & z) * (-1)^popcount(k & z) over the terms with X mask x.
+    The compiled form is built on the first call for obs and kept on it,
+    with read-only diagonals; later calls return that same tuple."""
+    cached = obs.__dict__.get("_pauli_sum")
+    if cached is not None:
+        return cached
     idx = np.arange(1 << obs.n_qubits)
     groups: dict[int, np.ndarray] = {}
     for coeff, p in obs.terms:
         signs = 1.0 - 2.0 * (np.bitwise_count(idx & p.z_mask) & 1)
         d = groups.setdefault(p.x_mask, np.zeros(idx.size, dtype=complex))
         d += coeff * 1j ** ((p.x_mask & p.z_mask).bit_count() % 4) * signs
-    return list(groups.items())
+    for d in groups.values():
+        d.flags.writeable = False
+    compiled = tuple(groups.items())
+    object.__setattr__(obs, "_pauli_sum", compiled)  # Observable is frozen
+    return compiled
 
 
-def apply_pauli_sum(arr: np.ndarray, groups: list[tuple[int, np.ndarray]]) -> np.ndarray:
+def apply_pauli_sum(arr: np.ndarray, groups: tuple[tuple[int, np.ndarray], ...]) -> np.ndarray:
     """O arr along axis 0 for O compiled by `pauli_sum`; trailing axes are a
     batch. The x = 0 group is a diagonal and needs no gather."""
     idx = np.arange(arr.shape[0])

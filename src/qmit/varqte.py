@@ -139,8 +139,11 @@ def state_and_derivatives(ansatz: Ansatz, theta):
     """|phi(theta)> and the exact derivative vectors d|phi>/d theta_p as the
     rows of a (K, 2^n) array, from one `_forward` pass.
 
-    The state is a C-contiguous copy of the block's column 0: on a strided
-    view, the products in `compute_mclachlan` round differently.
+    The state is a C-contiguous copy of the block's column 0, and the
+    derivatives a C-contiguous copy of the other columns' transpose: on a
+    strided view, the products in `compute_mclachlan` round differently,
+    and on the transposed view `d.conj() @ v` runs a BLAS product whose
+    rounding depends on the BLAS thread count.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (ansatz.n_params,):
@@ -154,24 +157,26 @@ def state_and_derivatives(ansatz: Ansatz, theta):
             % (k, (k + 1) << n, MAX_STATEVECTOR_QUBITS)
         )
     block = _forward(ansatz, theta, k)
-    return Statevector(n, block[:, 0].copy()), block[:, 1:].T
+    return Statevector(n, block[:, 0].copy()), np.ascontiguousarray(block[:, 1:].T)
 
 
 def compute_M(derivs) -> np.ndarray:
-    """M_pq = Im<d_p phi | d_q phi>; antisymmetric."""
-    d = np.asarray(derivs)
+    """M_pq = Im<d_p phi | d_q phi>; antisymmetric. Like `compute_V` and
+    `compute_mclachlan`, it reads the derivatives as a C-contiguous (K, 2^n)
+    array, so every layout of them gives the same bits."""
+    d = np.ascontiguousarray(derivs)
     return (d.conj() @ d.T).imag
 
 
 def compute_V(derivs, state: Statevector, hamiltonian: Observable) -> np.ndarray:
     """V_p = -Re<d_p phi | H | phi>."""
     h_phi = apply_pauli_sum(state.amplitudes, pauli_sum(hamiltonian))
-    return -(np.asarray(derivs).conj() @ h_phi).real
+    return -(np.ascontiguousarray(derivs).conj() @ h_phi).real
 
 
 def compute_mclachlan(derivs, state: Statevector, hamiltonian: Observable):
     """Global-phase-corrected real-time McLachlan system (A, C)."""
-    d = np.asarray(derivs)
+    d = np.ascontiguousarray(derivs)
     d_bar = d.conj()
     amps = state.amplitudes
     b = (d_bar @ amps).imag

@@ -175,6 +175,19 @@ def test_varqte_trajectory_moves():
     assert run_cli(*argv).stdout == result.stdout
 
 
+def test_varqte_stdout_does_not_depend_on_the_blas_thread_count():
+    # on a transposed view of the derivative block, d.conj() @ v ran a BLAS
+    # product whose rounding moved these thetas between 1 and 2 threads
+    argv = ("varqte", "--n", "10", "--layers", "4", "--t-final", "0.04",
+            "--dt", "0.02", "--seed", "3")
+    outs = []
+    for threads in ("1", "2"):
+        result = run_cli(*argv, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_cli_import_leaves_scipy_and_process_pool_unloaded():
     # no command starts a process pool, and none, noise learning included,
     # loads scipy

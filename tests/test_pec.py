@@ -36,6 +36,8 @@ from qmit.pec import (
     zne_estimate,
 )
 from qmit.simulator import (
+    MAX_FUSED_QUBITS,
+    WIDE_FUSION_QUBITS,
     _apply_unitary,
     apply_pauli_array,
     expectation,
@@ -282,7 +284,7 @@ def test_batched_chunks_match_reference(n, samples):
     assert np.unique(analytic).size > 1  # insertions actually happened
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 8])  # n = 8 takes the wide-fusion path
 def test_fused_samples_match_the_unfused_compile(n):
     circuit, models, obs = wide_instance(n)
     # a 1q layer absorbed by a reversed cx in one more noisy layer, then 1q
@@ -295,6 +297,8 @@ def test_fused_samples_match_the_unfused_compile(n):
     models = models + models[:1]
     compiled = pec._compile(circuit, models)
     assert sum(len(ops) for ops, _ in compiled) < circuit.gate_count()
+    widest = max(len(qubits) for ops, _ in compiled for _, qubits in ops)
+    assert widest == (MAX_FUSED_QUBITS if n >= WIDE_FUSION_QUBITS else 2)
     assert [table is not None for _, table in compiled] == [True] * len(models) + [False]
     samples = 300
     fused = batched_values(circuit, models, obs, samples, 5, "analytic")

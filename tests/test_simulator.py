@@ -11,6 +11,8 @@ from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit import simulator
 from qmit.simulator import (
     MAX_EXACT_EVOLUTION_STEPS,
+    MAX_FUSED_QUBITS,
+    WIDE_FUSION_QUBITS,
     DensityMatrix,
     Statevector,
     _apply_unitary,
@@ -367,6 +369,20 @@ def test_pauli_sum_matches_dense_oracle(seed):
     assert abs(expectation_array(block, obs) - np.trace(block.conj().T @ o @ block).real) < 1e-12
 
 
+def test_pauli_sum_is_compiled_once_per_observable():
+    rng = np.random.default_rng(121)
+    obs = random_observable(rng, 4, 9)
+    groups = pauli_sum(obs)
+    assert pauli_sum(obs) is groups
+    assert all(not d.flags.writeable for _, d in groups)
+    with pytest.raises(ValueError):
+        groups[0][1][0] = 1.0
+    # an equal observable built anew compiles to the same bits
+    fresh = pauli_sum(Observable(obs.n_qubits, obs.terms))
+    assert fresh is not groups
+    assert all(x == y and np.array_equal(d, e) for (x, d), (y, e) in zip(groups, fresh))
+
+
 def test_density_expectation_with_shared_x_masks():
     rng = np.random.default_rng(31)
     n = 4
@@ -514,6 +530,130 @@ def test_density_channel_at_a_stop_sees_the_unfused_rho():
             expected = model.apply_to_matrix(expected)
     assert len(seen) == len(stops)
     assert np.abs(final - expected).max() < 1e-12
+
+
+# -- wide fusion into blocks of up to MAX_FUSED_QUBITS qubits ------------------
+
+def wide_fusion_circuit(rng, n, n_layers):
+    """Every gate kind on n qubits: each layer has up to two two-qubit gates
+    on pairs drawn from the whole register, so pairs are spread out,
+    reversed and non-adjacent, and 1q gates on about half the rest."""
+    one_q = ["h", "s", "sdg", "x", "y", "z", "rx", "ry", "rz", "u"]
+    two_q = ["cx", "swap", "rxx", "ryy", "rzz", "u"]
+    layers = []
+    for _ in range(n_layers):
+        free = [int(q) for q in rng.permutation(n)]
+        gates = []
+        for _ in range(int(rng.integers(3))):
+            pair = (free.pop(), free.pop())
+            gates.append(random_gate(rng, str(rng.choice(two_q)), pair))
+        for q in free:
+            if rng.random() < 0.5:
+                gates.append(random_gate(rng, str(rng.choice(one_q)), (q,)))
+        layers.append(Layer(gates))
+    return QuantumCircuit(n, layers)
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (8, 1), (9, 2), (10, 3)])
+def test_wide_fused_run_matches_gate_by_gate(n, seed):
+    rng = np.random.default_rng(500 + seed)
+    circuit = wide_fusion_circuit(rng, n, 24)
+    (ops,) = compile_ops(circuit, ())
+    assert all(len(qubits) <= MAX_FUSED_QUBITS for _, qubits in ops)
+    assert any(len(qubits) > 2 for _, qubits in ops)
+    for shape in ((2 ** n,), (2 ** n, 2)):
+        amps = random_state(rng, shape)
+        expected = gate_by_gate(n, circuit.layers, amps)
+        assert np.abs(run_array(circuit, amps) - expected).max() < 1e-12
+        assert np.abs(apply_ops(n, ops, amps) - expected).max() < 1e-12
+
+
+def test_wide_fused_trotter_and_brickwork_op_counts():
+    # the 18-qubit order-2 Trotter circuit of 514 gates: 26 pair ops, then
+    # 8 blocks of 4 qubits; 4-qubit blocks, not wider, on an 8-qubit brickwork
+    (ops,) = compile_ops(trotter_circuit(build(18, seed=3), 1.0, 2, 2), ())
+    assert [len(qubits) for _, qubits in ops] == [4] * 8
+    rng = np.random.default_rng(7)
+    circuit = random_circuit(rng, 8, 12)
+    (ops,) = compile_ops(circuit, ())
+    assert max(len(qubits) for _, qubits in ops) == MAX_FUSED_QUBITS
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_wide_fusion_never_fuses_across_a_stop(seed):
+    rng = np.random.default_rng(600 + seed)
+    n = WIDE_FUSION_QUBITS
+    circuit = wide_fusion_circuit(rng, n, 16)
+    stops = sorted(int(i) for i in rng.choice(16, size=5, replace=False))
+    segments = compile_ops(circuit, stops)
+    assert len(segments) == len(stops) + 1
+    assert any(len(qubits) > 2 for ops in segments for _, qubits in ops)
+    amps = random_state(rng, (2 ** n, 2))
+    fused = amps
+    for ops, end in zip(segments, stops + [len(circuit.layers) - 1]):
+        assert all(len(qubits) <= MAX_FUSED_QUBITS for _, qubits in ops)
+        fused = apply_ops(n, ops, fused)
+        expected = gate_by_gate(n, circuit.layers[:end + 1], amps)
+        assert np.abs(fused - expected).max() < 1e-12
+
+
+def test_wide_fused_density_run_matches_dense_oracles():
+    n = WIDE_FUSION_QUBITS
+    dim = 2 ** n
+    rng = np.random.default_rng(43)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    model = PauliLindbladModel(n, ((parse_pauli("YXIIIIIZ"), 0.07), (parse_pauli("IIIYZIII"), 0.04),
+                                   (parse_pauli("IXIIIIYI"), 0.05)))
+
+    def dense_channel(mat):
+        for p, lam in model.generators:
+            w = (1.0 + np.exp(-2.0 * lam)) / 2.0
+            pm = pauli_matrix(p)
+            mat = w * mat + (1.0 - w) * (pm @ mat @ pm.conj().T)
+        return mat
+
+    circuit = wide_fusion_circuit(rng, n, 10)
+    stops = [2, 5, 6]
+    assert any(len(qubits) > 2 for ops in compile_ops(circuit, stops) for _, qubits in ops)
+    expected = rho
+    for i, layer in enumerate(circuit.layers):
+        u = dense_circuit(QuantumCircuit(n, [layer]))
+        expected = u @ expected @ u.conj().T
+        if i in stops:
+            expected = dense_channel(expected)
+    got = density_run(circuit, DensityMatrix(n, rho), {i: model.apply_to_matrix for i in stops})
+    assert np.abs(got.matrix - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5, WIDE_FUSION_QUBITS - 1])
+def test_compile_ops_below_the_size_rule_keeps_pair_ops(n, monkeypatch):
+    # below WIDE_FUSION_QUBITS the pair pass's ops are returned as they are,
+    # so small registers (PEC at n = 4, knitting's fragments) keep their ops
+    def refuse(ops):
+        raise AssertionError("wide fusion below the size rule")
+
+    monkeypatch.setattr(simulator, "_fuse_blocks", refuse)
+    rng = np.random.default_rng(700 + n)
+    segments = compile_ops(wide_fusion_circuit(rng, n, 20), [3, 9])
+    assert all(len(qubits) <= 2 for ops in segments for _, qubits in ops)
+    with pytest.raises(AssertionError, match="size rule"):
+        compile_ops(wide_fusion_circuit(rng, WIDE_FUSION_QUBITS, 2), ())
+
+
+def test_pec_benchmark_layout_compiles_to_pair_ops():
+    # the 4-qubit PEC layout: its segments end at the four two-qubit layers
+    ry = [Gate("ry", (q,), 0.3 + q) for q in range(4)]
+    circuit = QuantumCircuit(4, [
+        Layer(ry), Layer([Gate("cx", (0, 1)), Gate("cx", (2, 3))]),
+        Layer([Gate("rz", (0,), 0.4), Gate("ry", (2,), 0.5)]), Layer([Gate("cx", (1, 2))]),
+        Layer([Gate("rx", (1,), 0.6), Gate("rz", (3,), 0.7)]),
+        Layer([Gate("cx", (0, 1)), Gate("cx", (2, 3))]), Layer([Gate("cx", (1, 2))]),
+    ])
+    segments = compile_ops(circuit, circuit.two_qubit_layer_indices())
+    assert [[q for _, q in ops] for ops in segments] == [
+        [(0, 1), (2, 3)], [(0,), (1, 2)], [(0, 1), (2, 3)], [(1, 2)], []]
 
 
 # -- the strided Pauli gather against the index formula ------------------------
