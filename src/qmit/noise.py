@@ -28,10 +28,23 @@ masks the nonpositive ones, and fits every slope -1/2 sum d log v / sum d^2
 in one expression. It then solves A lam = b for lam >= 0, where A is the
 probe-candidate anticommutation matrix, built in one broadcast over the
 Pauli masks. `nnls` solves it in numpy, so no command imports scipy.
+
+What a fit does not read from its data is built once per process.
+`default_probes` keeps one tuple of probes per (n_qubits, edges) and returns
+a new list of it. The anticommutation matrix of a (probes, candidates) or
+(probes, generators) system, keyed on each Pauli's (n_qubits, x_mask,
+z_mask), is kept read-only in a small LRU cache, and so is its rank: the SVD
+behind the identifiability check runs once per system, and a rank-deficient
+system is refused with its null space at every fit. `anticommutation_matrix`
+itself builds a fresh array. A cold `qmit noise-learn` runs one fit and pays
+each of these costs once.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -69,28 +82,24 @@ class PauliLindbladModel:
     insertion_probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        merged: dict[tuple[int, int], float] = {}
-        order = []
+        # key -> (first PauliString seen for it, summed rate), in first-seen order
+        merged: dict[tuple[int, int], tuple[PauliString, float]] = {}
         for p, lam in self.generators:
             if p.n_qubits != self.n_qubits:
                 raise ValueError("generator acts on wrong number of qubits")
             if p.is_identity:
                 raise ValueError("identity generator is not allowed")
-            if not np.isfinite(lam):
+            if not math.isfinite(lam):
                 raise ValueError("rates must be finite")
             if lam < 0:
                 raise ValueError("rates must be nonnegative")
             key = (p.x_mask, p.z_mask)
-            if key not in merged:
-                merged[key] = 0.0
-                order.append(key)
-            merged[key] += float(lam)
-        normalized = tuple(
-            (PauliString(self.n_qubits, k[0], k[1]), merged[k]) for k in order
-        )
+            first, total = merged.get(key, (p, 0.0))
+            merged[key] = (first, total + float(lam))
+        normalized = tuple(merged.values())
         object.__setattr__(self, "generators", normalized)
-        lam = np.array([merged[k] for k in order], dtype=float)
-        q = (1.0 - np.exp(-2.0 * lam)) / 2.0
+        rates = np.array([lam for _, lam in normalized], dtype=float)
+        q = (1.0 - np.exp(-2.0 * rates)) / 2.0
         q.flags.writeable = False
         object.__setattr__(self, "insertion_probabilities", q)
 
@@ -184,7 +193,15 @@ _TWO_QUBIT_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"), ("X", "Z"), ("Z", "X"))
 
 def default_probes(n_qubits: int, edges) -> list[PauliString]:
     """Weight-1 Paulis on every qubit plus weight-2 Paulis
-    {XX, YY, ZZ, XZ, ZX} on every coupling-graph edge."""
+    {XX, YY, ZZ, XZ, ZX} on every coupling-graph edge: a new list of the
+    cached probe set of (n_qubits, edges)."""
+    # as ints: a numpy integer hashes like the int it equals, and would
+    # otherwise put its own type into the masks of the shared entry
+    return list(_default_probes(index(n_qubits), tuple((index(a), index(b)) for a, b in edges)))
+
+
+@functools.lru_cache(maxsize=32)
+def _default_probes(n_qubits: int, edges: tuple[tuple[int, int], ...]) -> tuple[PauliString, ...]:
     probes = []
     for q in range(n_qubits):
         for kind in "XYZ":
@@ -195,7 +212,7 @@ def default_probes(n_qubits: int, edges) -> list[PauliString]:
             pb = PauliString.single(n_qubits, b, kb)
             pab, _ = pa.multiply(pb)
             probes.append(pab)
-    return probes
+    return tuple(probes)
 
 
 def line_edges(n_qubits: int) -> list[tuple[int, int]]:
@@ -219,10 +236,10 @@ def synthesize_decay_data(
     if shots is not None and shots > MAX_SHOTS:
         raise ValueError("shots capped at %d, got %d" % (MAX_SHOTS, shots))
     depths = tuple(depths)  # read once: every probe walks the same depths
-    probes = list(probes)
+    probes = tuple(probes)
     if any(q.n_qubits != model.n_qubits for q in probes):
         raise ValueError("Pauli acts on wrong number of qubits")
-    a = anticommutation_matrix(probes, [p for p, _ in model.generators])
+    a = _cached_anticommutation(_pauli_keys(probes), _pauli_keys(p for p, _ in model.generators))
     # one rate column at a time, in generator order: the additions of
     # pauli_fidelity's sum, so every fidelity is the same float (a @ lam
     # would add in another order)
@@ -240,28 +257,57 @@ def synthesize_decay_data(
     return {q: list(zip(depths, row)) for q, row in zip(probes, values)}
 
 
-def _mask_words(paulis, words: int) -> np.ndarray:
-    """(len(paulis), 2, words) uint64: each Pauli's X and Z masks cut into
-    64-bit words, lowest qubits first."""
+def _pauli_keys(paulis) -> tuple[tuple[int, int, int], ...]:
+    """Each Pauli as its hashable (n_qubits, x_mask, z_mask), read once."""
+    return tuple((p.n_qubits, p.x_mask, p.z_mask) for p in paulis)
+
+
+def _mask_words(keys, words: int) -> np.ndarray:
+    """(len(keys), 2, words) uint64: the X and Z masks of each
+    (n_qubits, x_mask, z_mask) key cut into 64-bit words, lowest qubits
+    first."""
+    if words == 1:
+        # masks below 2^64 are their own single word
+        return np.array(keys, dtype=np.uint64).reshape(len(keys), 3)[:, 1:, None]
     low = (1 << 64) - 1
     return np.array(
-        [m >> 64 * w & low for p in paulis for m in (p.x_mask, p.z_mask) for w in range(words)],
+        [m >> 64 * w & low for _, x, z in keys for m in (x, z) for w in range(words)],
         dtype=np.uint64,
-    ).reshape(len(paulis), 2, words)
+    ).reshape(len(keys), 2, words)
 
 
 def anticommutation_matrix(probes, candidates) -> np.ndarray:
     """a[i, j] = 1.0 where probe i and candidate j anticommute, else 0.0: the
     parity of the symplectic product (x_q & z_p) ^ (z_q & x_p), as in
     `PauliString.commutes`, for all pairs in one broadcast."""
-    sizes = {p.n_qubits for p in (*probes, *candidates)}
+    return _anticommutation(_pauli_keys(probes), _pauli_keys(candidates))
+
+
+def _anticommutation(probe_keys, candidate_keys) -> np.ndarray:
+    sizes = {n for n, _, _ in (*probe_keys, *candidate_keys)}
     if len(sizes) > 1:
         raise ValueError("Pauli strings act on different numbers of qubits")
     words = -(-max(sizes, default=1) // 64)
-    q = _mask_words(probes, words)[:, None]
-    p = _mask_words(candidates, words)[None, :]
+    q = _mask_words(probe_keys, words)[:, None]
+    p = _mask_words(candidate_keys, words)[None, :]
     product = (q[:, :, 0] & p[:, :, 1]) ^ (q[:, :, 1] & p[:, :, 0])
     return (np.bitwise_count(product).sum(axis=-1) & 1).astype(float)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_anticommutation(probe_keys, candidate_keys) -> np.ndarray:
+    """`_anticommutation`, built once per (probes, candidates) system and
+    shared read-only."""
+    a = _anticommutation(probe_keys, candidate_keys)
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=16)
+def _learning_system(probe_keys, candidate_keys) -> tuple[np.ndarray, int]:
+    """(a, rank of a): the SVD behind the rank runs once per system."""
+    a = _cached_anticommutation(probe_keys, candidate_keys)
+    return a, int(np.linalg.matrix_rank(a))
 
 
 def nnls(a, b):
@@ -316,19 +362,29 @@ def learn_rates(decay_data, candidates, n_qubits: int):
     dropped; a probe with fewer than two usable depths, or with no usable
     depth but 0, is an error.
     """
-    probes = list(decay_data.keys())
-    a = anticommutation_matrix(probes, candidates)
-    rank = np.linalg.matrix_rank(a)
+    probes = tuple(decay_data)
+    candidates = tuple(candidates)  # read once: the system and the model share it
+    a, rank = _learning_system(_pauli_keys(probes), _pauli_keys(candidates))
     if rank < len(candidates):
-        _, sv, vt = np.linalg.svd(a)
-        null = vt[rank:].T
-        raise UnidentifiableModelError(null)
-    # one row per probe, ragged depth lists padded with (0, 0.0) points,
-    # which are unusable like every nonpositive value
-    rows = [list(decay_data[q]) for q in probes]
+        _, _, vt = np.linalg.svd(a)
+        raise UnidentifiableModelError(vt[rank:].T)
+    # one flat list of depths and values, probe by probe: ragged rows are
+    # padded with (0, 0.0) points, which are unusable like every nonpositive
+    # value
+    rows = []
+    for points in decay_data.values():
+        row = []
+        for d, v in points:
+            row.append(d)
+            row.append(v)
+        rows.append(row)
     width = max(map(len, rows), default=0)
-    table = np.array([r + [(0, 0.0)] * (width - len(r)) for r in rows], dtype=float)
-    table = table.reshape(len(probes), width, 2)
+    pad = [0, 0.0] * (width // 2)
+    flat = []
+    for row in rows:
+        flat += row
+        flat += pad[len(row):]
+    table = np.array(flat, dtype=float).reshape(len(probes), width // 2, 2)
     usable = table[:, :, 1] > 0.0
     short = np.flatnonzero(usable.sum(axis=1) < 2)
     if short.size:
@@ -349,11 +405,8 @@ def learn_rates(decay_data, candidates, n_qubits: int):
     b = -0.5 * (np.vecdot(ds, logs) / denominators)
     rates, _ = nnls(a, b)
     misfit = a @ rates - b
-    residuals = {q: float(misfit[i]) for i, q in enumerate(probes)}
-    model = PauliLindbladModel(
-        n_qubits,
-        tuple((p, float(lam)) for p, lam in zip(candidates, rates)),
-    )
+    residuals = dict(zip(probes, misfit.tolist()))
+    model = PauliLindbladModel(n_qubits, tuple(zip(candidates, rates.tolist())))
     return model, residuals
 
 

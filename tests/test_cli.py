@@ -175,11 +175,29 @@ def test_varqte_trajectory_moves():
     assert run_cli(*argv).stdout == result.stdout
 
 
-def test_varqte_stdout_does_not_depend_on_the_blas_thread_count():
+# 8 qubits: noise-learn fits 59 default probes and candidates
+NOISE_8 = "qubits 8\nXIIIIIII 0.01\nIZZIIIII 0.02\nIIIYIIII 0.015\nIIIIXZII 0.01\nIIIIIIZZ 0.02\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "{bell}", "--observable", "ZZ"),
+    ("noise-learn", "--noise", "{noise_8}", "--shots", "100000", "--seed", "3"),
+    ("pec", "--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ", "--seed", "3",
+     "--workers", "1"),
+    ("pec", "--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ", "--seed", "3",
+     "--workers", "2"),
+    ("zne", "--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ"),
+    ("cut", "--circuit", "{bell}", "--cut", "0:1", "--observable", "ZZ"),
     # on a transposed view of the derivative block, d.conj() @ v ran a BLAS
     # product whose rounding moved these thetas between 1 and 2 threads
-    argv = ("varqte", "--n", "10", "--layers", "4", "--t-final", "0.04",
-            "--dt", "0.02", "--seed", "3")
+    ("varqte", "--n", "10", "--layers", "4", "--t-final", "0.04", "--dt", "0.02", "--seed", "3"),
+], ids=["simulate", "noise-learn", "pec_w1", "pec_w2", "zne", "cut", "varqte"])
+def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    paths = {}
+    for name, text in (("bell", BELL), ("noise", NOISE), ("noise_8", NOISE_8)):
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
     outs = []
     for threads in ("1", "2"):
         result = run_cli(*argv, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))

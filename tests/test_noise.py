@@ -240,6 +240,20 @@ def test_default_probes_count():
     assert len(set((p.x_mask, p.z_mask) for p in probes)) == len(probes)
 
 
+def test_default_probes_are_a_new_list_of_the_same_probes_on_each_call():
+    first = default_probes(4, line_edges(4))
+    expected = list(first)
+    first[0] = parse_pauli("ZZZZ")
+    first.append(parse_pauli("XXXX"))
+    second = default_probes(4, line_edges(4))
+    assert second is not first and second == expected
+    second.clear()
+    assert default_probes(4, iter([[0, 1], (1, 2), [2, 3]])) == expected
+    # the edges are part of the key: another graph gets its own probes
+    assert default_probes(4, [(0, 2)]) == expected[:12] + [
+        parse_pauli(label) for label in ("XIXI", "YIYI", "ZIZI", "XIZI", "ZIXI")]
+
+
 def test_decay_data_is_exact_powers():
     m = planted_model()
     probes = default_probes(4, line_edges(4))[:5]
@@ -498,6 +512,9 @@ def test_anticommutation_matrix_beyond_one_mask_word(n):
 
 def test_anticommutation_matrix_edge_cases():
     x = parse_pauli("XI")
+    a = anticommutation_matrix([x], [x, parse_pauli("ZI")])
+    a[0, 0] = 5.0  # a new writable array on every call
+    assert anticommutation_matrix([x], [x, parse_pauli("ZI")]).tolist() == [[0.0, 1.0]]
     assert anticommutation_matrix([], [x]).shape == (0, 1)
     assert anticommutation_matrix([x], []).shape == (1, 0)
     with pytest.raises(ValueError):
@@ -604,6 +621,51 @@ def test_unidentifiable_model_raises_with_null_space():
     assert null.shape == (2, 1)
     a = anticommutation_matrix(probes, candidates)
     assert np.abs(a @ null).max() < 1e-12
+
+
+def test_rank_deficient_candidates_after_a_full_rank_fit_are_refused_with_the_svd_null_space():
+    # the rank is kept per (probes, candidates) system, never per length
+    probes = default_probes(2, line_edges(2))
+    data = synthesize_decay_data(planted_on_probes(2, 0), probes)
+    learn_rates(data, probes, 2)
+    deficient = probes[:-1] + [probes[0]]
+    a = anticommutation_matrix(probes, deficient)
+    rank = np.linalg.matrix_rank(a)
+    _, _, vt = np.linalg.svd(a)
+    assert rank < len(deficient)
+    for _ in range(2):
+        with pytest.raises(UnidentifiableModelError) as exc:
+            learn_rates(data, deficient, 2)
+        assert np.array_equal(exc.value.null_space, vt[rank:].T)
+    learn_rates(data, probes, 2)
+
+
+def test_learning_reads_one_shot_probe_and_candidate_iterators_once():
+    # len() of a one-shot iterator raised TypeError; a system keyed on an
+    # iterator that zip() then found empty would learn a model with no
+    # generators
+    model = planted_on_probes(4, 2)
+    probes = default_probes(4, line_edges(4))
+    data = synthesize_decay_data(model, probes, shots=1000, seed=2)
+    expected = learn_rates(data, probes, 4)
+    assert len(expected[0].generators) == len(probes)
+    assert learn_rates(data, iter(probes), 4) == expected
+    assert learn_rates_from_model(model, iter(probes), iter(probes), shots=1000, seed=2) == expected
+    assert np.array_equal(anticommutation_matrix(iter(probes), iter(probes[:5])),
+                          anticommutation_matrix(probes, probes[:5]))
+
+
+def test_learned_model_equals_a_model_of_fresh_pauli_strings():
+    learned, _ = learn_rates_from_model(planted_on_probes(4, 1), shots=10 ** 4, seed=1)
+    fresh = PauliLindbladModel(4, tuple(
+        (PauliString(4, p.x_mask, p.z_mask), lam) for p, lam in learned.generators))
+    assert learned == fresh and learned.generators == fresh.generators
+    assert all(type(p) is PauliString for p, _ in learned.generators)
+    # merging keeps the first Pauli seen for each key, in first-seen order
+    xy, z = parse_pauli("XY"), parse_pauli("ZI")
+    merged = PauliLindbladModel(2, ((xy, 0.1), (z, 0.05), (parse_pauli("XY"), 0.2)))
+    assert [p for p, _ in merged.generators] == [xy, z]
+    assert merged.generators[0][0] is xy and merged.generators[0][1] == 0.1 + 0.2
 
 
 def test_learning_rejects_dead_probe():

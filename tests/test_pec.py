@@ -73,6 +73,22 @@ def test_invert_channel_weights():
     assert decomp.gamma_total == pytest.approx(e)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=7))
+def test_sampled_insertion_probabilities_are_the_inverse_weights(rates):
+    # the sampler draws the inverse half with insertion_table's q; the API
+    # exports invert_channel's (a, b), and q_i must be |b_i| / gamma_i
+    model = PauliLindbladModel(3, tuple(
+        (PauliString(3, k + 1, k), lam) for k, lam in enumerate(rates)))
+    x_masks, z_masks, q = insertion_table(model)
+    entries = invert_channel(model).entries
+    assert [p for p, _, _ in entries] == [p for p, _ in model.generators]
+    assert list(zip(x_masks.tolist(), z_masks.tolist())) == [
+        (p.x_mask, p.z_mask) for p, _, _ in entries]
+    for q_i, (_, a, b) in zip(q, entries):
+        assert abs(q_i - abs(b) / (abs(a) + abs(b))) <= 1e-15
+
+
 def test_inverse_composed_with_channel_is_identity():
     """Dense superoperator check: applying the channel then its signed
     inverse (expanded exactly) reproduces any input matrix."""
