@@ -31,13 +31,14 @@ Pauli masks. `nnls` solves it in numpy, so no command imports scipy.
 
 What a fit does not read from its data is built once per process.
 `default_probes` keeps one tuple of probes per (n_qubits, edges) and returns
-a new list of it. The anticommutation matrix of a (probes, candidates) or
-(probes, generators) system, keyed on each Pauli's (n_qubits, x_mask,
-z_mask), is kept read-only in a small LRU cache, and so is its rank: the SVD
-behind the identifiability check runs once per system, and a rank-deficient
-system is refused with its null space at every fit. `anticommutation_matrix`
-itself builds a fresh array. A cold `qmit noise-learn` runs one fit and pays
-each of these costs once.
+a new list of it. One small LRU cache, keyed on each Pauli's (n_qubits,
+x_mask, z_mask), holds each (probes, Paulis) system's read-only
+anticommutation matrix and its rank, and both halves of a fit read it: the
+SVD behind the identifiability check runs once per system, and a
+rank-deficient system is refused with its null space at every fit.
+`anticommutation_matrix` builds a fresh array, the same way for every
+register size. A cold `qmit noise-learn` runs one fit and pays each
+of these costs once.
 """
 from __future__ import annotations
 
@@ -239,7 +240,7 @@ def synthesize_decay_data(
     probes = tuple(probes)
     if any(q.n_qubits != model.n_qubits for q in probes):
         raise ValueError("Pauli acts on wrong number of qubits")
-    a = _cached_anticommutation(_pauli_keys(probes), _pauli_keys(p for p, _ in model.generators))
+    a, _ = _learning_system(_pauli_keys(probes), _pauli_keys(p for p, _ in model.generators))
     # one rate column at a time, in generator order: the additions of
     # pauli_fidelity's sum, so every fidelity is the same float (a @ lam
     # would add in another order)
@@ -262,20 +263,6 @@ def _pauli_keys(paulis) -> tuple[tuple[int, int, int], ...]:
     return tuple((p.n_qubits, p.x_mask, p.z_mask) for p in paulis)
 
 
-def _mask_words(keys, words: int) -> np.ndarray:
-    """(len(keys), 2, words) uint64: the X and Z masks of each
-    (n_qubits, x_mask, z_mask) key cut into 64-bit words, lowest qubits
-    first."""
-    if words == 1:
-        # masks below 2^64 are their own single word
-        return np.array(keys, dtype=np.uint64).reshape(len(keys), 3)[:, 1:, None]
-    low = (1 << 64) - 1
-    return np.array(
-        [m >> 64 * w & low for _, x, z in keys for m in (x, z) for w in range(words)],
-        dtype=np.uint64,
-    ).reshape(len(keys), 2, words)
-
-
 def anticommutation_matrix(probes, candidates) -> np.ndarray:
     """a[i, j] = 1.0 where probe i and candidate j anticommute, else 0.0: the
     parity of the symplectic product (x_q & z_p) ^ (z_q & x_p), as in
@@ -287,26 +274,24 @@ def _anticommutation(probe_keys, candidate_keys) -> np.ndarray:
     sizes = {n for n, _, _ in (*probe_keys, *candidate_keys)}
     if len(sizes) > 1:
         raise ValueError("Pauli strings act on different numbers of qubits")
-    words = -(-max(sizes, default=1) // 64)
-    q = _mask_words(probe_keys, words)[:, None]
-    p = _mask_words(candidate_keys, words)[None, :]
-    product = (q[:, :, 0] & p[:, :, 1]) ^ (q[:, :, 1] & p[:, :, 0])
+    # each key's X and Z masks as (len(keys), 2, words) uint64: 64-bit
+    # words, lowest qubits first
+    words = range(-(-max(sizes, default=1) // 64))
+    low = (1 << 64) - 1
+    q, p = (np.array([m >> 64 * w & low for _, x, z in keys for m in (x, z) for w in words],
+                     dtype=np.uint64).reshape(len(keys), 2, len(words))
+            for keys in (probe_keys, candidate_keys))
+    product = (q[:, None, 0] & p[None, :, 1]) ^ (q[:, None, 1] & p[None, :, 0])
     return (np.bitwise_count(product).sum(axis=-1) & 1).astype(float)
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_anticommutation(probe_keys, candidate_keys) -> np.ndarray:
-    """`_anticommutation`, built once per (probes, candidates) system and
-    shared read-only."""
+def _learning_system(probe_keys, candidate_keys) -> tuple[np.ndarray, int]:
+    """(a, rank of a) for one (probes, Paulis) system, built once and shared
+    read-only by both halves of a fit: the SVD behind the rank runs once per
+    system."""
     a = _anticommutation(probe_keys, candidate_keys)
     a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=16)
-def _learning_system(probe_keys, candidate_keys) -> tuple[np.ndarray, int]:
-    """(a, rank of a): the SVD behind the rank runs once per system."""
-    a = _cached_anticommutation(probe_keys, candidate_keys)
     return a, int(np.linalg.matrix_rank(a))
 
 

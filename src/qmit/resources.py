@@ -127,16 +127,15 @@ def runtime_estimate(n: int, d: int, lambda_bar: float, beta: float) -> float:
         return math.inf
 
 
-def overhead_table(
-    n: int,
-    trotter_steps_list,
-    lambda_grid,
-    eps: float = 1.0,
-    layers_per_step: int = 2,
-):
+# noisy layers per Trotter step: a step of the chain runs its even and its
+# odd bonds as two blocks
+LAYERS_PER_STEP = 2
+
+
+def overhead_table(n: int, trotter_steps_list, lambda_grid, eps: float = 1.0):
     """PEC circuit instances e^{4 lambda d n} / eps^2 per (steps, lambda)
-    cell, with d = layers_per_step * steps; lambda is the per-qubit per-layer
-    average rate."""
+    cell, with d = LAYERS_PER_STEP * steps: a fixed 2 layers per step.
+    lambda is the per-qubit per-layer average rate."""
     steps_list = list(trotter_steps_list)
     grid = list(lambda_grid)
     if not steps_list or not grid:
@@ -152,7 +151,7 @@ def overhead_table(
     rows = []
     for steps in steps_list:
         for lam in grid:
-            d = layers_per_step * steps
+            d = LAYERS_PER_STEP * steps
             instances = _exp(4.0 * lam * d * n) / eps2 if eps2 else math.inf
             rows.append({"lambda": lam, "steps": steps, "layers": d, "instances": instances})
     return rows

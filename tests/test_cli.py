@@ -177,6 +177,12 @@ def test_varqte_trajectory_moves():
 
 # 8 qubits: noise-learn fits 59 default probes and candidates
 NOISE_8 = "qubits 8\nXIIIIIII 0.01\nIZZIIIII 0.02\nIIIYIIII 0.015\nIIIIXZII 0.01\nIIIIIIZZ 0.02\n"
+# 8 qubits, two noisy layers: PEC on a register that compiles to fused blocks
+CIRCUIT_8 = (
+    "qubits 8;\nry 0 : 0.3;\nry 1 : -0.7;\nrx 2 : 0.4;\nry 3 : 1.1;\nry 4 : -0.2;\n"
+    "rx 5 : 0.9;\nry 6 : 0.5;\nry 7 : -1.3;\n\ncx 0, 1;\ncx 2, 3;\ncx 4, 5;\ncx 6, 7;\n\n"
+    "rz 1 : 0.6;\nry 4 : 0.8;\n\ncx 1, 2;\ncx 3, 4;\ncx 5, 6;\n\nrx 0 : -0.4;\nry 7 : 0.2;\n"
+)
 
 
 @pytest.mark.parametrize("argv", [
@@ -191,10 +197,19 @@ NOISE_8 = "qubits 8\nXIIIIIII 0.01\nIZZIIIII 0.02\nIIIYIIII 0.015\nIIIIXZII 0.01
     # on a transposed view of the derivative block, d.conj() @ v ran a BLAS
     # product whose rounding moved these thetas between 1 and 2 threads
     ("varqte", "--n", "10", "--layers", "4", "--t-final", "0.04", "--dt", "0.02", "--seed", "3"),
-], ids=["simulate", "noise-learn", "pec_w1", "pec_w2", "zne", "cut", "varqte"])
+    ("pec", "--circuit", "{circuit_8}", "--noise", "{noise_8}", "--observable", "ZIIIIIIZ",
+     "--seed", "3", "--workers", "2"),
+    ("varqte", "--n", "4", "--layers", "2", "--t-final", "0.1", "--dt", "0.01"),
+    ("trotter", "--n", "100", "--steps", "100", "--order", "1", "--t", "1.0"),
+    ("estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9"),
+    ("overhead-table", "--n", "100", "--steps", "100", "--lambdas", "1e-4,3e-4,1e-3"),
+    ("scale", "--q", "100", "--m", "4", "--l", "3", "--t", "2", "--p", "5"),
+], ids=["simulate", "noise-learn", "pec_w1", "pec_w2", "zne", "cut", "varqte", "pec_8_w2",
+        "varqte_4", "trotter", "estimate-ft", "overhead-table", "scale"])
 def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
     paths = {}
-    for name, text in (("bell", BELL), ("noise", NOISE), ("noise_8", NOISE_8)):
+    for name, text in (("bell", BELL), ("noise", NOISE), ("noise_8", NOISE_8),
+                       ("circuit_8", CIRCUIT_8)):
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
     argv = [arg.format(**paths) for arg in argv]

@@ -655,6 +655,26 @@ def test_learning_reads_one_shot_probe_and_candidate_iterators_once():
                           anticommutation_matrix(probes, probes[:5]))
 
 
+def test_both_halves_of_a_fit_share_one_cached_system():
+    # synthesis reads the (probes, generators) system and the fit the
+    # (probes, candidates) one, from the same cache
+    model = planted_on_probes(4, 6)
+    probes = default_probes(4, line_edges(4))
+    generators = [p for p, _ in model.generators]
+    first = learn_rates_from_model(model, shots=1000, seed=6)
+    before = noise._learning_system.cache_info()
+    assert learn_rates_from_model(model, shots=1000, seed=6) == first
+    after = noise._learning_system.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    for paulis in (generators, probes):
+        a, rank = noise._learning_system(noise._pauli_keys(probes), noise._pauli_keys(paulis))
+        fresh = anticommutation_matrix(probes, paulis)
+        assert not a.flags.writeable and fresh.flags.writeable
+        assert np.array_equal(a, fresh) and rank == len(paulis)
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0 - a[0, 0]
+
+
 def test_learned_model_equals_a_model_of_fresh_pauli_strings():
     learned, _ = learn_rates_from_model(planted_on_probes(4, 1), shots=10 ** 4, seed=1)
     fresh = PauliLindbladModel(4, tuple(
