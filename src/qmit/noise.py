@@ -289,10 +289,11 @@ def _anticommutation(probe_keys, candidate_keys) -> np.ndarray:
 def _learning_system(probe_keys, candidate_keys) -> tuple[np.ndarray, int]:
     """(a, rank of a) for one (probes, Paulis) system, built once and shared
     read-only by both halves of a fit: the SVD behind the rank runs once per
-    system."""
+    system. An empty system has rank 0 without an SVD, which some numpy
+    versions cannot take of a zero-size matrix."""
     a = _anticommutation(probe_keys, candidate_keys)
     a.flags.writeable = False
-    return a, int(np.linalg.matrix_rank(a))
+    return a, int(np.linalg.matrix_rank(a)) if a.size else 0
 
 
 def nnls(a, b):

@@ -145,16 +145,6 @@ def test_overhead_table_refuses_out_of_domain_input(kwargs, name):
         overhead_table(**args)
 
 
-def test_overhead_table_fixes_two_layers_per_step():
-    # a fixed constant, not a keyword: the layer count has no unchecked input
-    assert resources.LAYERS_PER_STEP == 2
-    (row,) = overhead_table(4, [3], [0.01])
-    assert row["layers"] == 6
-    assert row["instances"] == resources._exp(4.0 * 0.01 * 6 * 4)
-    with pytest.raises(TypeError):
-        overhead_table(4, [3], [0.01], layers_per_step=float("nan"))
-
-
 @pytest.mark.parametrize("args, name", [
     ((-1, 1, 0.1, 1.0), "n"),
     ((1, -1, 0.1, 1.0), "d"),
