@@ -292,7 +292,7 @@ def _cmd_overhead_table(args, out):
 def _cmd_simulate(args, out):
     from . import simulator
     circuit = _load_circuit(args.circuit)
-    state = simulator.run(circuit, simulator.Statevector.zero(circuit.n_qubits))
+    state = simulator.run(circuit)
     if args.observable:
         obs = _parse_observable(args.observable, circuit.n_qubits)
         row = {"observable": args.observable, "value": simulator.expectation(state, obs)}

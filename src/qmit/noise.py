@@ -13,10 +13,9 @@ finite and nonnegative.
 Every sampler inserts P_i independently with probability
 q_i = 1 - w_i = (1 - exp(-2 lam_i)) / 2 through `sample_insertions`:
 `apply_stochastic` here, and PEC's noise realization and signed inverse
-sample in `pec`. q is the model's `insertion_probabilities`;
-`insertion_table` gives its (x_masks, z_masks, q) arrays, and
-`sample_insertions` maps a (B, g) block of uniforms to each row's product of
-insertions and count.
+sample in `pec`. `insertion_table` computes q from the model's rates and
+gives its (x_masks, z_masks, q) arrays, and `sample_insertions` maps a
+(B, g) block of uniforms to each row's product of insertions and count.
 
 Rate learning runs in one pass over arrays. `synthesize_decay_data` takes
 every probe's fidelity from one probe-generator anticommutation matrix,
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import index
 
 import numpy as np
@@ -75,12 +74,11 @@ class UnidentifiableModelError(ValueError):
 @dataclass(frozen=True)
 class PauliLindbladModel:
     """Generators (P_i, lam_i) with lam_i >= 0; duplicates merged by summing.
-    `insertion_probabilities` holds q_i = (1 - exp(-2 lam_i)) / 2 per
-    generator."""
+    `insertion_table` computes each generator's insertion probability
+    q_i = (1 - exp(-2 lam_i)) / 2."""
 
     n_qubits: int
     generators: tuple[tuple[PauliString, float], ...]
-    insertion_probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # key -> (first PauliString seen for it, summed rate), in first-seen order
@@ -97,12 +95,7 @@ class PauliLindbladModel:
             key = (p.x_mask, p.z_mask)
             first, total = merged.get(key, (p, 0.0))
             merged[key] = (first, total + float(lam))
-        normalized = tuple(merged.values())
-        object.__setattr__(self, "generators", normalized)
-        rates = np.array([lam for _, lam in normalized], dtype=float)
-        q = (1.0 - np.exp(-2.0 * rates)) / 2.0
-        q.flags.writeable = False
-        object.__setattr__(self, "insertion_probabilities", q)
+        object.__setattr__(self, "generators", tuple(merged.values()))
 
     @property
     def total_rate(self) -> float:
@@ -141,10 +134,12 @@ def pauli_fidelity(model: PauliLindbladModel, q: PauliString) -> float:
 
 def insertion_table(model: PauliLindbladModel):
     """(x_masks, z_masks, q): generator i's X and Z masks as the int64 that
-    pauli_gather indexes with, and its insertion probability q_i."""
+    pauli_gather indexes with, and its insertion probability
+    q_i = (1 - exp(-2 lam_i)) / 2."""
     x_masks = np.array([p.x_mask for p, _ in model.generators], dtype=np.int64)
     z_masks = np.array([p.z_mask for p, _ in model.generators], dtype=np.int64)
-    return x_masks, z_masks, model.insertion_probabilities
+    rates = np.array([lam for _, lam in model.generators], dtype=float)
+    return x_masks, z_masks, (1.0 - np.exp(-2.0 * rates)) / 2.0
 
 
 def sample_insertions(table, uniforms: np.ndarray):
@@ -400,17 +395,17 @@ def learn_rates_from_model(
     model: PauliLindbladModel,
     probes=None,
     candidates=None,
-    depths=DEFAULT_DEPTHS,
     shots: int | None = None,
     seed: int = 0,
 ):
-    """End-to-end learning round trip against a planted model."""
+    """End-to-end learning round trip against a planted model, at the
+    default depths."""
     n = model.n_qubits
     if probes is None or candidates is None:
         defaults = default_probes(n, line_edges(n))
         probes = defaults if probes is None else probes
         candidates = defaults if candidates is None else candidates
-    data = synthesize_decay_data(model, probes, depths, shots=shots, seed=seed)
+    data = synthesize_decay_data(model, probes, shots=shots, seed=seed)
     return learn_rates(data, candidates, n)
 
 

@@ -346,12 +346,10 @@ def run_array(circuit: QuantumCircuit, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def run(circuit: QuantumCircuit, initial: Statevector | None = None) -> Statevector:
-    if initial is None:
-        initial = Statevector.zero(circuit.n_qubits)
-    if initial.n_qubits != circuit.n_qubits:
-        raise ValueError("state and circuit sizes differ")
-    return Statevector(circuit.n_qubits, run_array(circuit, initial.amplitudes))
+def run(circuit: QuantumCircuit) -> Statevector:
+    """The circuit applied to |0...0>."""
+    return Statevector(circuit.n_qubits,
+                       run_array(circuit, Statevector.zero(circuit.n_qubits).amplitudes))
 
 
 def expectation(state: Statevector, obs: Observable) -> float:
@@ -399,16 +397,16 @@ def evolve_exact(hamiltonian: Observable, state: Statevector, t: float) -> State
     return Statevector(state.n_qubits, amps)
 
 
-def sample_counts(state: Statevector, shots: int, seed: int, stream: int = 0) -> dict[str, int]:
-    """Multinomial bitstring sample; qubit 0 is the leftmost character."""
+def sample_counts(state: Statevector, shots: int, seed: int) -> dict[str, int]:
+    """Multinomial bitstring sample drawn from `philox_rng(seed)`; qubit 0 is
+    the leftmost character."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     if shots > MAX_SHOTS:
         raise ValueError("shots capped at %d, got %d" % (MAX_SHOTS, shots))
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
-    rng = philox_rng(seed, stream)
-    draws = rng.multinomial(shots, probs)
+    draws = philox_rng(seed).multinomial(shots, probs)
     n = state.n_qubits
     counts = {}
     for b in np.nonzero(draws)[0]:

@@ -29,7 +29,7 @@ d_p, both variants are Gram products:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, isfinite, sin
 
 import numpy as np

@@ -173,6 +173,15 @@ def test_sample_counts_deterministic():
     assert sample_counts(state, 1000, seed=9) == sample_counts(state, 1000, seed=9)
 
 
+def test_sample_counts_draws_from_philox_stream_0():
+    state = run(random_circuit(np.random.default_rng(3), 3, 4))
+    probs = np.abs(state.amplitudes) ** 2
+    draws = philox_rng(11).multinomial(1000, probs / probs.sum())
+    expected = {format(b, "03b")[::-1]: int(c) for b, c in enumerate(draws) if c}
+    assert len(expected) > 2
+    assert sample_counts(state, 1000, seed=11) == expected
+
+
 def test_sample_counts_refuses_more_shots_than_numpy_can_draw():
     from qmit import MAX_SHOTS
 

@@ -35,6 +35,13 @@ MUTANTS = {
         "",
         ["tests/test_pec.py", "tests/test_acceptance.py"],
     ),
+    # every insertion drawn with q = (1 - exp(-lam)) / 2, as if each rate were halved
+    "insertion_q_of_half_rate": (
+        "src/qmit/noise.py",
+        "np.exp(-2.0 * rates)",
+        "np.exp(-rates)",
+        ["tests/test_noise.py", "tests/test_pec.py", "tests/test_acceptance.py"],
+    ),
     # every prefix-tree child gathered from column 0, not from its parent
     "gather_from_column_0": (
         "src/qmit/pec.py",
