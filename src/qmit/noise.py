@@ -26,7 +26,9 @@ per call. `learn_rates` pads the decay points into (probes, depths) arrays,
 masks the nonpositive ones, and fits every slope -1/2 sum d log v / sum d^2
 in one expression. It then solves A lam = b for lam >= 0, where A is the
 probe-candidate anticommutation matrix, built in one broadcast over the
-Pauli masks. `nnls` solves it in numpy, so no command imports scipy.
+Pauli masks. `nnls` solves it in numpy, so no command imports scipy. A
+register wider than MAX_LEARNING_QUBITS is refused before `default_probes`
+builds a probe and before any anticommutation matrix is allocated.
 
 What a fit does not read from its data is built once per process.
 `default_probes` keeps one tuple of probes per (n_qubits, edges) and returns
@@ -183,6 +185,9 @@ def virtual_distillation_expectation(rho: DensityMatrix, obs: Observable) -> flo
 # rate learning from decay data
 
 DEFAULT_DEPTHS = (1, 2, 4, 8, 16)
+# widest register a fit takes: the default system of 8n - 5 probes holds
+# (8n - 5)^2 ceil(n / 64) mask words per temporary, about 2^24 at the cap
+MAX_LEARNING_QUBITS = 256
 
 _TWO_QUBIT_LABELS = (("X", "X"), ("Y", "Y"), ("Z", "Z"), ("X", "Z"), ("Z", "X"))
 
@@ -193,7 +198,15 @@ def default_probes(n_qubits: int, edges) -> list[PauliString]:
     cached probe set of (n_qubits, edges)."""
     # as ints: a numpy integer hashes like the int it equals, and would
     # otherwise put its own type into the masks of the shared entry
-    return list(_default_probes(index(n_qubits), tuple((index(a), index(b)) for a, b in edges)))
+    n_qubits = index(n_qubits)
+    _check_learning_size(n_qubits)
+    return list(_default_probes(n_qubits, tuple((index(a), index(b)) for a, b in edges)))
+
+
+def _check_learning_size(n_qubits: int) -> None:
+    if n_qubits > MAX_LEARNING_QUBITS:
+        raise ValueError("noise learning capped at %d qubits, got %d"
+                         % (MAX_LEARNING_QUBITS, n_qubits))
 
 
 @functools.lru_cache(maxsize=32)
@@ -269,6 +282,7 @@ def _anticommutation(probe_keys, candidate_keys) -> np.ndarray:
     sizes = {n for n, _, _ in (*probe_keys, *candidate_keys)}
     if len(sizes) > 1:
         raise ValueError("Pauli strings act on different numbers of qubits")
+    _check_learning_size(max(sizes, default=0))
     # each key's X and Z masks as (len(keys), 2, words) uint64: 64-bit
     # words, lowest qubits first
     words = range(-(-max(sizes, default=1) // 64))

@@ -73,8 +73,8 @@ def ft_report(n_cnot_logical: float, n_t_logical: float,
     """
     _check_nonnegative("n_cnot", n_cnot_logical)
     _check_nonnegative("n_t", n_t_logical)
-    if circuit_size is not None and not math.isfinite(circuit_size):
-        raise ValueError("circuit_size must be finite, got %r" % circuit_size)
+    if circuit_size is not None:
+        _check_nonnegative("circuit_size", circuit_size)
     n = circuit_size if circuit_size is not None else n_cnot_logical + n_t_logical
     if n < 1:
         n = 1.0

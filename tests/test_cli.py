@@ -1,5 +1,6 @@
 import importlib
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -9,16 +10,17 @@ import numpy as np
 import pytest
 
 import qmit
-from qmit import MAX_WORKERS, circuit_io, cli, knit, noise, pec
+from qmit import MAX_WORKERS, circuit_io, cli, knit, noise, pec, simulator
 
 BELL = "qubits 2;\nh 0;\n\ncx 0, 1;\n"
 NOISE = "qubits 2\nXI 0.01\nIY 0.02\n"
 
 
 def run_cli(*args, env=None):
+    # a cap that stops refusing fails its test here instead of hanging the suite
     return subprocess.run(
         [sys.executable, "-m", "qmit.cli", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -177,17 +179,48 @@ def test_varqte_trajectory_moves():
 
 # 8 qubits: noise-learn fits 59 default probes and candidates
 NOISE_8 = "qubits 8\nXIIIIIII 0.01\nIZZIIIII 0.02\nIIIYIIII 0.015\nIIIIXZII 0.01\nIIIIIIZZ 0.02\n"
+# 65 qubits: 515 probes, whose Pauli masks span two 64-bit words
+NOISE_65 = "qubits 65\n%s 0.01\n%s 0.02\n%s 0.015\n" % (
+    "X" + "I" * 64, "I" * 63 + "ZZ", "I" * 32 + "Y" + "I" * 32)
+# 10 qubits, 4 brickwork rounds: compiles to fused blocks of 4 qubits
+BRICK_10 = "qubits 10;\n" + "".join(
+    "".join("ry %d : 0.%d%d;\n" % (q, r, q) for q in range(10)) + "\n"
+    + "".join("cx %d, %d;\n" % (q, q + 1) for q in range(r % 2, 9, 2)) + "\n"
+    for r in range(4))
 # 8 qubits, two noisy layers: PEC on a register that compiles to fused blocks
 CIRCUIT_8 = (
     "qubits 8;\nry 0 : 0.3;\nry 1 : -0.7;\nrx 2 : 0.4;\nry 3 : 1.1;\nry 4 : -0.2;\n"
     "rx 5 : 0.9;\nry 6 : 0.5;\nry 7 : -1.3;\n\ncx 0, 1;\ncx 2, 3;\ncx 4, 5;\ncx 6, 7;\n\n"
     "rz 1 : 0.6;\nry 4 : 0.8;\n\ncx 1, 2;\ncx 3, 4;\ncx 5, 6;\n\nrx 0 : -0.4;\nry 7 : 0.2;\n"
 )
+# 4 qubits, 3 noisy layers of generators that carry Y: PEC samples evolve as
+# many distinct columns
+CHAIN_4 = (
+    "qubits 4;\nry 0 : 0.4;\nry 1 : -1.1;\nrx 2 : 0.7;\nry 3 : 2.3;\n\ncx 0, 1;\ncx 2, 3;\n\n"
+    "rz 1 : 0.9;\nrx 2 : -0.6;\n\ncx 1, 2;\n\nry 0 : 1.3;\nrz 3 : -0.8;\n\ncx 0, 1;\ncx 2, 3;\n\n"
+    "rx 1 : 0.5;\nry 2 : -0.2;\n"
+)
+NOISE_4 = "qubits 4\nYIII 0.02\nIYII 0.03\nIIXI 0.01\nIIIZ 0.02\nYYII 0.015\nIIZY 0.02\nIXYI 0.01\n"
+NO_CX = "qubits 2;\nh 0;\nh 1;\n"  # no two-qubit layer, so no noisy layer
+INPUTS = {"bell": BELL, "noise": NOISE, "noise_8": NOISE_8, "circuit_8": CIRCUIT_8,
+          "noise_65": NOISE_65, "brick_10": BRICK_10, "chain_4": CHAIN_4, "noise_4": NOISE_4,
+          "no_cx": NO_CX}
+
+
+def with_inputs(tmp_path, argv):
+    """argv with each {name} replaced by the path of a file holding INPUTS[name]."""
+    paths = {}
+    for name, text in INPUTS.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    return [arg.format(**paths) for arg in argv]
 
 
 @pytest.mark.parametrize("argv", [
     ("simulate", "{bell}", "--observable", "ZZ"),
     ("noise-learn", "--noise", "{noise_8}", "--shots", "100000", "--seed", "3"),
+    ("noise-learn", "--noise", "{noise_65}", "--shots", "100000", "--seed", "3"),
+    ("simulate", "{brick_10}", "--observable", "ZIIIIIIIIZ,0.5*XXIIIIIIII"),
     ("pec", "--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ", "--seed", "3",
      "--workers", "1"),
     ("pec", "--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ", "--seed", "3",
@@ -204,21 +237,22 @@ CIRCUIT_8 = (
     ("estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9"),
     ("overhead-table", "--n", "100", "--steps", "100", "--lambdas", "1e-4,3e-4,1e-3"),
     ("scale", "--q", "100", "--m", "4", "--l", "3", "--t", "2", "--p", "5"),
-], ids=["simulate", "noise-learn", "pec_w1", "pec_w2", "zne", "cut", "varqte", "pec_8_w2",
-        "varqte_4", "trotter", "estimate-ft", "overhead-table", "scale"])
+], ids=["simulate", "noise-learn", "noise-learn_65", "simulate_10", "pec_w1", "pec_w2", "zne",
+        "cut", "varqte", "pec_8_w2", "varqte_4", "trotter", "estimate-ft", "overhead-table",
+        "scale"])
 def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
-    paths = {}
-    for name, text in (("bell", BELL), ("noise", NOISE), ("noise_8", NOISE_8),
-                       ("circuit_8", CIRCUIT_8)):
-        paths[name] = str(tmp_path / name)
-        (tmp_path / name).write_text(text)
-    argv = [arg.format(**paths) for arg in argv]
+    argv = with_inputs(tmp_path, argv)
     outs = []
     for threads in ("1", "2"):
         result = run_cli(*argv, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
         assert result.returncode == 0 and result.stderr == "", result.stderr
         outs.append(result.stdout)
     assert outs[0] == outs[1]
+
+
+def test_brickwork_10_compiles_to_the_widest_fused_blocks():
+    (ops,) = simulator.compile_ops(circuit_io.parse(BRICK_10), ())
+    assert max(len(qubits) for _, qubits in ops) == simulator.MAX_FUSED_QUBITS
 
 
 def test_cli_import_leaves_scipy_and_process_pool_unloaded():
@@ -260,7 +294,9 @@ def test_noise_learn_runs_with_scipy_blocked(noise_file, shots):
     blocked = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stderr == ""
-    assert blocked.stdout == run_cli(*argv).stdout
+    plain = run_cli(*argv)
+    assert plain.returncode == 0 and plain.stderr == "", plain.stderr
+    assert blocked.stdout == plain.stdout
 
 
 def test_package_all_is_derived_from_the_export_table():
@@ -286,6 +322,7 @@ def test_package_exports_resolve_to_their_submodules():
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["scale", "--q", "100", "--m", "4", "--l", "3", "--t", "2", "--p", "5"],
+    ["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9"],
     ["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9", "--format", "csv"],
     ["trotter", "--n", "100", "--steps", "100", "--order", "1", "--t", "1.0"],
     ["trotter", "--n", "7", "--steps", "3", "--order", "2", "--t", "0.7", "--format", "csv"],
@@ -363,7 +400,9 @@ def test_capped_trotter_is_refused_before_the_observable_is_built(monkeypatch, c
 @pytest.mark.parametrize("argv, message", [
     (["estimate-ft", "--n-cnot", "nan", "--n-t", "1"], "n_cnot must be finite and >= 0, got nan"),
     (["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9", "--circuit-size", "inf"],
-     "circuit_size must be finite, got inf"),
+     "circuit_size must be finite and >= 0, got inf"),
+    (["estimate-ft", "--n-cnot", "1", "--n-t", "1", "--circuit-size", "-5"],
+     "circuit_size must be finite and >= 0, got -5.0"),
     (["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "nan"],
      "lambda must be finite and >= 0, got nan"),
     (["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "1e-4", "--eps", "nan"],
@@ -393,6 +432,7 @@ def test_more_shots_than_numpy_can_draw_is_a_usage_error(bell_file, noise_file, 
     result = run_cli(*[arg.format(bell=bell_file, noise=noise_file) for arg in argv])
     assert result.returncode == 2
     assert "argument --shots: must be <= %d" % qmit.MAX_SHOTS in result.stderr
+    assert "Traceback" not in result.stderr
     assert result.stdout == ""
 
 
@@ -411,9 +451,12 @@ def test_shot_cap_is_the_largest_count_numpy_draws(bell_file):
      ["qmit.pec", "qmit.varqte", "qmit.noise", "qmit.hamiltonian"]),
     (["trotter", "--n", "4", "--steps", "2"],
      ["qmit.circuit_io", "qmit.pec", "qmit.knit", "qmit.varqte", "qmit.noise"]),
+    # a pooled run opens threads, never a process pool
+    (["pec", "--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ", "--samples",
+      "2048", "--workers", "2"], ["multiprocessing", "concurrent.futures.process"]),
 ])
-def test_command_leaves_modules_it_does_not_use_unloaded(bell_file, argv, unused):
-    argv = [arg.format(bell=bell_file) for arg in argv]
+def test_command_leaves_modules_it_does_not_use_unloaded(bell_file, noise_file, argv, unused):
+    argv = [arg.format(bell=bell_file, noise=noise_file) for arg in argv]
     code = (
         "import contextlib, io, sys\n"
         "from qmit import cli\n"
@@ -464,6 +507,26 @@ def test_noise_learn(noise_file):
     result = run_cli("noise-learn", "--noise", noise_file, "--format", "records")
     assert result.returncode == 0
     assert "generator=XI" in result.stdout
+
+
+def test_noise_learn_over_the_qubit_cap_exits_3_at_once(tmp_path):
+    # a 100000-qubit model used to build 8n - 5 probes for seconds and then
+    # run out of memory; the address-space limit keeps a cap that stops
+    # refusing from taking the machine's memory before the timeout
+    model = tmp_path / "wide.noise"
+    model.write_text("qubits 100000\nX%s 0.01\n" % ("I" * 99999))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "qmit.cli", "noise-learn", "--noise", str(model)],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    assert result.returncode == 3
+    assert result.stderr == ("validation error: noise learning capped at %d qubits, got 100000\n"
+                             % noise.MAX_LEARNING_QUBITS)
 
 
 def test_noise_learn_exits_4_when_nnls_does_not_converge(noise_file, monkeypatch, capsys):
@@ -608,11 +671,7 @@ def test_simulate_prints_amplitudes_as_python_complex(tmp_path, fmt, capsys):
 
 def test_varqte_derivative_block_too_large_is_a_validation_error():
     # K = 120 derivative vectors of 2^20 amplitudes: rejected before allocation
-    result = subprocess.run(
-        [sys.executable, "-m", "qmit.cli", "varqte", "--n", "20", "--layers", "2",
-         "--t-final", "0.01", "--dt", "0.01"],
-        capture_output=True, text=True, timeout=60,
-    )
+    result = run_cli("varqte", "--n", "20", "--layers", "2", "--t-final", "0.01", "--dt", "0.01")
     assert result.returncode == 3
     assert "validation error" in result.stderr
     assert "Traceback" not in result.stderr
@@ -629,24 +688,16 @@ def test_varqte_derivative_block_too_large_is_a_validation_error():
 ])
 def test_varqte_bad_input_is_a_validation_error(option, value, named):
     # 1e9 / 0.01 = 1e11 RK4 steps: refused before the first one runs
-    result = subprocess.run(
-        [sys.executable, "-m", "qmit.cli", "varqte", "--n", "2", "--layers", "1",
-         "--dt", "0.01", option, value],
-        capture_output=True, text=True, timeout=60,
-    )
+    result = run_cli("varqte", "--n", "2", "--layers", "1", "--dt", "0.01", option, value)
     assert result.returncode == 3
     assert "validation error: %s" % named in result.stderr
-    assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
 
 def test_varqte_fidelity_reference_over_the_exact_step_cap_is_a_validation_error():
     # one RK4 step whose exact reference needs about 1e300 Taylor steps: it
     # ran until killed; now it is refused before the first RK4 step
-    result = subprocess.run(
-        [sys.executable, "-m", "qmit.cli", "varqte", "--n", "2", "--layers", "1",
-         "--t-final", "1e300", "--dt", "1e300"],
-        capture_output=True, text=True, timeout=60,
-    )
+    result = run_cli("varqte", "--n", "2", "--layers", "1", "--t-final", "1e300", "--dt", "1e300")
     assert result.returncode == 3
     assert "validation error: exact evolution needs" in result.stderr
     assert "Traceback" not in result.stderr
@@ -684,6 +735,22 @@ def test_exact_cut_over_seven_cuts_is_a_validation_error(tmp_path, capsys):
     assert "terms" in capsys.readouterr().out
 
 
+def test_cut_whose_fragment_exceeds_the_statevector_cap_is_a_validation_error(
+        tmp_path, monkeypatch, capsys):
+    # a 35-qubit chain cut after its first gate leaves a fragment of 35 qubits
+    def no_state(*args):
+        raise AssertionError("a fragment ran before its size was checked")
+
+    monkeypatch.setattr(knit, "_fragment_state", no_state)
+    path = tmp_path / "chain35.qc"
+    path.write_text("qubits 35;\nh 0;\n" + "".join("\ncx %d, %d;\n" % (q, q + 1)
+                                                   for q in range(34)))
+    argv = ["cut", "--circuit", str(path), "--cut", "0:1", "--observable", "Z" + "I" * 34]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == ("validation error: statevector capped at %d qubits\n"
+                                       % simulator.MAX_STATEVECTOR_QUBITS)
+
+
 @pytest.mark.parametrize("base, a, b", [
     (["cut", "--circuit", "BELL", "--cut", "0:1", "--observable", "ZZ", "--mode", "sampled"],
      ["--samples", "100"], ["--samples", "200"]),
@@ -713,6 +780,29 @@ def test_worker_count_leaves_stdout_unchanged(bell_file, noise_file, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert "workers" not in outputs[0]
+
+
+@pytest.mark.parametrize("argv, gamma_total", [
+    (["--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ", "--samples", "2048"],
+     None),
+    # two full chunks and a partial one, in both modes
+    (["--circuit", "{chain_4}", "--noise", "{noise_4}", "--observable", "ZIIZ",
+      "--samples", "3000", "--seed", "5", "--mode", "shot"], None),
+    (["--circuit", "{chain_4}", "--noise", "{noise_4}", "--observable", "ZIIZ",
+      "--samples", "3000", "--seed", "5", "--mode", "analytic"], None),
+    (["--circuit", "{no_cx}", "--noise", "{noise}", "--observable", "XX", "--samples", "3000"],
+     "1.0"),
+], ids=["bell", "chain_4_shot", "chain_4_analytic", "no_cx"])
+def test_pec_stdout_and_stderr_do_not_depend_on_the_worker_count(tmp_path, argv, gamma_total):
+    argv = with_inputs(tmp_path, ["pec", *argv])
+    outs = []
+    for workers in ("1", "2"):
+        result = run_cli(*argv, "--workers", workers)
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+    if gamma_total is not None:
+        assert outs[0].splitlines()[-1].split()[3] == gamma_total
 
 
 @pytest.mark.parametrize("name, value", [("QMIT_WORKERS", "abc"), ("QMIT_SEED", "x"),
@@ -828,6 +918,20 @@ def test_zne_fit_that_polyfit_would_warn_on_is_refused_before_any_simulation(
                                        " a rank-deficient degree-2 fit\n")
 
 
+def test_zne_order_below_zero_is_refused_before_any_simulation(bell_file, noise_file,
+                                                               monkeypatch, capsys):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the order was checked")
+
+    monkeypatch.setattr(pec, "noisy_expectation", no_simulation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["zne", "--circuit", bell_file, "--noise", noise_file,
+                         "--observable", "ZZ", "--order", "-1"])
+    assert code == 3
+    assert capsys.readouterr().err == "validation error: order -1 must be >= 0\n"
+
+
 def test_seed_env_default_reaches_the_header_of_commands_without_seed(bell_file, noise_file,
                                                                        monkeypatch, capsys):
     monkeypatch.setenv("QMIT_SEED", "123")
@@ -888,3 +992,11 @@ def test_sample_count_over_the_cap_is_refused_before_any_sampling(bell_file, noi
     assert cli.main(argv + ["--circuit", bell_file, "--observable", "ZZ"]) == 3
     err = capsys.readouterr().err
     assert "capped at %d" % qmit.MAX_SAMPLES in err
+
+
+def test_pec_over_the_sample_cap_exits_3_at_the_default_worker_count(bell_file, noise_file):
+    result = run_cli("pec", "--circuit", bell_file, "--noise", noise_file, "--observable", "ZZ",
+                     "--samples", "100000000000")
+    assert result.returncode == 3
+    assert result.stderr == ("validation error: samples capped at %d, got 100000000000\n"
+                             % qmit.MAX_SAMPLES)

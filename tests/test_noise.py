@@ -10,6 +10,7 @@ from dense import pauli_matrix
 from qmit import MAX_SHOTS, noise
 from qmit.noise import (
     DEFAULT_DEPTHS,
+    MAX_LEARNING_QUBITS,
     PauliLindbladModel,
     UnidentifiableModelError,
     anticommutation_matrix,
@@ -238,6 +239,33 @@ def test_default_probes_count():
     probes = default_probes(4, line_edges(4))
     assert len(probes) == 3 * 4 + 5 * 3
     assert len(set((p.x_mask, p.z_mask) for p in probes)) == len(probes)
+
+
+def test_learning_over_the_qubit_cap_is_refused_before_anything_is_built(monkeypatch):
+    # a 100000-qubit model used to build 8n - 5 probes for 9 s and then run
+    # out of memory in the anticommutation matrix
+    assert len(default_probes(MAX_LEARNING_QUBITS, [])) == 3 * MAX_LEARNING_QUBITS
+    n = MAX_LEARNING_QUBITS + 1
+    wide = PauliString.single(n, 0, "X")
+    model = PauliLindbladModel(n, ((wide, 0.01),))
+
+    def built(*args):
+        raise AssertionError("probes built before the size was checked")
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError("numpy called before the size was checked")
+
+    monkeypatch.setattr(noise, "_default_probes", built)
+    monkeypatch.setattr(noise, "np", NoNumpy())
+    message = "^noise learning capped at %d qubits, got %d$" % (MAX_LEARNING_QUBITS, n)
+    with pytest.raises(ValueError, match=message):
+        default_probes(n, line_edges(n))
+    with pytest.raises(ValueError, match=message):
+        anticommutation_matrix([wide], [wide])
+    for probes in (None, [wide]):
+        with pytest.raises(ValueError, match=message):
+            learn_rates_from_model(model, probes=probes, candidates=probes)
 
 
 def test_default_probes_are_a_new_list_of_the_same_probes_on_each_call():

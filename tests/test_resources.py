@@ -85,6 +85,9 @@ def test_ft_report_not_additive_across_reports():
 def test_ft_report_validation():
     with pytest.raises(ValueError):
         ft_report(-1, 0)
+    # an explicit N < 0 used to be read as N = 1
+    with pytest.raises(ValueError, match="^circuit_size must be finite and >= 0, got -5$"):
+        ft_report(1, 1, circuit_size=-5)
 
 
 @pytest.mark.parametrize("args, name", [

@@ -95,6 +95,35 @@ MUTANTS = {
         "    words = range(min(1, -(-max(sizes, default=1) // 64)))\n",
         ["tests/test_noise.py"],
     ),
+    # --workers and QMIT_WORKERS above MAX_WORKERS reach pec_estimate: exit 3, not 2
+    "worker_count_without_maximum": (
+        "src/qmit/cli.py",
+        "    return _integer(text, minimum=1, maximum=MAX_WORKERS)\n",
+        "    return _integer(text, minimum=1)\n",
+        ["tests/test_cli.py"],
+    ),
+    # a --cut such as a:1 passes argparse and fails later as a validation error
+    "cut_point_without_integer_check": (
+        "src/qmit/cli.py",
+        "        int(qubit), int(boundary)\n",
+        "",
+        ["tests/test_cli.py"],
+    ),
+    # the closed-form commands load numpy
+    "resources_imports_numpy": (
+        "src/qmit/resources.py",
+        "import math\n",
+        "import math\n\nimport numpy\n",
+        ["tests/test_cli.py"],
+    ),
+    # `varqte --t-final 1e9 --dt 0.01` runs 1e11 RK4 steps until the CLI
+    # test's timeout stops it
+    "varqte_without_step_cap": (
+        "src/qmit/varqte.py",
+        "    if quotient > MAX_VARQTE_STEPS:\n        raise ValueError(",
+        "    if False:\n        raise ValueError(",
+        ["tests/test_cli.py"],
+    ),
 }
 
 
