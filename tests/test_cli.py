@@ -401,8 +401,6 @@ def test_capped_trotter_is_refused_before_the_observable_is_built(monkeypatch, c
     (["estimate-ft", "--n-cnot", "nan", "--n-t", "1"], "n_cnot must be finite and >= 0, got nan"),
     (["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9", "--circuit-size", "inf"],
      "circuit_size must be finite and >= 0, got inf"),
-    (["estimate-ft", "--n-cnot", "1", "--n-t", "1", "--circuit-size", "-5"],
-     "circuit_size must be finite and >= 0, got -5.0"),
     (["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "nan"],
      "lambda must be finite and >= 0, got nan"),
     (["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "1e-4", "--eps", "nan"],
@@ -412,6 +410,8 @@ def test_capped_trotter_is_refused_before_the_observable_is_built(monkeypatch, c
     (["overhead-table", "--n", "-4", "--steps", "10", "--lambdas", "-0.01"],
      "n must be finite and >= 0, got -4"),
     (["trotter", "--n", "4", "--steps", "2", "--t", "nan"], "t must be finite, got nan"),
+    (["estimate-ft", "--n-cnot", "1", "--n-t", "1", "--circuit-size", "-5"],
+     "circuit_size must be finite and >= 0, got -5.0"),
 ])
 def test_closed_form_commands_refuse_non_finite_and_negative_input(argv, message):
     # each used to exit 0 and print nan, inf or a negative layer count
