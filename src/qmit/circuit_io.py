@@ -11,13 +11,18 @@ Gate names: h, s, sdg, x, y, z, rx, ry, rz, cx, rxx, ryy, rzz, swap.
 Angles are radians, decimal literals only.  ``parse(serialize(c))``
 structurally equals ``c``; the serializer is canonical (one space after
 commas, shortest round-trip decimals, LF line endings).
+
+The parser checks the syntax only.  The rules of a valid gate and layer
+(arity, angle, distinct qubits in range, no qubit twice in a layer) are
+`qmit.circuits`'s; a broken rule is reported as a ParseError at the
+gate's name, or for an overlap at the layer's first line.
 """
 from __future__ import annotations
 
 import re
 
 from . import ParseError
-from .circuits import GATE_ARITY, PARAMETRIC_GATES, Gate, Layer, QuantumCircuit
+from .circuits import GATE_ARITY, Gate, Layer, QuantumCircuit, _check_layer
 
 
 _HEADER_RE = re.compile(r"qubits\s+(\d+)\s*;\s*$")
@@ -44,16 +49,12 @@ def parse(text: str) -> QuantumCircuit:
     def flush():
         nonlocal pending, pending_start
         if pending:
-            used = set()
-            for g in pending:
-                for q in g.qubits:
-                    if q in used:
-                        raise ParseError(
-                            "qubit %d used twice within a layer" % q,
-                            pending_start, 1,
-                        )
-                    used.add(q)
-            layers.append(Layer(pending))
+            layer = Layer(pending)
+            try:
+                _check_layer(layer, n_qubits)
+            except ValueError as error:
+                raise ParseError(str(error), pending_start, 1) from None
+            layers.append(layer)
             pending = []
             pending_start = None
 
@@ -84,43 +85,23 @@ def parse(text: str) -> QuantumCircuit:
         col = raw.find(name) + 1
         if name not in GATE_ARITY:
             raise ParseError("unknown gate %r" % name, line_no, col)
-        qubits = [int(m.group("q0"))]
-        if m.group("q1") is not None:
-            qubits.append(int(m.group("q1")))
-        if len(qubits) != GATE_ARITY[name]:
-            if GATE_ARITY[name] == 2:
-                message = "gate '%s' is missing its second operand" % name
-            else:
-                message = "gate '%s' takes one operand" % name
-            raise ParseError(message, line_no, col)
-        for q in qubits:
-            if q >= n_qubits:
-                raise ParseError(
-                    "qubit index %d out of range (qubits %d)" % (q, n_qubits),
-                    line_no, raw.find(str(q), col) + 1,
-                )
-        if len(qubits) == 2 and qubits[0] == qubits[1]:
-            raise ParseError("gate operands must be distinct", line_no, col)
-        param = None
-        if m.group("param") is not None:
-            if name not in PARAMETRIC_GATES:
-                raise ParseError("gate '%s' takes no parameter" % name, line_no, col)
+        qubits = tuple(int(q) for q in m.group("q0", "q1") if q is not None)
+        param = m.group("param")
+        if param is not None:
             try:
-                param = float(m.group("param"))
+                param = float(param)
             except ValueError:
                 raise ParseError(
-                    "bad parameter literal %r" % m.group("param"), line_no,
-                    raw.find(":") + 2,
+                    "bad parameter literal %r" % param, line_no, raw.find(":") + 2,
                 ) from None
-            if param != param or param in (float("inf"), float("-inf")):
-                raise ParseError("parameter must be finite", line_no, raw.find(":") + 2)
-        elif name in PARAMETRIC_GATES:
-            raise ParseError(
-                "rotation gate '%s' requires ': <angle>'" % name, line_no, col
-            )
+        try:
+            gate = Gate(name, qubits, param)
+            _check_layer(Layer([gate]), n_qubits)
+        except ValueError as error:
+            raise ParseError(str(error), line_no, col) from None
         if pending_start is None:
             pending_start = line_no
-        pending.append(Gate(name, tuple(qubits), param))
+        pending.append(gate)
     if n_qubits is None:
         raise ParseError("expected 'qubits <n>;' header", max(1, len(lines)), 1)
     flush()

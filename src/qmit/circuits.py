@@ -47,10 +47,15 @@ class Gate:
         else:
             if self.name not in GATE_ARITY:
                 raise ValueError("unknown gate %r" % self.name)
-            if GATE_ARITY[self.name] != len(self.qubits):
-                raise ValueError("gate %r takes %d qubit(s)" % (self.name, GATE_ARITY[self.name]))
-            if (self.name in PARAMETRIC_GATES) != (self.param is not None):
-                raise ValueError("gate %r parameter mismatch" % self.name)
+            arity = GATE_ARITY[self.name]
+            if arity == 2 and len(self.qubits) == 1:
+                raise ValueError("gate %r is missing its second operand" % self.name)
+            if arity != len(self.qubits):
+                raise ValueError("gate %r takes %d qubit(s)" % (self.name, arity))
+            if self.param is None and self.name in PARAMETRIC_GATES:
+                raise ValueError("rotation gate %r requires an angle" % self.name)
+            if self.param is not None and self.name not in PARAMETRIC_GATES:
+                raise ValueError("gate %r takes no parameter" % self.name)
             if self.param is not None and not math.isfinite(self.param):
                 raise ValueError("gate %r parameter %r is not finite" % (self.name, self.param))
         if len(set(self.qubits)) != len(self.qubits):
@@ -109,7 +114,7 @@ def _check_layer(layer: Layer, n_qubits: int) -> None:
     for g in layer.gates:
         for q in g.qubits:
             if not 0 <= q < n_qubits:
-                raise ValueError("qubit index %d out of range" % q)
+                raise ValueError("qubit index %d out of range (qubits %d)" % (q, n_qubits))
             if q in used:
                 raise ValueError("qubit %d used twice within a layer" % q)
             used.add(q)

@@ -178,15 +178,13 @@ def _sample_block(compiled, n, obs, mode, uniforms):
         column = np.cumsum(new) - 1
     leaf = np.empty(width, dtype=np.int64)  # sample s evolves in column leaf[s]
     leaf[order] = column
-    total = np.zeros(width, dtype=complex)
+    total = np.zeros(width)
     for t, (coeff, p) in enumerate(obs.terms):
         ev = _column_expectations(amps, p)[leaf]
         if mode == "shot":  # one +-1 eigenvalue draw per sample and observable term
             ev = np.where(uniforms[:, col + t] < (1.0 + ev.real) / 2.0, 1.0, -1.0)
-        total += coeff * ev
-    if np.any(np.abs(total.imag) > 1e-10):
-        raise ValueError("expectation has non-negligible imaginary part")
-    return sign * total.real
+        total += coeff * ev.real  # O is Hermitian: the imaginary part is rounding
+    return sign * total
 
 
 def _pec_chunk(args):

@@ -75,9 +75,8 @@ def ft_report(n_cnot_logical: float, n_t_logical: float,
     _check_nonnegative("n_t", n_t_logical)
     if circuit_size is not None:
         _check_nonnegative("circuit_size", circuit_size)
-    n = circuit_size if circuit_size is not None else n_cnot_logical + n_t_logical
-    if n < 1:
-        n = 1.0
+    # the count sum may be below 1; a given N below 1 is the fits' to refuse
+    n = circuit_size if circuit_size is not None else max(n_cnot_logical + n_t_logical, 1.0)
     vc = cnot_volume(n)
     vt = t_volume(n)
     return FtOverheadReport(

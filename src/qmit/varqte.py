@@ -34,7 +34,7 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .circuits import Gate
+from .circuits import Gate, Layer, _check_layer
 from .pauli import Observable, PauliString
 from .simulator import (
     MAX_EXACT_EVOLUTION_QUBITS,
@@ -90,8 +90,7 @@ class Ansatz:
                 if e.generator.is_identity:
                     raise ValueError("identity generator has no effect")
             elif isinstance(e, FixedElement):
-                if any(q >= self.n_qubits for q in e.gate.qubits):
-                    raise ValueError("fixed gate qubit out of range")
+                _check_layer(Layer([e.gate]), self.n_qubits)
             else:
                 raise ValueError("unknown ansatz element %r" % (e,))
 

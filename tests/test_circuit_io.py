@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,3 +120,61 @@ def test_gate_refuses_a_non_finite_parameter(name, qubits, param):
     # such a gate would serialize to text that parse refuses
     with pytest.raises(ValueError, match="gate %r parameter %s is not finite" % (name, param)):
         Gate(name, qubits, param)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("", 1, 1, "expected 'qubits <n>;' header"),
+    ("# no header\n\n", 3, 1, "expected 'qubits <n>;' header"),
+    ("h 0;", 1, 1, "expected 'qubits <n>;' header"),
+    ("qubits 0;", 1, 8, "qubit count must be positive"),
+    ("qubits 2;\ncx 0 1;", 2, 3, "gate 'cx' is missing its second operand"),
+    ("qubits 2;\nh 0 1;", 2, 1, "malformed statement 'h 0 1;'"),
+    ("qubits 2;\nrx  1 : -inf;", 2, 1, "malformed statement 'rx  1 : -inf;'"),
+    ("qubits 2;\nfoo 0;", 2, 1, "unknown gate 'foo'"),
+    ("qubits 2;\nu 0;", 2, 1, "unknown gate 'u'"),
+    ("qubits 2;\nrx 0 : 1.2.3;", 2, 7, "bad parameter literal '1.2.3'"),
+    ("qubits 2;\n  cx 0;", 2, 3, "gate 'cx' is missing its second operand"),
+    ("qubits 2;\nh 0, 1;", 2, 1, "gate 'h' takes 1 qubit(s)"),
+    ("qubits 1;\nrx 0;", 2, 1, "rotation gate 'rx' requires an angle"),
+    ("qubits 2;\nrzz 0, 1;", 2, 1, "rotation gate 'rzz' requires an angle"),
+    ("qubits 2;\nh 0 : 0.5;", 2, 1, "gate 'h' takes no parameter"),
+    ("qubits 2;\nrx 0 : 1e999;", 2, 1, "gate 'rx' parameter inf is not finite"),
+    ("qubits 2;\ncx 0, 0;", 2, 1, "gate qubits must be distinct"),
+    ("qubits 2;\nh 5;", 2, 1, "qubit index 5 out of range (qubits 2)"),
+    ("qubits 2;\nh 0;\ncx 1, 7;", 3, 1, "qubit index 7 out of range (qubits 2)"),
+    ("qubits 2;\nh 0;\nx 0;", 2, 1, "qubit 0 used twice within a layer"),
+    ("qubits 3;\n\nh 0;\nh 1;\ncx 2, 1;", 3, 1, "qubit 1 used twice within a layer"),
+], ids=["empty", "comment_only", "no_header", "zero_qubits", "no_comma", "extra_operand",
+        "inf_literal", "unknown_name", "u_in_text", "bad_literal", "indented_one_operand",
+        "two_operands", "no_angle", "no_angle_2q", "unexpected_angle", "overflowing_angle",
+        "same_operand_twice", "out_of_range", "out_of_range_later", "overlap",
+        "overlap_after_blank"])
+def test_malformed_text_is_refused_at_its_location(text, line, column, message):
+    # the gate and layer rules are `circuits`'s; the parser only locates them
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == "line %d, column %d: %s" % (line, column, message)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Gate("u", (0,)), "custom gate requires a matrix"),
+    (lambda: Gate("u", (0,), matrix=np.eye(4)), "custom gate matrix has wrong shape"),
+    (lambda: Gate("u", (0,), matrix=[[1, 0], [0, 2]]), "custom gate matrix is not unitary"),
+    (lambda: Gate("foo", (0,)), "unknown gate 'foo'"),
+    (lambda: QuantumCircuit(2, [Layer([Gate("h", (-1,))])]),
+     "qubit index -1 out of range (qubits 2)"),
+    (lambda: QuantumCircuit(1).concat(QuantumCircuit(2)),
+     "circuits act on different numbers of qubits"),
+], ids=["u_without_matrix", "u_wrong_shape", "u_not_unitary", "unknown_name",
+        "negative_qubit", "concat_sizes"])
+def test_circuit_api_refuses_what_no_text_can_say(build, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build()
+
+
+def test_inverse_of_a_custom_unitary_is_its_adjoint():
+    s = np.array([[1, 0], [0, 1j]])
+    inverse = Gate("u", (0,), matrix=s).inverse()
+    assert inverse.name == "u" and inverse.qubits == (0,)
+    assert np.array_equal(inverse.matrix, s.conj().T)

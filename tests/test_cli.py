@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -412,6 +413,8 @@ def test_capped_trotter_is_refused_before_the_observable_is_built(monkeypatch, c
     (["trotter", "--n", "4", "--steps", "2", "--t", "nan"], "t must be finite, got nan"),
     (["estimate-ft", "--n-cnot", "1", "--n-t", "1", "--circuit-size", "-5"],
      "circuit_size must be finite and >= 0, got -5.0"),
+    (["estimate-ft", "--n-cnot", "1", "--n-t", "1", "--circuit-size", "0.5"],
+     "circuit size N must be >= 1"),
 ])
 def test_closed_form_commands_refuse_non_finite_and_negative_input(argv, message):
     # each used to exit 0 and print nan, inf or a negative layer count
@@ -856,6 +859,38 @@ def test_non_finite_observable_coefficient_is_a_validation_error(bell_file, nois
     coeff = observable.split(",")[-1].split("*")[0].strip()
     assert result.stderr == "validation error: observable coefficient %s is not finite\n" % coeff
     assert [ln for ln in result.stdout.splitlines() if not ln.startswith("#")] == []
+
+
+# <XY> = -0.54...; its imaginary rounding, times 2^40, exceeds 1e-10
+SKEWED = "qubits 2;\nry 0 : 0.3;\nrx 1 : 0.7;\n\ncx 0, 1;\n\nrx 0 : 0.2;\nrz 1 : 0.5;\n\ncx 1, 0;\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{circuit}"],
+    ["pec", "--circuit", "{circuit}", "--noise", "{noise}", "--samples", "500", "--seed", "3"],
+    ["pec", "--circuit", "{circuit}", "--noise", "{noise}", "--samples", "500", "--seed", "3",
+     "--mode", "shot"],
+    ["zne", "--circuit", "{circuit}", "--noise", "{noise}"],
+    ["zne", "--circuit", "{circuit}", "--noise", "{noise}", "--order", "2"],
+    ["cut", "--circuit", "{circuit}", "--cut", "0:1"],
+], ids=["simulate", "pec_analytic", "pec_shot", "zne_order_1", "zne_order_2", "cut"])
+def test_values_scale_exactly_with_a_large_observable_coefficient(tmp_path, noise_file, capsys,
+                                                                   argv):
+    # simulate, analytic pec and zne used to exit 3: "expectation has
+    # non-negligible imaginary part", an absolute bound on a scaled value
+    circuit = tmp_path / "skewed.qc"
+    circuit.write_text(SKEWED)
+    argv = [arg.format(circuit=circuit, noise=noise_file) for arg in argv]
+    values = []
+    for observable in ("XY", "%d*XY" % 2 ** 40):
+        assert cli.main(argv + ["--observable", observable, "--format", "records"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values.append([float(v) for v in re.findall(r"(?:value=|extrapolated: )(\S+)",
+                                                    captured.out)])
+    unit, scaled = values
+    assert unit and all(v != 0.0 for v in unit)
+    assert scaled == [2 ** 40 * v for v in unit]
 
 
 def test_chunk_error_passes_through_and_cancels_the_queued_chunks(bell_file, noise_file,

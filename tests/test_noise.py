@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dense import pauli_matrix
 from qmit import MAX_SHOTS, noise
+from qmit.circuit_io import parse
 from qmit.noise import (
     DEFAULT_DEPTHS,
     MAX_LEARNING_QUBITS,
@@ -29,7 +30,7 @@ from qmit.noise import (
     virtual_distillation_expectation,
 )
 from qmit.pauli import Observable, PauliString, format_pauli, parse_pauli
-from qmit.simulator import DensityMatrix, Statevector, pauli_gather, philox_rng
+from qmit.simulator import DensityMatrix, Statevector, pauli_gather, philox_rng, run
 
 
 def planted_model():
@@ -233,6 +234,19 @@ def test_virtual_distillation_suppresses_mixture():
     # exact value: Tr(X rho^2) / Tr(rho^2)
     expected = np.trace(pauli_matrix(parse_pauli("X")) @ rho @ rho).real / np.trace(rho @ rho).real
     assert distilled == pytest.approx(expected)
+
+
+def test_virtual_distillation_scales_exactly_with_a_large_observable_coefficient():
+    # <XY> = -0.54...; its imaginary rounding times 2^40 used to be refused
+    # as a "non-negligible imaginary part"
+    circuit = parse("qubits 2;\nry 0 : 0.3;\nrx 1 : 0.7;\n\ncx 0, 1;\n\n"
+                    "rx 0 : 0.2;\nrz 1 : 0.5;\n\ncx 1, 0;\n")
+    psi = run(circuit).amplitudes
+    dm = DensityMatrix(2, 0.9 * np.outer(psi, psi.conj()) + 0.025 * np.eye(4))
+    unit = virtual_distillation_expectation(dm, Observable.from_label("XY"))
+    scaled = virtual_distillation_expectation(dm, Observable.from_label("XY", 2.0 ** 40))
+    assert unit != 0.0
+    assert scaled == 2 ** 40 * unit
 
 
 def test_default_probes_count():

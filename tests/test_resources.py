@@ -90,6 +90,13 @@ def test_ft_report_validation():
         ft_report(1, 1, circuit_size=-5)
 
 
+def test_ft_report_refuses_a_given_circuit_size_below_1():
+    # it used to be read as N = 1, as the default size (the count sum) still is
+    with pytest.raises(ValueError, match="^circuit size N must be >= 1$"):
+        ft_report(1, 1, circuit_size=0.5)
+    assert ft_report(0.25, 0.25).circuit_size == 1.0
+
+
 @pytest.mark.parametrize("args, name", [
     ((NAN, 1.0), "n_cnot"),
     ((1.0, NAN), "n_t"),

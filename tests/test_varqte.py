@@ -103,6 +103,14 @@ def test_ansatz_validation():
         Ansatz(1, (RotationElement(PauliString.identity(1), 0),))
 
 
+@pytest.mark.parametrize("qubits, q", [((-1, 1), -1), ((0, 2), 2)])
+def test_ansatz_refuses_a_fixed_gate_off_the_register(qubits, q):
+    # qubit -1 used to pass and act on the block's column axis
+    rotation = RotationElement(parse_pauli("XX"), 0)
+    with pytest.raises(ValueError, match=r"^qubit index %d out of range \(qubits 2\)$" % q):
+        Ansatz(2, (rotation, FixedElement(Gate("cx", qubits))))
+
+
 def test_rx_system_degenerate_example():
     state, derivs = state_and_derivatives(rx_ansatz(), [0.3])
     m = compute_M(derivs)

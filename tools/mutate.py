@@ -124,6 +124,22 @@ MUTANTS = {
         "    if False:\n        raise ValueError(",
         ["tests/test_cli.py"],
     ),
+    # a layer may use a qubit twice: the parser must still refuse it
+    "layer_overlap_allowed": (
+        "src/qmit/circuits.py",
+        "            if q in used:\n"
+        "                raise ValueError(\"qubit %d used twice within a layer\" % q)\n",
+        "",
+        ["tests/test_circuit_io.py"],
+    ),
+    # a gate may name one qubit twice: the parser must still refuse it
+    "gate_qubits_not_distinct": (
+        "src/qmit/circuits.py",
+        "        if len(set(self.qubits)) != len(self.qubits):\n"
+        "            raise ValueError(\"gate qubits must be distinct\")\n",
+        "",
+        ["tests/test_circuit_io.py"],
+    ),
 }
 
 
