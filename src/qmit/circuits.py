@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import index
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -24,7 +25,9 @@ class Gate:
     """One gate application: a named gate or a custom unitary ('u').
 
     Custom unitaries are validated here, at insertion time; only they
-    import numpy, so named-gate circuits are built without it.
+    import numpy, so named-gate circuits are built without it. A custom
+    unitary acts on 1 or 2 qubits and takes no parameter. Qubit indices
+    are integers (numpy's too), never bools.
     """
 
     name: str
@@ -33,10 +36,17 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        for q in self.qubits:
+            if not _is_index(q):
+                raise ValueError("qubit index %r is not an integer" % (q,))
         if self.name == "u":
             import numpy as np
             if self.matrix is None:
                 raise ValueError("custom gate requires a matrix")
+            if self.param is not None:
+                raise ValueError("gate 'u' takes no parameter")
+            if len(self.qubits) not in (1, 2):
+                raise ValueError("custom gate takes 1 or 2 qubits, got %d" % len(self.qubits))
             dim = 2 ** len(self.qubits)
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (dim, dim):
@@ -107,6 +117,15 @@ class QuantumCircuit:
         if self.n_qubits != other.n_qubits:
             raise ValueError("circuits act on different numbers of qubits")
         return QuantumCircuit(self.n_qubits, list(self.layers) + list(other.layers))
+
+
+def _is_index(q) -> bool:
+    """An int or numpy integer, but not a bool, which would read as 0 or 1."""
+    try:
+        index(q)
+    except TypeError:
+        return False
+    return not isinstance(q, bool)
 
 
 def _check_layer(layer: Layer, n_qubits: int) -> None:

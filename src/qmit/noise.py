@@ -7,8 +7,11 @@ diagonally in the Pauli basis: generator (P, lam) maps
 rho -> w rho + (1 - w) P rho P with w = (1 + exp(-2 lam)) / 2. P rho P is
 the signed gather `pauli_gather` on rho read as a 2n-qubit vector, a
 strided flip with no index array; `apply_to_matrix` copies rho once and
-mixes each generator's P rho P into that copy in place. Rates must be
-finite and nonnegative.
+mixes each generator's P rho P into that copy in place. It is the dense
+oracle the tests hold the Pauli basis to: there the channel is its diagonal,
+the 4^n `pauli_fidelities` exp(-2 sum of the rates of the generators that
+anticommute with Q), and `pec.noisy_expectation` multiplies a noisy layer's
+Pauli coefficients by it. Rates must be finite and nonnegative.
 
 Every sampler inserts P_i independently with probability
 q_i = 1 - w_i = (1 - exp(-2 lam_i)) / 2 through `sample_insertions`:
@@ -55,6 +58,7 @@ from .pauli import Observable, PauliString, format_pauli, parse_pauli
 from .simulator import (
     DensityMatrix,
     Statevector,
+    _check_density_size,
     apply_pauli_array,  # unused here; qbench/layers.py patches noise.apply_pauli_array
     expectation_array,
     pauli_gather,
@@ -132,6 +136,22 @@ def pauli_fidelity(model: PauliLindbladModel, q: PauliString) -> float:
         raise ValueError("Pauli acts on wrong number of qubits")
     exponent = sum(lam for p, lam in model.generators if not p.commutes(q))
     return float(np.exp(-2.0 * exponent))
+
+
+def pauli_fidelities(model: PauliLindbladModel) -> np.ndarray:
+    """Every Pauli's `pauli_fidelity`, as one vector of 4^n floats indexed
+    x | z << n: the channel's diagonal in the Pauli basis. The rates are added
+    one generator at a time, in order, so each entry is pauli_fidelity's
+    float. A register too wide for a density matrix is refused first."""
+    n = model.n_qubits
+    _check_density_size(n)
+    codes = np.arange(1 << 2 * n, dtype=np.uint32)
+    exponent = np.zeros(codes.size)
+    for p, lam in model.generators:
+        # Q anticommutes with P iff popcount(x_Q & z_P ^ z_Q & x_P) is odd
+        anticommutes = (np.bitwise_count(codes & (p.z_mask | p.x_mask << n)) & 1).view(bool)
+        np.add(exponent, lam, out=exponent, where=anticommutes)
+    return np.exp(-2.0 * exponent)
 
 
 def insertion_table(model: PauliLindbladModel):

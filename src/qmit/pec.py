@@ -3,6 +3,12 @@ the sampled estimator, its sampling overhead, and zero-noise extrapolation.
 The closed-form instance and runtime cost models live in `resources`, which
 needs no numpy, and are re-exported here.
 
+ZNE's exact noisy expectation, `noisy_expectation`, runs once per scale
+factor in the Pauli basis of `simulator`: a noisy layer is one multiply of
+the 4^n Pauli coefficients by the channel's `pauli_fidelities`, and a gate is
+its 4x4 or 16x16 Pauli-transfer matrix, not two passes over a 2^n x 2^n rho.
+`simulator.density_run` with `apply_to_matrix` stays as the tests' oracle.
+
 Sampling is deterministic and worker-count independent: samples are split
 into fixed-size chunks, chunk c draws from Philox stream (seed, c), and
 chunk results are merged in chunk order.
@@ -51,18 +57,21 @@ import numpy as np
 
 from . import MAX_SAMPLES, MAX_WORKERS
 from .circuits import QuantumCircuit
-from .noise import PauliLindbladModel, insertion_table, sample_insertions
+from .noise import PauliLindbladModel, insertion_table, pauli_fidelities, sample_insertions
 from .pauli import Observable, PauliString
 from .resources import overhead_table, runtime_estimate  # re-exported
 from .simulator import (
     DensityMatrix,
-    Statevector,
     _apply_unitary,
+    _check_density_size,
     _check_statevector_size,
+    _fold_ops,
     apply_pauli_array,
     compile_ops,
-    density_run,
+    density_run,  # unused here; qbench/layers.py patches pec.density_run
     pauli_gather,
+    pauli_to_density,
+    pauli_transfer,
     philox_rng,
 )
 
@@ -299,16 +308,38 @@ def sampling_overhead(per_layer_models, eps: float) -> float:
 def noisy_expectation(
     circuit: QuantumCircuit, per_layer_models, observable: Observable
 ) -> float:
-    """Exact (density-matrix) expectation with the channel applied after
-    every two-qubit layer. `per_layer_models` follows `per_layer`."""
-    channels = {
-        i: model.apply_to_matrix
-        for i, model in zip(circuit.two_qubit_layer_indices(),
-                            per_layer(circuit, per_layer_models))
-    }
-    rho0 = DensityMatrix.from_statevector(Statevector.zero(circuit.n_qubits))
-    rho = density_run(circuit, rho0, channels)
-    return rho.expectation(observable)
+    """Exact expectation with the channel applied after every two-qubit
+    layer. `per_layer_models` follows `per_layer`.
+
+    The state is held as its 4^n real Pauli coefficients c_Q = Tr(Q rho),
+    indexed x | z << n, from |0><0|, where c_Q = 1 for every Q with x = 0.
+    Each 1q or 2q op (`simulator._fold_ops`, never wider) applies its
+    `pauli_transfer` matrix through `_apply_unitary`, and each noisy layer
+    multiplies c by its model's `pauli_fidelities`, built once per distinct
+    model. Tr(O rho) is the sum of coeff * c_Q over O's terms, in term order.
+    The final state must have c_I = 1 within 1e-10, and rebuilt as a
+    `DensityMatrix` it must pass the Hermitian, trace and PSD checks."""
+    n = circuit.n_qubits
+    _check_density_size(n)
+    if observable.n_qubits != n:
+        raise ValueError("circuit and observable sizes differ")
+    models = per_layer(circuit, per_layer_models)
+    fidelities: dict = {}
+    coeffs = np.zeros(1 << 2 * n)
+    coeffs[::1 << n] = 1.0
+    for ops, model in zip(_fold_ops(circuit, circuit.two_qubit_layer_indices()),
+                          models + [None]):
+        for u, qubits in ops:
+            coeffs = _apply_unitary(coeffs, pauli_transfer(u),
+                                    (*qubits, *(q + n for q in qubits)), 2 * n)
+        if model is not None:
+            if model not in fidelities:
+                fidelities[model] = pauli_fidelities(model)
+            coeffs *= fidelities[model]
+    if not abs(coeffs[0] - 1.0) <= 1e-10:
+        raise ValueError("noisy state trace is not 1")
+    DensityMatrix(n, pauli_to_density(coeffs, n))  # its Hermitian, trace and PSD checks
+    return float(sum(coeff * coeffs[p.x_mask | p.z_mask << n] for coeff, p in observable.terms))
 
 
 def zne_estimate(

@@ -1,4 +1,5 @@
-"""Exact statevector and density-matrix simulation of layered circuits.
+"""Exact statevector, density-matrix and Pauli-basis simulation of layered
+circuits.
 
 Amplitude ordering: basis index b carries qubit k in bit k of b, matching
 the Pauli-mask convention. Soft caps: 24 qubits for statevectors, 10 for
@@ -16,21 +17,31 @@ writes the result, with no index array. A Pauli sum is compiled once per
 Observable by `pauli_sum` into one signed diagonal per distinct X mask, so
 applying it costs one gather per mask, not per term.
 
+A state can also be held as its 4^n real Pauli coefficients
+c_Q = Tr(Q rho), indexed x | z << n, where Q = i^popcount(x & z) X^x Z^z as
+in `apply_pauli_array`. A 1q or 2q op's `pauli_transfer` matrix, real and
+4^m x 4^m, is applied by the gate kernel to qubits (q..., q + n...) of that
+2n-qubit vector, and `pauli_to_density` rebuilds rho from the coefficients
+with n passes of a per-qubit 4x4 map. `pec.noisy_expectation` runs there.
+
 Validation is written so that NaN fails it (`not err <= tol`). A density
 matrix is checked Hermitian, of trace 1 and PSD to -1e-9, the last by a
 Cholesky factorization of rho + 1e-9 I.
 
 Gates are applied as fused ops: `compile_ops(circuit, stops)` multiplies, once
-per call, each run of gates on one or two qubits into one 2x2 or 4x4 matrix.
-On registers of WIDE_FUSION_QUBITS (8) or more qubits it then fuses those
-ops greedily, in program order, into blocks of at most MAX_FUSED_QUBITS (4)
-qubits, because there an op's cost is mostly the kernel's transpose and
-copy of the whole state, not its arithmetic; on smaller registers building
-the wider matrices costs about as much as it saves. The ops come in segments
-that end at the layer indices in `stops`, where something other than a gate
-must see the state: `density_run` stops at its channel layers, PEC at its
-noisy two-qubit layers, and `run_array` nowhere. Nothing is fused across a
-stop.
+per call, each run of gates on one or two qubits into one 2x2 or 4x4 matrix
+(`_fold_ops`). On registers of WIDE_FUSION_QUBITS (8) or more qubits it then
+fuses those ops greedily, in program order, into blocks of at most
+MAX_FUSED_QUBITS (4) qubits, because there an op's cost is mostly the
+kernel's transpose and copy of the whole state, not its arithmetic; on
+smaller registers building the wider matrices costs about as much as it
+saves. The Pauli basis takes `_fold_ops`' ops unfused at every size: a 4q
+block's transfer matrix is 256 x 256, and building and applying those cost
+more than the wider blocks save. The ops come in segments that end at the
+layer indices in `stops`, where something other than a gate must see the
+state: `density_run` stops at its channel layers, PEC and
+`pec.noisy_expectation` at their noisy two-qubit layers, and `run_array`
+nowhere. Nothing is fused across a stop.
 
 RNG: all sampling uses the counter-based Philox generator. Independent
 streams are derived from (seed, stream) key pairs; parallel workers use
@@ -97,10 +108,9 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         return _CX
     if gate.name == "swap":
         return _SWAP
-    if gate.name in ("rxx", "ryy", "rzz"):
-        pp = {"rxx": _XX, "ryy": _YY, "rzz": _ZZ}[gate.name]
-        return cos(t / 2) * np.eye(4) - 1j * sin(t / 2) * pp
-    raise ValueError("unknown gate %r" % gate.name)
+    # `Gate` admits no other name: the rest are the rotation pairs
+    pp = {"rxx": _XX, "ryy": _YY, "rzz": _ZZ}[gate.name]
+    return cos(t / 2) * np.eye(4) - 1j * sin(t / 2) * pp
 
 
 def _apply_unitary(arr: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -133,13 +143,22 @@ def _left(u: np.ndarray, mat: np.ndarray, bit: int) -> np.ndarray:
 
 def compile_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
     """The circuit's gates as fused (matrix, qubits) ops, one list per segment:
-    a segment ends after each layer whose index is in `stops`, and the last
-    one holds the layers after the final stop. Within a segment, a 1q gate
-    folds into the last op on its qubit, a 2q gate on the pair of the last op
-    on both its qubits folds into that op, and a new 2q op absorbs the 1q ops
-    still pending on its qubits. On a register of WIDE_FUSION_QUBITS or more,
-    `_fuse_blocks` then fuses each segment's ops into blocks of up to
+    `_fold_ops`' 1q and 2q ops, which on a register of WIDE_FUSION_QUBITS or
+    more `_fuse_blocks` then fuses, segment by segment, into blocks of up to
     MAX_FUSED_QUBITS qubits. Nothing is fused across a stop."""
+    segments = _fold_ops(circuit, stops)
+    if circuit.n_qubits >= WIDE_FUSION_QUBITS:
+        segments = [_fuse_blocks(ops) for ops in segments]
+    return segments
+
+
+def _fold_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, tuple[int, ...]]]]:
+    """The circuit's gates as (matrix, qubits) ops on one or two qubits, one
+    list per segment: a segment ends after each layer whose index is in
+    `stops`, and the last one holds the layers after the final stop. Within a
+    segment, a 1q gate folds into the last op on its qubit, a 2q gate on the
+    pair of the last op on both its qubits folds into that op, and a new 2q
+    op absorbs the 1q ops still pending on its qubits."""
     stops = set(stops)
     segments = []
     ops: list = []
@@ -173,8 +192,6 @@ def compile_ops(circuit: QuantumCircuit, stops) -> list[list[tuple[np.ndarray, t
             segments.append([tuple(op) for op in ops if op is not None])
             ops, last = [], {}
     segments.append([tuple(op) for op in ops if op is not None])
-    if circuit.n_qubits >= WIDE_FUSION_QUBITS:
-        segments = [_fuse_blocks(ops) for ops in segments]
     return segments
 
 
@@ -297,6 +314,40 @@ def apply_pauli_sum(arr: np.ndarray, groups: tuple[tuple[int, np.ndarray], ...])
         else:
             out += term
     return np.zeros(arr.shape, dtype=complex) if out is None else out
+
+
+def _local_paulis(m: int) -> np.ndarray:
+    """The 4^m Paulis on m qubits as a (4^m, 2^m, 2^m) stack, index
+    x | z << m, each with its phase i^popcount(x & z), so all are Hermitian."""
+    d = 1 << m
+    eye = np.eye(d, dtype=complex)
+    return np.array([1j ** ((x & z).bit_count() % 4) * pauli_gather(eye, x, z)
+                     for z in range(d) for x in range(d)])
+
+
+_LOCAL_PAULIS = {m: _local_paulis(m) for m in (1, 2)}
+# per qubit, (x, z) at bits (q, q + n) -> rho's (column, row) bits (q, q + n)
+_PAULI_TO_ENTRIES = _LOCAL_PAULIS[1].reshape(4, 4).T / 2
+
+
+def pauli_transfer(u: np.ndarray) -> np.ndarray:
+    """The real Pauli-transfer matrix R[Q, P] = Tr(Q U P U^dag) / 2^m of a
+    1q or 2q op, indices x | z << m: R maps the coefficients c_P = Tr(P rho)
+    of the op's qubits to those of U rho U^dag. Applied by `_apply_unitary`
+    to qubits (q..., q + n...) of the coefficient vector."""
+    paulis = _LOCAL_PAULIS[u.shape[0].bit_length() - 1]
+    moved = (u @ paulis @ u.conj().T).reshape(len(paulis), -1)
+    # Tr(Q A) = sum_ab conj(Q)[a, b] A[a, b], since Q^T = conj(Q)
+    return (paulis.reshape(len(paulis), -1).conj() @ moved.T).real / u.shape[0]
+
+
+def pauli_to_density(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """rho = sum_Q c_Q Q / 2^n as a raw (2^n, 2^n) matrix, from the 4^n Pauli
+    coefficients c_Q = Tr(Q rho) indexed x | z << n: n passes of a 4x4 map."""
+    vec = coeffs.astype(complex)
+    for q in range(n):
+        vec = _apply_unitary(vec, _PAULI_TO_ENTRIES, (q, q + n), 2 * n)
+    return vec.reshape(1 << n, 1 << n)
 
 
 def _check_statevector_size(n_qubits: int) -> None:

@@ -173,6 +173,28 @@ def test_circuit_api_refuses_what_no_text_can_say(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Gate("h", (0.5,)), "qubit index 0.5 is not an integer"),
+    (lambda: Gate("cx", (0, np.float64(1.0))), "qubit index np.float64(1.0) is not an integer"),
+    (lambda: Gate("h", (True,)), "qubit index True is not an integer"),
+    (lambda: Gate("h", (np.True_,)), "qubit index np.True_ is not an integer"),
+    (lambda: QuantumCircuit(2, [Layer([Gate("h", ("0",))])]), "qubit index '0' is not an integer"),
+    (lambda: Gate("u", (0,), 3.0, np.eye(2)), "gate 'u' takes no parameter"),
+    (lambda: Gate("u", (0, 1, 2), matrix=np.eye(8)), "custom gate takes 1 or 2 qubits, got 3"),
+    (lambda: Gate("u", (), matrix=np.eye(1)), "custom gate takes 1 or 2 qubits, got 0"),
+], ids=["float", "numpy_float", "bool", "numpy_bool", "str", "u_with_param", "u_on_3",
+        "u_on_0"])
+def test_gate_refuses_a_non_integer_qubit_and_a_u_that_no_kernel_takes(build, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        build()
+
+
+def test_numpy_integer_qubits_are_indices():
+    circuit = QuantumCircuit(2, [Layer([Gate("h", (np.int64(0),))]),
+                                 Layer([Gate("cx", (np.int32(0), np.uint8(1)))])])
+    assert circuit.two_qubit_layer_indices() == [1]
+
+
 def test_inverse_of_a_custom_unitary_is_its_adjoint():
     s = np.array([[1, 0], [0, 1j]])
     inverse = Gate("u", (0,), matrix=s).inverse()

@@ -12,6 +12,7 @@ PACKAGE = Path(qmit.__file__).parent
 # (module file, imported name): why the module imports a name it never reads
 ALLOWED = {
     ("noise.py", "apply_pauli_array"): "qbench/layers.py patches noise.apply_pauli_array",
+    ("pec.py", "density_run"): "qbench/layers.py patches pec.density_run",
     ("pec.py", "overhead_table"): "re-exported from resources",
     ("pec.py", "runtime_estimate"): "re-exported from resources",
     ("pec.py", "numpy.random"): "pec_estimate loads it before the pool opens (the fork-hang guard)",

@@ -20,7 +20,13 @@ from conftest import (
     random_circuit,
 )
 from qmit.circuits import Gate, Layer, QuantumCircuit
-from qmit.noise import PauliLindbladModel, insertion_table, sample_insertions
+from qmit.noise import (
+    PauliLindbladModel,
+    insertion_table,
+    pauli_fidelities,
+    pauli_fidelity,
+    sample_insertions,
+)
 from qmit.pauli import Observable, PauliString, parse_pauli
 from qmit import MAX_SAMPLES, MAX_WORKERS, pec
 from qmit.pec import (
@@ -38,8 +44,11 @@ from qmit.pec import (
 from qmit.simulator import (
     MAX_FUSED_QUBITS,
     WIDE_FUSION_QUBITS,
+    DensityMatrix,
+    Statevector,
     _apply_unitary,
     apply_pauli_array,
+    density_run,
     expectation,
     expectation_array,
     gate_matrix,
@@ -619,6 +628,105 @@ def test_enumerate_signed_equals_the_noiseless_value(seed, n, n_layers, n_genera
     obs = Observable.from_terms(n, [(float(rng.normal()), random_pauli(n, rng.integers(4 ** n)))
                                     for _ in range(n_terms)])
     assert abs(enumerate_signed(circuit, models, obs) - expectation(run(circuit), obs)) < 1e-10
+
+
+# -- the Pauli-basis noisy expectation against the dense density oracle -------
+
+def dense_noisy_expectation(circuit, per_layer_models, obs):
+    """The noisy expectation on a 2^n x 2^n density matrix: `density_run`
+    with `apply_to_matrix` after every two-qubit layer."""
+    models = pec.per_layer(circuit, per_layer_models)
+    channels = {i: model.apply_to_matrix
+                for i, model in zip(circuit.two_qubit_layer_indices(), models)}
+    rho0 = DensityMatrix.from_statevector(Statevector.zero(circuit.n_qubits))
+    return density_run(circuit, rho0, channels).expectation(obs)
+
+
+def pauli_path_instance(seed, n):
+    """A random circuit with custom 1q `u` gates (and a 2q one on n >= 2)
+    between random layers, a `y_carrying_model` per noisy layer and a random
+    1-4 term observable."""
+    rng = np.random.default_rng(seed)
+    custom = [Layer([Gate("u", (int(rng.integers(n)),), matrix=random_unitary(rng, 2))])]
+    if n >= 2:
+        a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+        custom.append(Layer([Gate("u", (a, b), matrix=random_unitary(rng, 4))]))
+    circuit = random_circuit(rng, n, int(rng.integers(1, 4))).concat(
+        QuantumCircuit(n, custom)).concat(random_circuit(rng, n, int(rng.integers(1, 4))))
+    models = [y_carrying_model(rng, n) for _ in circuit.two_qubit_layer_indices()]
+    obs = Observable.from_terms(n, [(float(rng.normal()), random_pauli(n, rng.integers(4 ** n)))
+                                    for _ in range(int(rng.integers(1, 5)))])
+    return circuit, models, obs
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_noisy_expectation_equals_the_dense_oracle(seed, n):
+    circuit, models, obs = pauli_path_instance(seed, n)
+    assert n == 1 or models  # every register of 2 or more qubits carries noise
+    got = noisy_expectation(circuit, models, obs)
+    assert abs(got - dense_noisy_expectation(circuit, models, obs)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_zne_estimate_is_the_intercept_of_the_dense_oracle(seed, n):
+    circuit, models, obs = pauli_path_instance(seed, n)
+    factors, order = (1.0, 2.0, 3.0), 2
+    dense = [dense_noisy_expectation(circuit, models[0].scaled(c), obs) for c in factors]
+    estimate = zne_estimate(circuit, models[0], obs, factors, order)
+    assert abs(estimate - pec._zne_intercept(factors, dense, order)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_fidelities_are_each_paulis_fidelity(seed, n):
+    rng = np.random.default_rng(seed)
+    model = y_carrying_model(rng, n) if n >= 2 else PauliLindbladModel(1, (
+        (parse_pauli("Y"), 0.1), (parse_pauli("Z"), 0.03)))
+    fidelities = pauli_fidelities(model)
+    assert fidelities.shape == (4 ** n,)
+    assert fidelities.tolist() == [pauli_fidelity(model, random_pauli(n, code))
+                                   for code in range(4 ** n)]
+
+
+def test_pauli_fidelities_of_a_noiseless_model_are_one():
+    assert pauli_fidelities(PauliLindbladModel(3, ())).tolist() == [1.0] * 4 ** 3
+
+
+def test_noisy_expectation_refuses_eleven_qubits_before_allocating(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError("pec used numpy.%s before the size check" % name)
+
+    n = 11
+    circuit = QuantumCircuit(n, [Layer([Gate("cx", (0, 1))])])
+    model = PauliLindbladModel(n, ((PauliString.single(n, 0, "X"), 0.01),))
+    monkeypatch.setattr(pec, "np", NoNumpy())
+    with pytest.raises(ValueError, match="density matrix capped at 10 qubits"):
+        noisy_expectation(circuit, model, Observable.from_label("Z" * n))
+    with pytest.raises(ValueError, match="density matrix capped at 10 qubits"):
+        pauli_fidelities(model)
+
+
+@pytest.mark.parametrize("fidelities, message", [
+    (lambda size: np.full(size, np.nan), "noisy state trace is not 1"),
+    (lambda size: np.full(size, 0.5), "noisy state trace is not 1"),
+    # c_I stays 1, but every other coefficient doubles: no state has them
+    (lambda size: np.where(np.arange(size) == 0, 1.0, 2.0),
+     "density matrix has a negative eigenvalue"),
+], ids=["nan", "trace_halved", "not_psd"])
+def test_noisy_expectation_checks_the_state_it_reads(monkeypatch, fidelities, message):
+    circuit, models = two_layer_instance()
+    monkeypatch.setattr(pec, "pauli_fidelities", lambda model: fidelities(4 ** model.n_qubits))
+    with pytest.raises(ValueError, match=message):
+        noisy_expectation(circuit, models, Observable.from_label("ZZ"))
+
+
+def test_noisy_expectation_refuses_an_observable_of_another_size():
+    circuit, models = two_layer_instance()
+    with pytest.raises(ValueError, match="circuit and observable sizes differ"):
+        noisy_expectation(circuit, models, Observable.from_label("ZZZ"))
 
 
 def test_sampling_overhead():

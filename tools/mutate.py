@@ -55,6 +55,21 @@ MUTANTS = {
         "    return float(np.polyval(coeffs, 1e-3))\n",
         ["tests/test_pec.py"],
     ),
+    # the Pauli basis without its phase i^popcount(x & z): Y read as XZ,
+    # which is not Hermitian, in every transfer matrix and in the rebuilt rho
+    "pauli_basis_without_phase": (
+        "src/qmit/simulator.py",
+        "    return np.array([1j ** ((x & z).bit_count() % 4) * pauli_gather(eye, x, z)\n",
+        "    return np.array([pauli_gather(eye, x, z)\n",
+        ["tests/test_pec.py"],
+    ),
+    # the noisy layer multiplies by exp(-lam), not exp(-2 lam), per anticommuting rate
+    "pauli_fidelities_of_half_rate": (
+        "src/qmit/noise.py",
+        "    return np.exp(-2.0 * exponent)\n",
+        "    return np.exp(-exponent)\n",
+        ["tests/test_pec.py"],
+    ),
     # ||A theta_dot|| reported as the residual, without the right-hand side C
     "residual_without_c": (
         "src/qmit/varqte.py",
