@@ -117,7 +117,9 @@ def _apply_unitary(arr: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n:
     """Apply an m-qubit unitary (2^m x 2^m, local bit j on qubits[j]) to
     axis 0 of arr (length 2**n); trailing axes are a batch. Fused ops have m
     up to MAX_FUSED_QUBITS, and building a fused matrix applies its ops to
-    an identity through this same kernel."""
+    an identity through this same kernel. The Pauli basis passes real
+    transfer matrices on real coefficients, and `pauli_to_density` its 4x4
+    map: any 2^m x 2^m matrix works."""
     m = len(qubits)
     batch = arr.shape[1:]
     tensor = arr.reshape((2,) * n + batch)

@@ -27,6 +27,8 @@ from qmit.simulator import (
     gate_matrix,
     pauli_gather,
     pauli_sum,
+    pauli_to_density,
+    pauli_transfer,
     philox_rng,
     run,
     run_array,
@@ -248,6 +250,29 @@ def test_pure_states_pass_the_psd_check(n):
     rng = np.random.default_rng(n)
     DensityMatrix.from_statevector(Statevector(n, random_state(rng, (2 ** n,))))
     DensityMatrix.from_statevector(Statevector.basis(n, 2 ** n - 1))
+
+
+def pauli_coefficients(rho, n):
+    """c_Q = Tr(Q rho) for every Q, indexed x | z << n, from dense Paulis."""
+    return np.array([np.trace(pauli_matrix(PauliString(n, code & 2 ** n - 1, code >> n)) @ rho).real
+                     for code in range(4 ** n)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pauli_transfer_and_rebuild_match_dense_matrices(seed):
+    rng = np.random.default_rng(seed)
+    n = 3
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    coeffs = pauli_coefficients(rho, n)
+    assert np.abs(pauli_to_density(coeffs, n) - rho).max() < 1e-14
+    for qubits in [(1,), (2, 0), (0, 1)]:
+        gate = random_gate(rng, "u", qubits)
+        u = dense_gate(gate, n)
+        r = pauli_transfer(gate.matrix)
+        assert r.dtype == float and r.shape == (4 ** len(qubits),) * 2
+        moved = _apply_unitary(coeffs, r, (*qubits, *(q + n for q in qubits)), 2 * n)
+        assert np.abs(moved - pauli_coefficients(u @ rho @ u.conj().T, n)).max() < 1e-13
 
 
 def test_density_run_pure_matches_statevector():
