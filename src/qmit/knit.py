@@ -12,18 +12,23 @@ term reads one table per fragment with one axis of 8 cut terms per cut
 (the per-subcircuit decomposition of Peng, Harrow, Ozols & Wu, PRL 125,
 150504 (2020), and of CutQC, Tang et al., ASPLOS 2021). Exact mode sums the
 records of all 8^cuts cut-term assignments; sampled mode averages each draw's.
+
+Planning splits each wire at its cuts into segments, numbered along the wire
+from 0, and joins the segments that each gate touches. The fragments are the
+components, in the order of their first (qubit, segment) pair, and a
+fragment's local qubits follow its segments in sorted order.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from . import MAX_SAMPLES
-from .circuits import Gate, Layer, QuantumCircuit
+from .circuits import Gate, Layer, QuantumCircuit, _is_index
 from .pauli import _CHAR_TO_XZ, Observable, PauliString
 from .simulator import (MAX_STATEVECTOR_QUBITS, _check_statevector_size, apply_pauli_array,
                         philox_rng, run_array)
@@ -58,14 +63,12 @@ class WireCut:
     boundary: int  # cut sits between layers boundary-1 and boundary
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fragment:
-    segments: list[tuple[int, int]]  # (qubit, segment index), sorted
-    circuit: QuantumCircuit = None
-    local: dict = field(default_factory=dict)  # segment -> local qubit
-    in_cuts: list[tuple[int, int]] = field(default_factory=list)  # (cut idx, local)
-    out_cuts: list[tuple[int, int]] = field(default_factory=list)
-    final_local: dict = field(default_factory=dict)  # original qubit -> local
+    circuit: QuantumCircuit
+    in_cuts: list[tuple[int, int]]  # (cut idx, local qubit)
+    out_cuts: list[tuple[int, int]]
+    final_local: dict[int, int]  # original qubit -> local
 
 
 @dataclass
@@ -83,95 +86,62 @@ class CutPlan:
         return 8 ** len(self.cuts)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-
 def plan_wire_cut(circuit: QuantumCircuit, cut_points) -> CutPlan:
     """Split wires at the given (qubit, layer boundary) points and group the
     resulting wire segments into disconnected fragments."""
     cuts = tuple(WireCut(q, b) for q, b in cut_points)
-    if len(set(cuts)) != len(cuts):
-        raise ValueError("duplicate cut points")
-    n_layers = len(circuit.layers)
     for cut in cuts:
+        if not (_is_index(cut.qubit) and _is_index(cut.boundary)):
+            raise ValueError("cut qubit and boundary must be integers, got %r" % (cut,))
         if not 0 <= cut.qubit < circuit.n_qubits:
             raise ValueError("cut qubit out of range")
-        if not 1 <= cut.boundary <= n_layers - 1:
-            raise ValueError(
-                "cut boundary %d must lie strictly between layers" % cut.boundary
-            )
-    boundaries: dict[int, list[int]] = {}
-    for cut in cuts:
-        boundaries.setdefault(cut.qubit, []).append(cut.boundary)
-    for q in boundaries:
-        boundaries[q].sort()
+        if not 1 <= cut.boundary < len(circuit.layers):
+            raise ValueError("cut boundary %d must lie strictly between layers" % cut.boundary)
+    if len(set(cuts)) != len(cuts):
+        raise ValueError("duplicate cut points")
+    boundaries: dict[int, list[int]] = {q: [] for q in range(circuit.n_qubits)}
+    for q, b in sorted((cut.qubit, cut.boundary) for cut in cuts):
+        boundaries[q].append(b)
+    parent = {(q, i): (q, i) for q, bs in boundaries.items() for i in range(len(bs) + 1)}
 
-    def segment_of(q: int, layer: int) -> tuple[int, int]:
-        return (q, bisect_right(boundaries.get(q, []), layer))
+    def find(seg):
+        while parent[seg] != seg:
+            parent[seg] = parent[parent[seg]]
+            seg = parent[seg]
+        return seg
 
-    nodes = []
-    for q in range(circuit.n_qubits):
-        for i in range(len(boundaries.get(q, [])) + 1):
-            nodes.append((q, i))
-    uf = _UnionFind(nodes)
+    placed = []  # (layer index, gate, its segments) in circuit order
     for layer_idx, layer in enumerate(circuit.layers):
         for gate in layer.gates:
-            segs = [segment_of(q, layer_idx) for q in gate.qubits]
-            for s in segs[1:]:
-                uf.union(segs[0], s)
-
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for node in nodes:
-        groups.setdefault(uf.find(node), []).append(node)
-
-    cut_index = {(c.qubit, c.boundary): k for k, c in enumerate(cuts)}
+            segs = [(q, bisect_right(boundaries[q], layer_idx)) for q in gate.qubits]
+            for seg in segs[1:]:
+                parent[find(seg)] = find(segs[0])
+            placed.append((layer_idx, gate, segs))
     for cut in cuts:
-        up = (cut.qubit, boundaries[cut.qubit].index(cut.boundary))
-        down = (cut.qubit, up[1] + 1)
-        if uf.find(up) == uf.find(down):
-            raise ValueError(
-                "cut at qubit %d boundary %d does not disconnect the circuit"
-                % (cut.qubit, cut.boundary)
-            )
-
+        down = (cut.qubit, bisect_right(boundaries[cut.qubit], cut.boundary))
+        if find(down) == find((cut.qubit, down[1] - 1)):
+            raise ValueError("cut at qubit %d boundary %d does not disconnect the circuit"
+                             % (cut.qubit, cut.boundary))
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # root -> its segments, sorted
+    for seg in parent:
+        groups.setdefault(find(seg), []).append(seg)
+    where = {seg: (f, local) for f, members in enumerate(groups.values())
+             for local, seg in enumerate(members)}  # segment -> (fragment, local qubit)
+    layers: list[dict[int, list[Gate]]] = [{} for _ in groups]  # per fragment: layer -> gates
+    for layer_idx, gate, segs in placed:
+        layers[where[segs[0]][0]].setdefault(layer_idx, []).append(
+            Gate(gate.name, tuple(where[s][1] for s in segs), gate.param, gate.matrix))
+    cut_index = {(c.qubit, c.boundary): k for k, c in enumerate(cuts)}
     fragments = []
-    for members in groups.values():
-        frag = Fragment(segments=sorted(members))
-        frag.local = {seg: i for i, seg in enumerate(frag.segments)}
-        layers = []
-        for layer_idx, layer in enumerate(circuit.layers):
-            gates = []
-            for gate in layer.gates:
-                segs = [segment_of(q, layer_idx) for q in gate.qubits]
-                if segs[0] in frag.local:
-                    gates.append(
-                        Gate(gate.name, tuple(frag.local[s] for s in segs),
-                             gate.param, gate.matrix)
-                    )
-            if gates:
-                layers.append(Layer(gates))
-        frag.circuit = QuantumCircuit(len(frag.segments), layers)
-        for q, i in frag.segments:
-            bs = boundaries.get(q, [])
-            if i > 0:
-                frag.in_cuts.append((cut_index[(q, bs[i - 1])], frag.local[(q, i)]))
-            if i < len(bs):
-                frag.out_cuts.append((cut_index[(q, bs[i])], frag.local[(q, i)]))
-            else:
-                frag.final_local[q] = frag.local[(q, i)]
-        fragments.append(frag)
-    fragments.sort(key=lambda f: f.segments[0])
+    for members, frag_layers in zip(groups.values(), layers):
+        # per local qubit: its wire, its segment there and that wire's last segment
+        ends = [(q, i, len(boundaries[q]), local) for local, (q, i) in enumerate(members)]
+        fragments.append(Fragment(
+            QuantumCircuit(len(members), [Layer(gates) for gates in frag_layers.values()]),
+            [(cut_index[q, boundaries[q][i - 1]], local) for q, i, _, local in ends if i > 0],
+            [(cut_index[q, boundaries[q][i]], local) for q, i, last, local in ends if i < last],
+            {q: local for q, i, last, local in ends if i == last},
+        ))
     return CutPlan(circuit, cuts, fragments)
 
 

@@ -133,11 +133,12 @@ def per_layer(circuit: QuantumCircuit, per_layer_models) -> list:
     return models
 
 
-def _compile(circuit: QuantumCircuit, per_layer_models):
+def _compile(circuit: QuantumCircuit, models: list):
     """[(ops, table)]: the fused gate ops of each segment that ends at a
     two-qubit (noisy) layer, with that layer's `insertion_table`; the last
-    segment, after the final noisy layer, has table None."""
-    tables = [insertion_table(model) for model in per_layer(circuit, per_layer_models)]
+    segment, after the final noisy layer, has table None. `models` is the
+    list `per_layer` returns."""
+    tables = [insertion_table(model) for model in models]
     return list(zip(compile_ops(circuit, circuit.two_qubit_layer_indices()), tables + [None]))
 
 
@@ -232,6 +233,8 @@ def pec_estimate(
         raise ValueError("mode must be 'analytic' or 'shot'")
     n = circuit.n_qubits
     _check_statevector_size(n)
+    if observable.n_qubits != n:
+        raise ValueError("circuit and observable sizes differ")
     per_layer_models = per_layer(circuit, per_layer_models)
     compiled = _compile(circuit, per_layer_models)
     gamma = gamma_total(per_layer_models)
@@ -277,6 +280,8 @@ def enumerate_signed(
     is capped at MAX_ENUMERATED_GENERATORS over all noisy layers."""
     n = circuit.n_qubits
     _check_statevector_size(n)
+    if observable.n_qubits != n:
+        raise ValueError("circuit and observable sizes differ")
     models = per_layer(circuit, per_layer_models)
     compiled = _compile(circuit, models)
     # the insertion probability of each uniform in a row: per noisy layer,

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -104,6 +105,14 @@ def test_cut_validation():
         plan_wire_cut(circuit, [(5, 1)])  # qubit out of range
     with pytest.raises(ValueError, match="duplicate"):
         plan_wire_cut(circuit, [(0, 1), (0, 1)])
+    # cut points that are not integers, or are bools, on 3 layers
+    circuit = QuantumCircuit(2, [Layer([Gate("h", (0,))]), Layer([Gate("cx", (0, 1))]),
+                                 Layer([Gate("h", (1,))])])
+    for point in [(0.5, 1), (1, 1.5), (True, 2), (1, True)]:
+        with pytest.raises(ValueError, match="must be integers, got WireCut"):
+            plan_wire_cut(circuit, [point])
+    assert plan_fields(plan_wire_cut(circuit, [(np.int64(1), np.int64(2))])) == \
+        plan_fields(plan_wire_cut(circuit, [(1, 2)]))
 
 
 def test_observable_size_mismatch():
@@ -431,6 +440,131 @@ def test_exact_matches_uncut(name, seed):
     obs = observable_with_y(rng, circuit.n_qubits)
     uncut = expectation(run(circuit), obs)
     assert abs(execute_plan(plan_wire_cut(circuit, cuts), obs)["value"] - uncut) < 1e-10
+
+
+def plan_fields(plan):
+    """Per fragment: its size, its per-layer (name, qubits, param) gates, its
+    in-cuts and out-cuts, and its final local qubits."""
+    return [(f.circuit.n_qubits,
+             [[(g.name, g.qubits, g.param) for g in layer.gates] for layer in f.circuit.layers],
+             f.in_cuts, f.out_cuts, f.final_local) for f in plan.fragments]
+
+
+def reference_plan(circuit, cut_points):
+    """`plan_fields` of a wire cut, found by breadth-first search. Segment
+    (q, i) of wire q holds its layers from its i-th cut, in boundary order,
+    to the next; two segments touch when a gate acts on both, and a fragment
+    is a connected set of segments. Fragments come in the order of their
+    first (qubit, segment) pair and a fragment's local qubits in the sorted
+    order of its segments. None when a cut leaves its two sides connected."""
+    wires = {q: sorted((b, k) for k, (p, b) in enumerate(cut_points) if p == q)
+             for q in range(circuit.n_qubits)}
+
+    def segment(q, layer):
+        return (q, sum(b <= layer for b, _ in wires[q]))
+
+    touching = {(q, i): set() for q, wire in wires.items() for i in range(len(wire) + 1)}
+    for layer_idx, layer in enumerate(circuit.layers):
+        for gate in layer.gates:
+            segs = [segment(q, layer_idx) for q in gate.qubits]
+            for seg in segs:
+                touching[seg].update(segs)
+    fragment_of, components = {}, []
+    for start in sorted(touching):
+        if start in fragment_of:
+            continue
+        fragment_of[start] = len(components)
+        queue, component = collections.deque([start]), []
+        while queue:
+            seg = queue.popleft()
+            component.append(seg)
+            for other in touching[seg] - fragment_of.keys():
+                fragment_of[other] = len(components)
+                queue.append(other)
+        components.append(sorted(component))
+    if any(fragment_of[q, i] == fragment_of[q, i + 1] for q, wire in wires.items()
+           for i in range(len(wire))):
+        return None
+    local = {seg: k for component in components for k, seg in enumerate(component)}
+    layers = [{} for _ in components]  # per fragment: layer index -> its gates
+    for layer_idx, layer in enumerate(circuit.layers):
+        for gate in layer.gates:
+            segs = [segment(q, layer_idx) for q in gate.qubits]
+            layers[fragment_of[segs[0]]].setdefault(layer_idx, []).append(
+                (gate.name, tuple(local[seg] for seg in segs), gate.param))
+    return [(len(component), list(frag_layers.values()),
+             [(wires[q][i - 1][1], k) for k, (q, i) in enumerate(component) if i > 0],
+             [(wires[q][i][1], k) for k, (q, i) in enumerate(component) if i < len(wires[q])],
+             {q: k for k, (q, i) in enumerate(component) if i == len(wires[q])})
+            for component, frag_layers in zip(components, layers)]
+
+
+PLANNER_CASES = {
+    "bell": lambda rng: (bell_circuit(), [(0, 1)]),
+    "chain-circuit": lambda rng: (chain_circuit(), [(1, 3)]),
+    **UNCUT_CASES,
+}
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", PLANNER_CASES)
+def test_plan_equals_the_breadth_first_oracle(name, seed):
+    circuit, cuts = PLANNER_CASES[name](np.random.default_rng(seed))
+    assert plan_fields(plan_wire_cut(circuit, cuts)) == reference_plan(circuit, cuts)
+    # the same cuts listed in reverse: other cut indices, the same fragments
+    cuts = cuts[::-1]
+    assert plan_fields(plan_wire_cut(circuit, cuts)) == reference_plan(circuit, cuts)
+
+
+def random_cut_case(rng):
+    """2-6 qubits and 3-8 layers. Each layer couples random pairs of qubits
+    with random two-qubit gates, either way round, rotates some others and
+    leaves the rest idle; one wire may stay idle throughout. 1-4 distinct
+    cut points, in the order drawn."""
+    n, n_layers = int(rng.integers(2, 7)), int(rng.integers(3, 9))
+    idle = int(rng.integers(n + 1))  # n: no wire idle throughout
+    layers = []
+    for _ in range(n_layers):
+        free = [int(q) for q in rng.permutation(n) if q != idle]
+        gates = []
+        while free:
+            a, roll = free.pop(), rng.random()
+            if roll < 0.4 and free:
+                gates.append(random_coupler(rng, a, free.pop()))
+            elif roll < 0.7:
+                gates.append(Gate("ry", (a,), float(rng.uniform(-np.pi, np.pi))))
+        layers.append(Layer(gates))
+    points = [(int(rng.integers(n)), int(rng.integers(1, n_layers)))
+              for _ in range(int(rng.integers(1, 5)))]
+    return QuantumCircuit(n, layers), list(dict.fromkeys(points))
+
+
+def test_random_plans_equal_the_breadth_first_oracle():
+    rng = np.random.default_rng(33)
+    seen = collections.Counter()
+    for _ in range(400):
+        circuit, cuts = random_cut_case(rng)
+        expected = reference_plan(circuit, cuts)
+        if expected is None:
+            seen["refused"] += 1
+            with pytest.raises(ValueError, match="does not disconnect"):
+                plan_wire_cut(circuit, cuts)
+            continue
+        assert plan_fields(plan_wire_cut(circuit, cuts)) == expected
+        used = {q for layer in circuit.layers for g in layer.gates for q in g.qubits}
+        seen["idle wire cut"] += any(q not in used for q, _ in cuts)
+        seen["reversed cx"] += any(g.name == "cx" and g.qubits[0] > g.qubits[1]
+                                   for layer in circuit.layers for g in layer.gates)
+        seen["cuts out of order"] += cuts != sorted(cuts)
+    assert min(seen[k] for k in ("refused", "idle wire cut", "reversed cx",
+                                 "cuts out of order")) >= 10, seen
+
+
+def test_a_500_cut_chain_plan_equals_the_breadth_first_oracle():
+    circuit, cuts = cut_chain(np.random.default_rng(5), 500)
+    plan = plan_wire_cut(circuit, cuts)
+    assert len(plan.fragments) == 501
+    assert plan_fields(plan) == reference_plan(circuit, cuts)
 
 
 def test_cut_cases_have_the_fragments_they_describe():

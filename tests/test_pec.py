@@ -163,7 +163,7 @@ def noisy_trajectory_values(circuit, model, obs, samples, seed):
     of one Philox block holds sample s's uniforms, one per generator of each
     noisy layer in circuit order; the samples are evolved together as the
     columns of one (2^n, samples) block."""
-    compiled = pec._compile(circuit, model)
+    compiled = pec._compile(circuit, pec.per_layer(circuit, model))
     n = circuit.n_qubits
     draws = sum(len(table[2]) for _, table in compiled if table is not None)
     uniforms = philox_rng(seed).random((samples, draws))
@@ -723,10 +723,23 @@ def test_noisy_expectation_checks_the_state_it_reads(monkeypatch, fidelities, me
         noisy_expectation(circuit, models, Observable.from_label("ZZ"))
 
 
-def test_noisy_expectation_refuses_an_observable_of_another_size():
+def test_noisy_expectation_refuses_an_observable_of_another_size(monkeypatch):
     circuit, models = two_layer_instance()
+    obs = Observable.from_label("ZZZ")
     with pytest.raises(ValueError, match="circuit and observable sizes differ"):
-        noisy_expectation(circuit, models, Observable.from_label("ZZZ"))
+        noisy_expectation(circuit, models, obs)
+
+    # PEC refuses it too, before any chunk or block is sampled
+    def sampled(*args):
+        raise AssertionError("sampled before the size check")
+
+    monkeypatch.setattr(pec, "_pec_chunk", sampled)
+    monkeypatch.setattr(pec, "_sample_block", sampled)
+    for mode, workers in itertools.product(("analytic", "shot"), (1, 2)):
+        with pytest.raises(ValueError, match="circuit and observable sizes differ"):
+            pec_estimate(circuit, models, obs, 2 * pec.CHUNK_SIZE, 0, mode=mode, workers=workers)
+    with pytest.raises(ValueError, match="circuit and observable sizes differ"):
+        enumerate_signed(circuit, models, obs)
 
 
 def test_sampling_overhead():

@@ -155,6 +155,20 @@ MUTANTS = {
         "",
         ["tests/test_circuit_io.py"],
     ),
+    # the planner never joins a gate's segments: every segment its own fragment
+    "plan_without_joins": (
+        "src/qmit/knit.py",
+        "                parent[find(seg)] = find(segs[0])\n",
+        "                pass\n",
+        ["tests/test_knit.py"],
+    ),
+    # a cut whose two sides stay connected is planned, not refused
+    "plan_without_disconnect_check": (
+        "src/qmit/knit.py",
+        "        if find(down) == find((cut.qubit, down[1] - 1)):\n",
+        "        if False:\n",
+        ["tests/test_knit.py"],
+    ),
 }
 
 
