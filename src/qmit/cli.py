@@ -7,6 +7,11 @@ of the subcommand except ``--seed``, which has its own header line, and
 ``--workers``: output is deterministic under a fixed config and seed, and
 the worker count never changes results.
 
+Unless the environment already sets them, ``main`` sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy is first imported, so stdout does not depend on the BLAS
+thread count.
+
 Environment overrides: ``QMIT_SEED`` for the default seed and
 ``QMIT_WORKERS`` for the default number of ``qmit pec`` worker threads
 (otherwise the CPU count, at most ``MAX_WORKERS``). A value that is not an
@@ -303,7 +308,7 @@ def _cmd_simulate(args, out):
         _emit(out, ["bitstring", "count"], rows, args.format)
     if not args.observable and not args.shots:
         rows = [{"basis_state": i, "amplitude": a}
-                for i, a in enumerate(state.amplitudes)]
+                for i, a in enumerate(state.amplitudes.tolist())]
         _emit(out, ["basis_state", "amplitude"], rows, args.format)
 
 
@@ -422,6 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # one BLAS thread unless the user chose otherwise: tdvp's pinv, for
+        # one, differs in its last bits between thread counts. Only a fresh
+        # interpreter is touched; an in-process caller keeps its environment.
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     out = sys.stdout

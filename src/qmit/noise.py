@@ -20,6 +20,10 @@ sample in `pec`. `insertion_table` computes q from the model's rates and
 gives its (x_masks, z_masks, q) arrays, and `sample_insertions` maps a
 (B, g) block of uniforms to each row's product of insertions and count.
 
+Virtual distillation reads rho once: Tr(O rho^2) and Tr(rho^2) come from
+one pass of row products over rho's rows (`simulator._block_expectation`),
+with no rho-sized temporary.
+
 Rate learning runs in one pass over arrays. `synthesize_decay_data` takes
 every probe's fidelity from one probe-generator anticommutation matrix,
 adding the rates column by column in generator order, so each equals
@@ -58,9 +62,9 @@ from .pauli import Observable, PauliString, format_pauli, parse_pauli
 from .simulator import (
     DensityMatrix,
     Statevector,
+    _block_expectation,
     _check_density_size,
     apply_pauli_array,  # unused here; qbench/layers.py patches noise.apply_pauli_array
-    expectation_array,
     pauli_gather,
     philox_rng,
 )
@@ -194,11 +198,14 @@ def apply_stochastic(
 
 
 def virtual_distillation_expectation(rho: DensityMatrix, obs: Observable) -> float:
-    """Tr(O rho^2) / Tr(rho^2); for Hermitian rho, Tr(P rho^2) = <rho|P rho>."""
-    purity = rho.purity()
+    """Tr(O rho^2) / Tr(rho^2) (Huggins et al., PRX 11, 041036 (2021)). For
+    Hermitian rho, Tr(O rho^2) = Tr(rho^dag O rho), the expectation over
+    rho's columns, and Tr(rho^2) = sum_j r_0[j], the x = 0 row products of
+    that same pass: for a total-Z observable rho is read once."""
+    value, purity = _block_expectation(rho.matrix, obs, norm=True)
     if purity < 1e-12:
         raise ValueError("state purity too small for virtual distillation")
-    return expectation_array(rho.matrix, obs) / purity
+    return value / purity
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,22 @@ c_Q = Tr(Q rho), indexed x | z << n, where Q = i^popcount(x & z) X^x Z^z as
 in `apply_pauli_array`. A 1q or 2q op's `pauli_transfer` matrix, real and
 4^m x 4^m, is applied by the gate kernel to qubits (q..., q + n...) of that
 2n-qubit vector, and `pauli_to_density` rebuilds rho from the coefficients
-with n passes of a per-qubit 4x4 map. `pec.noisy_expectation` runs there.
+with n in-place butterfly passes, one per qubit, on strided views of that
+vector. `pec.noisy_expectation` runs there.
+
+An expectation over a (2^n, B) block A, such as rho read column by column,
+is Tr(A^dag O A) = Re sum_x <r_x, d_x> over `pauli_sum`'s groups, where the
+row products r_x[j] = sum_b conj(A[j, b]) A[j ^ x, b] are one `np.vecdot` of
+A with its row-flipped view: axis 0 split at x's bits and reversed, with no
+copy. So A is read once per X mask and no block-sized temporary is made;
+r_0 also gives the squared norm sum |A|^2 that virtual distillation divides
+by.
 
 Validation is written so that NaN fails it (`not err <= tol`). A density
-matrix is checked Hermitian, of trace 1 and PSD to -1e-9, the last by a
-Cholesky factorization of rho + 1e-9 I.
+matrix is checked Hermitian, a block of _DENSITY_ROW_BLOCK (32) rows at a
+time against the matching column block, so no full-size temporary is made;
+then of trace 1 and PSD to -1e-9, the last by a Cholesky factorization of
+rho + 1e-9 I.
 
 Gates are applied as fused ops: `compile_ops(circuit, stops)` multiplies, once
 per call, each run of gates on one or two qubits into one 2x2 or 4x4 matrix
@@ -64,6 +75,7 @@ MAX_EXACT_EVOLUTION_QUBITS = 12
 MAX_EXACT_EVOLUTION_STEPS = 2 ** 16  # Taylor steps per evolve_exact call
 MAX_FUSED_QUBITS = 4  # widest fused op on a register of WIDE_FUSION_QUBITS or more
 WIDE_FUSION_QUBITS = 8  # smaller registers keep 1q and 2q ops only
+_DENSITY_ROW_BLOCK = 32  # rows per step of the Hermitian check
 
 _SQ2 = 1 / sqrt(2)
 
@@ -118,8 +130,7 @@ def _apply_unitary(arr: np.ndarray, mat: np.ndarray, qubits: tuple[int, ...], n:
     axis 0 of arr (length 2**n); trailing axes are a batch. Fused ops have m
     up to MAX_FUSED_QUBITS, and building a fused matrix applies its ops to
     an identity through this same kernel. The Pauli basis passes real
-    transfer matrices on real coefficients, and `pauli_to_density` its 4x4
-    map: any 2^m x 2^m matrix works."""
+    transfer matrices on real coefficients: any 2^m x 2^m matrix works."""
     m = len(qubits)
     batch = arr.shape[1:]
     tensor = arr.reshape((2,) * n + batch)
@@ -318,6 +329,42 @@ def apply_pauli_sum(arr: np.ndarray, groups: tuple[tuple[int, np.ndarray], ...])
     return np.zeros(arr.shape, dtype=complex) if out is None else out
 
 
+def _row_flip(arr: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(view, flipped): arr with axis 0 split at the set bits of x, and that
+    view with those bits' axes reversed, so flipped[j] = arr[j ^ x] in the
+    split indexing. Both are views: nothing is copied."""
+    shape, flip, top = [], [], arr.shape[0]
+    while x:
+        k = x.bit_length() - 1
+        x ^= 1 << k
+        shape += (top >> k + 1, 2)
+        flip += (_ALL, _REVERSED)
+        top = 1 << k
+    view = arr.reshape((*shape, top, *arr.shape[1:]))
+    return view, view[tuple(flip)]
+
+
+def _block_expectation(block: np.ndarray, obs: Observable, norm: bool = False):
+    """(Tr(A^dag O A), sum |A|^2 or None) for a (2^n, B) block A: Re sum_x
+    <r_x, d_x> over O's groups, where r_x[j] = sum_b conj(A[j, b]) A[j ^ x, b]
+    is one `np.vecdot` of A with its `_row_flip` view. The sum over k of
+    d_x[k] conj(r_x[k]) is that of d_x[j ^ x] r_x[j], so d_x needs no flip.
+    With `norm`, the squared norm is sum_j r_0[j], taken from the x = 0 group
+    when O has one. The gather cannot catch a wrong size, so it is checked
+    here before A is read."""
+    if block.shape[0] != 1 << obs.n_qubits:
+        raise ValueError("array and observable sizes differ")
+    value, squared = 0j, None
+    for x, d in pauli_sum(obs):
+        rows = np.vecdot(*_row_flip(block, x)).reshape(-1)
+        value += np.vdot(rows, d)
+        if x == 0:
+            squared = float(rows.sum().real)
+    if norm and squared is None:
+        squared = float(np.vecdot(block, block).sum().real)
+    return float(value.real), squared
+
+
 def _local_paulis(m: int) -> np.ndarray:
     """The 4^m Paulis on m qubits as a (4^m, 2^m, 2^m) stack, index
     x | z << m, each with its phase i^popcount(x & z), so all are Hermitian."""
@@ -328,8 +375,6 @@ def _local_paulis(m: int) -> np.ndarray:
 
 
 _LOCAL_PAULIS = {m: _local_paulis(m) for m in (1, 2)}
-# per qubit, (x, z) at bits (q, q + n) -> rho's (column, row) bits (q, q + n)
-_PAULI_TO_ENTRIES = _LOCAL_PAULIS[1].reshape(4, 4).T / 2
 
 
 def pauli_transfer(u: np.ndarray) -> np.ndarray:
@@ -345,10 +390,26 @@ def pauli_transfer(u: np.ndarray) -> np.ndarray:
 
 def pauli_to_density(coeffs: np.ndarray, n: int) -> np.ndarray:
     """rho = sum_Q c_Q Q / 2^n as a raw (2^n, 2^n) matrix, from the 4^n Pauli
-    coefficients c_Q = Tr(Q rho) indexed x | z << n: n passes of a 4x4 map."""
-    vec = coeffs.astype(complex)
+    coefficients c_Q = Tr(Q rho) indexed x | z << n.
+
+    Qubit q's (x, z) bits sit at (q, q + n), where rho's (column, row) bits
+    go, so one in-place butterfly per qubit on strided views of the vector
+    turns its I, X, Z, Y quarters into rho's (0, 0), (0, 1), (1, 0), (1, 1)
+    quarters: (I + Z) / 2 and (I - Z) / 2 on the diagonal, (X - iY) / 2 and
+    (X + iY) / 2 off it. The n halvings are one multiply by 2^-n up front,
+    which is exact, so the entries equal those of the per-qubit 4x4 map
+    bit for bit."""
+    vec = np.multiply(coeffs, 0.5 ** n, dtype=complex)
     for q in range(n):
-        vec = _apply_unitary(vec, _PAULI_TO_ENTRIES, (q, q + n), 2 * n)
+        v = vec.reshape(1 << n - 1 - q, 2, 1 << n - 1, 2, 1 << q)  # (.., z, .., x, ..)
+        i, x = v[:, 0, :, 0], v[:, 0, :, 1]
+        z, y = v[:, 1, :, 0], v[:, 1, :, 1]
+        y *= 1j  # iY: the off-diagonal quarters are then X -+ iY
+        diff = i - z
+        i += z
+        np.add(x, y, out=z)
+        x -= y
+        y[...] = diff
     return vec.reshape(1 << n, 1 << n)
 
 
@@ -412,8 +473,12 @@ def expectation(state: Statevector, obs: Observable) -> float:
 
 
 def expectation_array(amps: np.ndarray, obs: Observable) -> float:
-    """<amps|O|amps>; for a (2^n, B) block, the sum over its columns. O has
-    real coefficients, so it is Hermitian and the imaginary part is rounding."""
+    """<amps|O|amps>; for a (2^n, B) block, the sum over its columns, from
+    `_block_expectation`'s row products. A vector takes `apply_pauli_sum` and
+    one `vdot`, which is faster for a single column. O has real
+    coefficients, so it is Hermitian and the imaginary part is rounding."""
+    if amps.ndim > 1:
+        return _block_expectation(amps, obs)[0]
     return float(np.vdot(amps, apply_pauli_sum(amps, pauli_sum(obs))).real)
 
 
@@ -477,8 +542,10 @@ class DensityMatrix:
         dim = 2 ** self.n_qubits
         if mat.shape != (dim, dim):
             raise ValueError("density matrix has wrong shape")
-        if not np.abs(mat - mat.conj().T).max() <= 1e-10:
-            raise ValueError("density matrix is not Hermitian")
+        for i in range(0, dim, _DENSITY_ROW_BLOCK):
+            rows = slice(i, i + _DENSITY_ROW_BLOCK)
+            if not np.abs(mat[rows] - mat[:, rows].T.conj()).max() <= 1e-10:
+                raise ValueError("density matrix is not Hermitian")
         if not abs(np.trace(mat).real - 1.0) <= 1e-10:
             raise ValueError("density matrix trace is not 1")
         # smallest eigenvalue > -1e-9 iff rho + 1e-9 I is positive definite

@@ -3,7 +3,7 @@ import pytest
 
 from qmit.circuits import Gate, Layer, QuantumCircuit
 from qmit.noise import PauliLindbladModel
-from qmit.pauli import Observable, parse_pauli
+from qmit.pauli import Observable, PauliString, parse_pauli
 
 
 def benchmark_circuit() -> QuantumCircuit:
@@ -60,3 +60,18 @@ def random_circuit(rng: np.random.Generator, n_qubits: int,
                                       float(rng.uniform(-np.pi, np.pi))))
         layers.append(Layer(gates))
     return QuantumCircuit(n_qubits, layers)
+
+
+def multi_mask_observable(rng: np.random.Generator, n_qubits: int,
+                          diagonal: bool = True) -> Observable:
+    """Two terms on each of min(3, 2^n - 1) distinct nonzero X masks, a Y on
+    every qubit, and with `diagonal` two terms on X mask 0; without it, no
+    term is diagonal."""
+    dim = 2 ** n_qubits
+    xs = [int(x) for x in rng.choice(np.arange(1, dim), size=min(3, dim - 1), replace=False)]
+    xs += [0] * diagonal
+    terms = [(float(rng.normal()), PauliString(n_qubits, x, int(rng.integers(dim))))
+             for x in xs for _ in range(2)]
+    terms += [(float(rng.normal()), PauliString.single(n_qubits, q, "Y"))
+              for q in range(n_qubits)]
+    return Observable.from_terms(n_qubits, terms)

@@ -251,6 +251,42 @@ def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, argv):
     assert outs[0] == outs[1]
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+TDVP = ("varqte", "--n", "9", "--layers", "6", "--t-final", "0.04", "--dt", "0.02", "--seed", "5",
+        "--method", "tdvp")
+
+
+def test_tdvp_stdout_with_blas_threads_unset_equals_one_thread():
+    # the pinv of tdvp's 126 x 126 system differs in its last bits between
+    # BLAS thread counts, and theta-dot amplifies that: the CLI's default of
+    # one thread is what keeps this stdout stable on a multi-core machine
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    outs = []
+    for env in (unset, dict(unset, **{var: "1" for var in BLAS_THREAD_VARS})):
+        result = run_cli(*TDVP, env=env)
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+
+
+def test_blas_thread_default_is_set_only_before_numpy_and_never_over_the_user(monkeypatch,
+                                                                              capsys):
+    argv = ["scale", "--q", "2", "--m", "2", "--l", "1", "--t", "1", "--p", "1"]
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "")  # so that teardown restores each variable
+        monkeypatch.delenv(var)
+    # numpy is loaded here, as for any in-process caller: nothing is set
+    assert cli.main(argv) == 0
+    assert not any(var in os.environ for var in BLAS_THREAD_VARS)
+    # as in a fresh interpreter (`scale` never imports numpy): unset ones
+    # become 1, and a value the user set stays
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    assert cli.main(argv) == 0
+    assert [os.environ[var] for var in BLAS_THREAD_VARS] == ["1", "1", "3"]
+    capsys.readouterr()
+
+
 def test_brickwork_10_compiles_to_the_widest_fused_blocks():
     (ops,) = simulator.compile_ops(circuit_io.parse(BRICK_10), ())
     assert max(len(qubits) for _, qubits in ops) == simulator.MAX_FUSED_QUBITS

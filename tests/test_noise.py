@@ -6,7 +6,8 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from dense import pauli_matrix
+from conftest import multi_mask_observable
+from dense import observable_matrix, pauli_matrix
 from qmit import MAX_SHOTS, noise
 from qmit.circuit_io import parse
 from qmit.noise import (
@@ -234,6 +235,21 @@ def test_virtual_distillation_suppresses_mixture():
     # exact value: Tr(X rho^2) / Tr(rho^2)
     expected = np.trace(pauli_matrix(parse_pauli("X")) @ rho @ rho).real / np.trace(rho @ rho).real
     assert distilled == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_virtual_distillation_matches_the_dense_formula(n):
+    # a rank-3 mixture (rank 2 at n = 1) of random orthonormal states
+    rng = np.random.default_rng(500 + n)
+    dim, rank = 2 ** n, min(3, 2 ** n)
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank)))
+    rho = (basis * rng.dirichlet(np.ones(rank))) @ basis.conj().T
+    dm = DensityMatrix(n, (rho + rho.conj().T) / 2)
+    squared = dm.matrix @ dm.matrix
+    for diagonal in (True, False):
+        obs = multi_mask_observable(rng, n, diagonal)
+        expected = np.trace(observable_matrix(obs) @ squared).real / np.trace(squared).real
+        assert abs(virtual_distillation_expectation(dm, obs) - expected) < 1e-12
 
 
 def test_virtual_distillation_scales_exactly_with_a_large_observable_coefficient():

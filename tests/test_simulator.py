@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import bell_circuit, random_circuit
-from dense import observable_matrix, pauli_matrix
+from conftest import bell_circuit, multi_mask_observable, random_circuit
+from dense import observable_matrix, pauli_matrix, pauli_to_density_by_4x4_maps
 from qmit.circuits import PARAMETRIC_GATES, Gate, Layer, QuantumCircuit
 from qmit.hamiltonian import _bond_template, build, trotter_circuit
 from qmit.noise import PauliLindbladModel, virtual_distillation_expectation
@@ -275,6 +275,14 @@ def test_pauli_transfer_and_rebuild_match_dense_matrices(seed):
         assert np.abs(moved - pauli_coefficients(u @ rho @ u.conj().T, n)).max() < 1e-13
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_butterfly_rebuild_equals_the_4x4_maps_bit_for_bit(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(3):
+        coeffs = rng.normal(size=4 ** n)
+        assert np.array_equal(pauli_to_density(coeffs, n), pauli_to_density_by_4x4_maps(coeffs, n))
+
+
 def test_density_run_pure_matches_statevector():
     rng = np.random.default_rng(11)
     circuit = random_circuit(rng, 3, 5)
@@ -363,10 +371,52 @@ def test_size_mismatches_are_validation_errors():
             virtual_distillation_expectation(rho, obs)
         with pytest.raises(ValueError):
             apply_pauli_array(rho.matrix, obs.terms[0][1])
+        for amps in (rho.matrix, rho.matrix[:, 0]):
+            with pytest.raises(ValueError):
+                expectation_array(amps, obs)
     for model in (PauliLindbladModel(1, ((parse_pauli("Z"), 0.1),)),
                   PauliLindbladModel(3, ((parse_pauli("ZZZ"), 0.1),))):
         with pytest.raises(ValueError):
             model.apply_to_matrix(rho.matrix)
+
+
+def test_block_expectation_checks_the_size_before_it_reads(monkeypatch):
+    def no_read(*args):
+        raise AssertionError("the block was read")
+
+    monkeypatch.setattr(simulator, "_row_flip", no_read)
+    block = np.eye(4, dtype=complex)
+    for obs in (Observable.from_label("X"), Observable.from_label("XXX"), Observable(3, ())):
+        with pytest.raises(ValueError, match="array and observable sizes differ"):
+            expectation_array(block, obs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_block_expectation_matches_the_dense_trace(n, diagonal):
+    rng = np.random.default_rng(400 + n)
+    obs = multi_mask_observable(rng, n, diagonal)
+    assert len({p.x_mask for _, p in obs.terms}) >= min(3, 2 ** n - (not diagonal))
+    o = observable_matrix(obs)
+    for columns in (1, 3, 2 ** n):
+        block = random_state(rng, (2 ** n, columns))
+        expected = np.trace(block.conj().T @ o @ block).real
+        assert abs(expectation_array(block, obs) - expected) < 1e-12
+
+
+def test_hermitian_check_reads_every_row_block():
+    n = 7
+    assert 2 ** n >= 3 * simulator._DENSITY_ROW_BLOCK
+    good = matrix_with_smallest_eigenvalue(n, 1e-3)
+    DensityMatrix(n, good)
+    # a pair and an entry that only the last row block holds
+    for (row, col), entry in [((126, 127), good[126, 127] + 1e-6),
+                              ((127, 126), good[127, 126] * 1j), ((127, 127), np.nan)]:
+        bad = good.copy()
+        bad[row, col] = entry
+        with pytest.raises(ValueError, match="density matrix is not Hermitian"), \
+                np.errstate(invalid="ignore"):
+            DensityMatrix(n, bad)
 
 
 def random_observable(rng, n, n_terms):

@@ -169,6 +169,27 @@ MUTANTS = {
         "        if False:\n",
         ["tests/test_knit.py"],
     ),
+    # row products sum A[j, b] A[j ^ x, b], without conj(A[j, b])
+    "row_products_without_conjugate": (
+        "src/qmit/simulator.py",
+        "        rows = np.vecdot(*_row_flip(block, x)).reshape(-1)\n",
+        "        rows = np.sum(np.multiply(*_row_flip(block, x)), axis=-1).reshape(-1)\n",
+        ["tests/test_simulator.py", "tests/test_noise.py"],
+    ),
+    # the Hermitian check never reads the last row block
+    "hermitian_check_skips_last_block": (
+        "src/qmit/simulator.py",
+        "        for i in range(0, dim, _DENSITY_ROW_BLOCK):\n",
+        "        for i in range(0, dim - _DENSITY_ROW_BLOCK, _DENSITY_ROW_BLOCK):\n",
+        ["tests/test_simulator.py"],
+    ),
+    # the rebuild puts (X + iY) / 2 above the diagonal and (X - iY) / 2 below
+    "butterfly_plus_iy": (
+        "src/qmit/simulator.py",
+        "        y *= 1j  # iY",
+        "        y *= -1j  # iY",
+        ["tests/test_simulator.py"],
+    ),
 }
 
 
