@@ -123,21 +123,18 @@ class Observable:
     terms: tuple[tuple[float, PauliString], ...]
 
     def __post_init__(self):
+        # a dict keeps its keys in first-seen order
         merged: dict[tuple[int, int], float] = {}
-        order: list[tuple[int, int]] = []
         for coeff, p in self.terms:
             if p.n_qubits != self.n_qubits:
                 raise ValueError("observable term acts on wrong number of qubits")
             key = (p.x_mask, p.z_mask)
-            if key not in merged:
-                merged[key] = 0.0
-                order.append(key)
-            merged[key] += float(coeff)
-        for key in order:
-            if not math.isfinite(merged[key]):
-                raise ValueError("observable coefficient %r is not finite" % merged[key])
+            merged[key] = merged.get(key, 0.0) + float(coeff)
+        for value in merged.values():
+            if not math.isfinite(value):
+                raise ValueError("observable coefficient %r is not finite" % value)
         normalized = tuple(
-            (merged[key], PauliString(self.n_qubits, key[0], key[1])) for key in order
+            (value, PauliString(self.n_qubits, *key)) for key, value in merged.items()
         )
         object.__setattr__(self, "terms", normalized)
         # a finite bound caps every compiled diagonal and every expectation

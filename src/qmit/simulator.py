@@ -479,6 +479,8 @@ def expectation_array(amps: np.ndarray, obs: Observable) -> float:
     coefficients, so it is Hermitian and the imaginary part is rounding."""
     if amps.ndim > 1:
         return _block_expectation(amps, obs)[0]
+    if amps.shape != (1 << obs.n_qubits,):
+        raise ValueError("array and observable sizes differ")
     return float(np.vdot(amps, apply_pauli_sum(amps, pauli_sum(obs))).real)
 
 

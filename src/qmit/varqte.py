@@ -6,8 +6,9 @@ yields |phi> and the K derivative vectors d_p = d|phi>/d theta_p as the
 columns of one (2^n, K + 1) block, |phi> in column 0 and d_p in column
 1 + p: every element is applied once to the block, and the rotation with
 index p then adds (-i G_p/2) times column 0 to column 1 + p.  Fidelity
-tracking runs the same pass on the state column alone.  The block is
-capped like one statevector: (K + 1) 2^n amplitudes at most.
+tracking reads each step's state from its first RK4 stage, and runs the
+pass on the state column alone only at t_final.  The block is capped like
+one statevector: (K + 1) 2^n amplitudes at most.
 
 Projecting the Schroedinger equation onto the ansatz manifold gives a
 linear system in theta-dot.  With D the (K, 2^n) array whose rows are the
@@ -214,7 +215,7 @@ def _theta_dot(ansatz, theta, hamiltonian, method, regularization):
     solve = np.linalg.pinv(lhs + regularization * np.eye(len(rhs)), rcond=1e-10)
     dot = solve @ rhs
     residual = float(np.linalg.norm(lhs @ dot - rhs))
-    return dot, residual
+    return dot, residual, state
 
 
 def evolve(
@@ -233,7 +234,8 @@ def evolve(
     than MAX_VARQTE_STEPS steps are refused before the first one runs, and
     so is a dt whose exact evolution (the fidelity reference, up to
     MAX_EXACT_EVOLUTION_QUBITS) needs more than MAX_EXACT_EVOLUTION_STEPS
-    Taylor steps.
+    Taylor steps. The fidelity at each step's start is taken of the state
+    its k1 stage builds, and at t_final of one state-only `_forward`.
     """
     for name, value in (("t_final", t_final), ("dt", dt), ("regularization", regularization)):
         if not isfinite(value):
@@ -256,14 +258,24 @@ def evolve(
     track_fidelity = ansatz.n_qubits <= MAX_EXACT_EVOLUTION_QUBITS
     if track_fidelity and steps:
         exact_evolution_steps(hamiltonian, dt)
-    times = [0.0]
-    thetas = [theta.copy()]
-    residuals = []
+    times, thetas, residuals, fids = [0.0], [theta.copy()], [], []
+    exact = None
+
+    def track(state: Statevector) -> None:
+        # state is the one at times[-1]; the exact state is carried from point
+        # to point, so the Taylor work grows with t_final, not with its square
+        nonlocal exact
+        lag = times[-1] - times[-2] if len(times) > 1 else 0.0
+        exact = evolve_exact(hamiltonian, state if exact is None else exact, lag)
+        fids.append(min(1.0, abs(np.vdot(exact.amplitudes, state.amplitudes)) ** 2))
+
     for step in range(steps):
-        k1, res = _theta_dot(ansatz, theta, hamiltonian, method, regularization)
-        k2, _ = _theta_dot(ansatz, theta + 0.5 * dt * k1, hamiltonian, method, regularization)
-        k3, _ = _theta_dot(ansatz, theta + 0.5 * dt * k2, hamiltonian, method, regularization)
-        k4, _ = _theta_dot(ansatz, theta + dt * k3, hamiltonian, method, regularization)
+        k1, res, state = _theta_dot(ansatz, theta, hamiltonian, method, regularization)
+        if track_fidelity:
+            track(state)
+        k2, _, _ = _theta_dot(ansatz, theta + 0.5 * dt * k1, hamiltonian, method, regularization)
+        k3, _, _ = _theta_dot(ansatz, theta + 0.5 * dt * k2, hamiltonian, method, regularization)
+        k4, _, _ = _theta_dot(ansatz, theta + dt * k3, hamiltonian, method, regularization)
         theta = theta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(theta)):
             raise RuntimeError("NaN in parameter vector at step %d" % step)
@@ -271,25 +283,13 @@ def evolve(
         thetas.append(theta.copy())
         residuals.append(res)
     residuals.append(0.0 if not residuals else residuals[-1])
-    fidelities = None
     if track_fidelity:
-        # the exact state is carried from one time point to the next, so the
-        # Taylor work grows with t_final, not with its square; only the states
-        # are needed, so no derivative vectors are built
-        fids = []
-        exact = Statevector(ansatz.n_qubits, _forward(ansatz, thetas[0], 0)[:, 0])
-        previous = 0.0
-        for t, th in zip(times, thetas):
-            state = _forward(ansatz, th, 0)[:, 0]
-            exact = evolve_exact(hamiltonian, exact, t - previous)
-            previous = t
-            fids.append(min(1.0, abs(np.vdot(exact.amplitudes, state)) ** 2))
-        fidelities = np.array(fids)
+        track(Statevector(ansatz.n_qubits, _forward(ansatz, theta, 0)[:, 0]))
     return VarQTETrajectory(
         times=np.array(times),
         thetas=np.array(thetas),
         residuals=np.array(residuals),
-        fidelities=fidelities,
+        fidelities=np.array(fids) if track_fidelity else None,
     )
 
 

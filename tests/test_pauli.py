@@ -92,6 +92,12 @@ def test_observable_merges_duplicates():
     coeffs = {q.to_label(): c for c, q in obs.terms}
     assert coeffs["XZ"] == pytest.approx(1.5)
     assert coeffs["YY"] == pytest.approx(2.0)
+    # a duplicate that comes after another term merges into the first one,
+    # and the terms keep the order in which their labels first appear
+    later = Observable.from_terms(2, [(1.0, p), (2.0, parse_pauli("YY")), (0.5, p),
+                                      (3.0, parse_pauli("ZI")), (-2.0, parse_pauli("YY"))])
+    assert [(c, q.to_label()) for c, q in later.terms] == [(1.5, "XZ"), (0.0, "YY"),
+                                                           (3.0, "ZI")]
 
 
 def test_observable_normalization_idempotent():

@@ -371,9 +371,15 @@ def test_size_mismatches_are_validation_errors():
             virtual_distillation_expectation(rho, obs)
         with pytest.raises(ValueError):
             apply_pauli_array(rho.matrix, obs.terms[0][1])
+        with pytest.raises(ValueError):
+            apply_pauli_sum(rho.matrix[:, 0], pauli_sum(obs))
         for amps in (rho.matrix, rho.matrix[:, 0]):
             with pytest.raises(ValueError):
                 expectation_array(amps, obs)
+    # an observable without terms reads nothing, so only the size check can
+    # refuse a vector of the wrong size
+    with pytest.raises(ValueError, match="array and observable sizes differ"):
+        expectation_array(np.ones(4) / 2, Observable(3, ()))
     for model in (PauliLindbladModel(1, ((parse_pauli("Z"), 0.1),)),
                   PauliLindbladModel(3, ((parse_pauli("ZZZ"), 0.1),))):
         with pytest.raises(ValueError):

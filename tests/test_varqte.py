@@ -101,6 +101,12 @@ def test_ansatz_validation():
         Ansatz(1, (RotationElement(parse_pauli("X"), 1),))  # index gap
     with pytest.raises(ValueError):
         Ansatz(1, (RotationElement(PauliString.identity(1), 0),))
+    with pytest.raises(ValueError, match="generator acts on wrong number of qubits"):
+        Ansatz(2, (RotationElement(parse_pauli("X"), 0),))
+    with pytest.raises(ValueError, match="unknown ansatz element"):
+        Ansatz(1, (RotationElement(parse_pauli("X"), 0), Gate("h", (0,))))
+    with pytest.raises(ValueError, match="bad ansatz shape"):
+        hardware_efficient_ansatz(0, 1)
 
 
 @pytest.mark.parametrize("qubits, q", [((-1, 1), -1), ((0, 2), 2)])
@@ -233,6 +239,32 @@ def test_fidelity_tracking_builds_no_derivatives(monkeypatch):
     assert len(calls) == 4 * 3
 
 
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_fidelity_tracking_takes_each_step_state_from_its_k1_stage(monkeypatch, steps):
+    # only t_final's state needs a state-only pass; the exact state is carried
+    # through one evolve_exact call per time point
+    state_passes, lags = [], []
+    forward, evolve_exact = varqte._forward, varqte.evolve_exact
+
+    def counting_forward(ansatz, theta, k):
+        if k == 0:
+            state_passes.append(theta)
+        return forward(ansatz, theta, k)
+
+    def counting_exact(hamiltonian, state, t):
+        lags.append(t)
+        return evolve_exact(hamiltonian, state, t)
+
+    monkeypatch.setattr(varqte, "_forward", counting_forward)
+    monkeypatch.setattr(varqte, "evolve_exact", counting_exact)
+    ansatz = hardware_efficient_ansatz(2, 1)
+    h = Observable.from_terms(2, [(1.0, parse_pauli("XX")), (0.5, parse_pauli("ZI"))])
+    traj = evolve(ansatz, np.full(ansatz.n_params, 0.3), h, 0.01 * steps, 0.01)
+    assert len(traj.fidelities) == len(traj.times) == steps + 1
+    assert len(state_passes) == 1
+    assert lags == [0.0] + [t - s for s, t in zip(traj.times[:-1], traj.times[1:])]
+
+
 def test_evolve_validation():
     with pytest.raises(ValueError):
         evolve(rx_ansatz(), [0.0], Observable.from_label("X"), 1.0, 0.0)
@@ -242,6 +274,8 @@ def test_evolve_validation():
     with pytest.raises(ValueError):
         evolve(rx_ansatz(), [0.0], Observable.from_label("X"), 1.0, 0.1,
                method="euler")
+    with pytest.raises(ValueError, match="theta0 has wrong length"):
+        evolve(rx_ansatz(), [0.0, 0.0], Observable.from_label("X"), 1.0, 0.1)
 
 
 @pytest.mark.parametrize("t_final, dt, regularization, named", [

@@ -9,9 +9,10 @@ prints one line per mutant:
     KILLED    a test failed, or the run hit the timeout
     SURVIVED  every test passed: no test can tell the mutant from qmit
 
-Run it from anywhere with `python tools/mutate.py` (stdlib only; not a CI
-step). Exit status 0 if every mutant was killed, 1 if one survived, 2 if
-an entry no longer matches the source or its test files collect no tests.
+Run it from anywhere with `python tools/mutate.py` (stdlib only). CI runs
+it on Python 3.11, after the tier-1 tests. Exit status 0 if every mutant
+was killed, 1 if one survived, 2 if an entry no longer matches the source
+or its test files collect no tests.
 """
 from __future__ import annotations
 
@@ -26,6 +27,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600  # per mutant; the slowest test file list runs in about 10 s
+
+# VarQTE's RK4 update, which the fidelity at each step's start precedes
+_RK4_UPDATE = (
+    "        k2, _, _ = _theta_dot(ansatz, theta + 0.5 * dt * k1, hamiltonian, method, regularization)\n"
+    "        k3, _, _ = _theta_dot(ansatz, theta + 0.5 * dt * k2, hamiltonian, method, regularization)\n"
+    "        k4, _, _ = _theta_dot(ansatz, theta + dt * k3, hamiltonian, method, regularization)\n"
+    "        theta = theta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)\n"
+)
 
 MUTANTS = {
     # PEC's signed inverse: a sample's sign is the parity of its inverse insertions
@@ -75,6 +84,22 @@ MUTANTS = {
         "src/qmit/varqte.py",
         "    residual = float(np.linalg.norm(lhs @ dot - rhs))\n",
         "    residual = float(np.linalg.norm(lhs @ dot))\n",
+        ["tests/test_varqte.py"],
+    ),
+    # each step's fidelity taken of the state after the step, not of its k1 state
+    "fidelity_after_the_step": (
+        "src/qmit/varqte.py",
+        "        if track_fidelity:\n            track(state)\n" + _RK4_UPDATE,
+        _RK4_UPDATE + "        if track_fidelity:\n"
+        "            track(Statevector(ansatz.n_qubits, _forward(ansatz, theta, 0)[:, 0]))\n",
+        ["tests/test_varqte.py"],
+    ),
+    # the exact reference restarted from the variational state at every time
+    # point instead of carried from the last one
+    "exact_restarted_at_every_point": (
+        "src/qmit/varqte.py",
+        "evolve_exact(hamiltonian, state if exact is None else exact, lag)",
+        "evolve_exact(hamiltonian, state, lag)",
         ["tests/test_varqte.py"],
     ),
     "shots_drawn_with_p_times_0.999": (
