@@ -91,6 +91,8 @@ class PauliLindbladModel:
     generators: tuple[tuple[PauliString, float], ...]
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be positive")
         # key -> (first PauliString seen for it, summed rate), in first-seen order
         merged: dict[tuple[int, int], tuple[PauliString, float]] = {}
         for p, lam in self.generators:

@@ -7,7 +7,8 @@ ZNE's exact noisy expectation, `noisy_expectation`, runs once per scale
 factor in the Pauli basis of `simulator`: a noisy layer is one multiply of
 the 4^n Pauli coefficients by the channel's `pauli_fidelities`, and a gate is
 its 4x4 or 16x16 Pauli-transfer matrix, not two passes over a 2^n x 2^n rho.
-`simulator.density_run` with `apply_to_matrix` stays as the tests' oracle.
+It checks the channels it applies, not a rebuilt rho. `simulator.density_run`
+with `apply_to_matrix` stays as the tests' oracle.
 
 Sampling is deterministic and worker-count independent: samples are split
 into fixed-size chunks, chunk c draws from Philox stream (seed, c), and
@@ -61,7 +62,6 @@ from .noise import PauliLindbladModel, insertion_table, pauli_fidelities, sample
 from .pauli import Observable, PauliString
 from .resources import overhead_table, runtime_estimate  # re-exported
 from .simulator import (
-    DensityMatrix,
     _apply_unitary,
     _check_density_size,
     _check_statevector_size,
@@ -70,7 +70,6 @@ from .simulator import (
     compile_ops,
     density_run,  # unused here; qbench/layers.py patches pec.density_run
     pauli_gather,
-    pauli_to_density,
     pauli_transfer,
     philox_rng,
 )
@@ -120,17 +119,16 @@ class MitigatedEstimate:
 
 def per_layer(circuit: QuantumCircuit, per_layer_models) -> list:
     """One model per two-qubit layer of the circuit; a single
-    PauliLindbladModel applies to every two-qubit layer."""
+    PauliLindbladModel applies to every two-qubit layer, and its size is
+    checked even when the circuit has none."""
     count = len(circuit.two_qubit_layer_indices())
-    if isinstance(per_layer_models, PauliLindbladModel):
-        models = [per_layer_models] * count
-    else:
-        models = list(per_layer_models)
-    if len(models) != count:
+    single = isinstance(per_layer_models, PauliLindbladModel)
+    models = [per_layer_models] if single else list(per_layer_models)
+    if not single and len(models) != count:
         raise ValueError("expected %d per-layer models, got %d" % (count, len(models)))
     if any(m.n_qubits != circuit.n_qubits for m in models):
         raise ValueError("circuit and noise model sizes differ")
-    return models
+    return models * count if single else models
 
 
 def _compile(circuit: QuantumCircuit, models: list):
@@ -322,8 +320,12 @@ def noisy_expectation(
     `pauli_transfer` matrix through `_apply_unitary`, and each noisy layer
     multiplies c by its model's `pauli_fidelities`, built once per distinct
     model. Tr(O rho) is the sum of coeff * c_Q over O's terms, in term order.
-    The final state must have c_I = 1 within 1e-10, and rebuilt as a
-    `DensityMatrix` it must pass the Hermitian, trace and PSD checks."""
+    Real coefficients make rho Hermitian, and the final c_I must be 1 within
+    1e-10. Each channel must be completely positive: its Pauli error
+    probabilities, the eigenvalues of its Choi state, must be >= -1e-9 (the
+    `DensityMatrix` PSD bound). They are the Walsh-Hadamard transform of its
+    fidelities over the 2n index bits, over 4^n, with the x and z halves of
+    the index swapped, which leaves their minimum as it is. No rho is built."""
     n = circuit.n_qubits
     _check_density_size(n)
     if observable.n_qubits != n:
@@ -343,7 +345,16 @@ def noisy_expectation(
             coeffs *= fidelities[model]
     if not abs(coeffs[0] - 1.0) <= 1e-10:
         raise ValueError("noisy state trace is not 1")
-    DensityMatrix(n, pauli_to_density(coeffs, n))  # its Hermitian, trace and PSD checks
+    for f in fidelities.values():
+        probabilities = np.array(f, dtype=float)  # transformed in place: 2n butterflies
+        for k in range(2 * n):
+            v = probabilities.reshape(-1, 2, 1 << k)
+            diff = v[:, 0] - v[:, 1]
+            v[:, 0] += v[:, 1]
+            v[:, 1] = diff
+        if not probabilities.min() / 4 ** n >= -1e-9:
+            raise ValueError("noise channel is not completely positive: "
+                             "its Choi density matrix has a negative eigenvalue")
     return float(sum(coeff * coeffs[p.x_mask | p.z_mask << n] for coeff, p in observable.terms))
 
 

@@ -21,9 +21,7 @@ A state can also be held as its 4^n real Pauli coefficients
 c_Q = Tr(Q rho), indexed x | z << n, where Q = i^popcount(x & z) X^x Z^z as
 in `apply_pauli_array`. A 1q or 2q op's `pauli_transfer` matrix, real and
 4^m x 4^m, is applied by the gate kernel to qubits (q..., q + n...) of that
-2n-qubit vector, and `pauli_to_density` rebuilds rho from the coefficients
-with n in-place butterfly passes, one per qubit, on strided views of that
-vector. `pec.noisy_expectation` runs there.
+2n-qubit vector. `pec.noisy_expectation` runs there, and never builds rho.
 
 An expectation over a (2^n, B) block A, such as rho read column by column,
 is Tr(A^dag O A) = Re sum_x <r_x, d_x> over `pauli_sum`'s groups, where the
@@ -386,31 +384,6 @@ def pauli_transfer(u: np.ndarray) -> np.ndarray:
     moved = (u @ paulis @ u.conj().T).reshape(len(paulis), -1)
     # Tr(Q A) = sum_ab conj(Q)[a, b] A[a, b], since Q^T = conj(Q)
     return (paulis.reshape(len(paulis), -1).conj() @ moved.T).real / u.shape[0]
-
-
-def pauli_to_density(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """rho = sum_Q c_Q Q / 2^n as a raw (2^n, 2^n) matrix, from the 4^n Pauli
-    coefficients c_Q = Tr(Q rho) indexed x | z << n.
-
-    Qubit q's (x, z) bits sit at (q, q + n), where rho's (column, row) bits
-    go, so one in-place butterfly per qubit on strided views of the vector
-    turns its I, X, Z, Y quarters into rho's (0, 0), (0, 1), (1, 0), (1, 1)
-    quarters: (I + Z) / 2 and (I - Z) / 2 on the diagonal, (X - iY) / 2 and
-    (X + iY) / 2 off it. The n halvings are one multiply by 2^-n up front,
-    which is exact, so the entries equal those of the per-qubit 4x4 map
-    bit for bit."""
-    vec = np.multiply(coeffs, 0.5 ** n, dtype=complex)
-    for q in range(n):
-        v = vec.reshape(1 << n - 1 - q, 2, 1 << n - 1, 2, 1 << q)  # (.., z, .., x, ..)
-        i, x = v[:, 0, :, 0], v[:, 0, :, 1]
-        z, y = v[:, 1, :, 0], v[:, 1, :, 1]
-        y *= 1j  # iY: the off-diagonal quarters are then X -+ iY
-        diff = i - z
-        i += z
-        np.add(x, y, out=z)
-        x -= y
-        y[...] = diff
-    return vec.reshape(1 << n, 1 << n)
 
 
 def _check_statevector_size(n_qubits: int) -> None:

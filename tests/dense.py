@@ -20,17 +20,3 @@ def observable_matrix(obs: Observable) -> np.ndarray:
         mat += coeff * pauli_matrix(p)
     return mat
 
-
-def pauli_to_density_by_4x4_maps(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """rho from its 4^n Pauli coefficients c_Q = Tr(Q rho), indexed
-    x | z << n, by n passes of the gate kernel, each applying one qubit's 4x4
-    map from its (x, z) bits at (q, q + n) to rho's (column, row) bits there:
-    column x | z << 1 of the map is that 1q Pauli's entries, halved."""
-    from qmit.simulator import _apply_unitary
-
-    local = np.array([pauli_matrix(PauliString(1, code & 1, code >> 1)).reshape(4)
-                      for code in range(4)]).T / 2
-    vec = coeffs.astype(complex)
-    for q in range(n):
-        vec = _apply_unitary(vec, local, (q, q + n), 2 * n)
-    return vec.reshape(1 << n, 1 << n)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_circuit
 from qmit.circuit_io import ParseError, parse, serialize
 from qmit.circuits import Gate, Layer, QuantumCircuit
+from qmit.simulator import DensityMatrix, Statevector, density_run, sample_counts
 
 
 def circuits_equal(a: QuantumCircuit, b: QuantumCircuit) -> bool:
@@ -166,8 +167,14 @@ def test_malformed_text_is_refused_at_its_location(text, line, column, message):
      "qubit index -1 out of range (qubits 2)"),
     (lambda: QuantumCircuit(1).concat(QuantumCircuit(2)),
      "circuits act on different numbers of qubits"),
+    (lambda: Statevector(1, np.ones(4) / 2), "amplitude vector has wrong length"),
+    (lambda: DensityMatrix(1, np.eye(4) / 4), "density matrix has wrong shape"),
+    (lambda: sample_counts(Statevector.zero(1), 0, seed=0), "shots must be positive"),
+    (lambda: density_run(QuantumCircuit(2), DensityMatrix.from_statevector(Statevector.zero(1))),
+     "state and circuit sizes differ"),
 ], ids=["u_without_matrix", "u_wrong_shape", "u_not_unitary", "unknown_name",
-        "negative_qubit", "concat_sizes"])
+        "negative_qubit", "concat_sizes", "amplitudes_wrong_length", "density_wrong_shape",
+        "zero_shots", "density_run_sizes"])
 def test_circuit_api_refuses_what_no_text_can_say(build, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build()

@@ -667,6 +667,28 @@ def test_noise_model_size_mismatch_is_a_validation_error(bell_file, tmp_path, mo
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["zne", "pec"])
+def test_noise_model_size_mismatch_without_a_noisy_layer_is_a_validation_error(
+        tmp_path, command, capsys):
+    # a circuit with no two-qubit layer applies no model; this used to exit 0
+    circuit = tmp_path / "h.qc"
+    circuit.write_text("qubits 2;\nh 0;\n")
+    noise = tmp_path / "wide.noise"
+    noise.write_text("qubits 3\nZZZ 0.1\n")
+    code = cli.main([command, "--circuit", str(circuit), "--noise", str(noise),
+                     "--observable", "ZZ"])
+    assert code == 3
+    assert capsys.readouterr().err == "validation error: circuit and noise model sizes differ\n"
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_noise_learn_on_fewer_than_one_qubit_is_a_validation_error(tmp_path, n, capsys):
+    noise = tmp_path / "empty.noise"
+    noise.write_text("qubits %d\n" % n)
+    assert cli.main(["noise-learn", "--noise", str(noise)]) == 3
+    assert capsys.readouterr().err == "validation error: n_qubits must be positive\n"
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "records"])
 def test_std_error_prints_as_a_float(bell_file, noise_file, fmt, capsys):
     # a numpy scalar would print as np.float64(...) under numpy 2

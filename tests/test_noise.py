@@ -80,6 +80,15 @@ def test_non_finite_rates_are_rejected(rate):
         PauliLindbladModel(2, ((parse_pauli("XY"), 0.1),)).scaled(rate)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_a_model_on_fewer_than_one_qubit_is_refused(n):
+    # it used to be built, and noise learning then failed on an empty max()
+    with pytest.raises(ValueError, match="^n_qubits must be positive$"):
+        PauliLindbladModel(n, ())
+    with pytest.raises(ValueError, match="^n_qubits must be positive$"):
+        loads("qubits %d\n" % n)
+
+
 def reference_apply_to_matrix(model, mat):
     """The out-of-place mix w * vec + (1 - w) * P vec P, one new array per
     generator."""

@@ -723,6 +723,60 @@ def test_noisy_expectation_checks_the_state_it_reads(monkeypatch, fidelities, me
         noisy_expectation(circuit, models, Observable.from_label("ZZ"))
 
 
+CHANNEL_NOT_CP = ("^noise channel is not completely positive: "
+                  "its Choi density matrix has a negative eigenvalue$")
+
+
+def test_noisy_expectation_refuses_a_channel_that_is_not_completely_positive(monkeypatch):
+    # f_I = 1 and f_Q = -0.2 elsewhere is rho -> -0.2 rho + 0.3 I on 2 qubits:
+    # it maps every state to a state, so the final rho passes the density
+    # matrix checks, but its error probability on I is (1 - 0.2 * 15) / 16
+    circuit, models = two_layer_instance()
+    obs = Observable.from_label("ZZ")
+    channels = {i: lambda mat: -0.2 * mat + 0.3 * np.eye(4)
+                for i in circuit.two_qubit_layer_indices()}
+    final = density_run(circuit, DensityMatrix.from_statevector(Statevector.zero(2)), channels)
+    assert np.linalg.eigvalsh(final.matrix).min() > 0
+    monkeypatch.setattr(pec, "pauli_fidelities",
+                        lambda model: np.where(np.arange(16) == 0, 1.0, -0.2))
+    with pytest.raises(ValueError, match=CHANNEL_NOT_CP):
+        noisy_expectation(circuit, models, obs)
+
+
+@pytest.mark.parametrize("smallest", [-2e-9, -5e-10])
+def test_channel_check_bound_is_minus_1e_9(monkeypatch, smallest):
+    # the Pauli channel with error probabilities p: f_Q = sum_P p_P (-1)^<P, Q>,
+    # with the symplectic product <P, Q> = popcount(x_P & z_Q ^ z_P & x_Q)
+    probabilities = np.full(16, (1.0 - smallest) / 15)
+    probabilities[6] = smallest
+    codes = np.arange(16)
+    x, z = codes & 3, codes >> 2
+    signs = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & z ^ z[:, None] & x) & 1)
+    fidelities = probabilities @ signs
+    circuit, models = two_layer_instance()
+    monkeypatch.setattr(pec, "pauli_fidelities", lambda model: fidelities)
+    if smallest < -1e-9:
+        with pytest.raises(ValueError, match=CHANNEL_NOT_CP):
+            noisy_expectation(circuit, models, Observable.from_label("ZZ"))
+    else:
+        assert np.isfinite(noisy_expectation(circuit, models, Observable.from_label("ZZ")))
+
+
+def test_a_single_model_of_another_size_is_refused_without_a_noisy_layer():
+    # no layer takes the model, so it used to be broadcast to no layer unchecked
+    circuit = QuantumCircuit(2, [Layer([Gate("h", (0,))])])
+    obs = Observable.from_label("ZZ")
+    wide = PauliLindbladModel(3, ((parse_pauli("ZZZ"), 0.1),))
+    calls = [lambda model: pec_estimate(circuit, model, obs, 10, 0),
+             lambda model: enumerate_signed(circuit, model, obs),
+             lambda model: noisy_expectation(circuit, model, obs),
+             lambda model: zne_estimate(circuit, model, obs)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^circuit and noise model sizes differ$"):
+            call(wide)
+        assert call(PauliLindbladModel(2, ((parse_pauli("ZZ"), 0.1),))) is not None
+
+
 def test_noisy_expectation_refuses_an_observable_of_another_size(monkeypatch):
     circuit, models = two_layer_instance()
     obs = Observable.from_label("ZZZ")
