@@ -207,9 +207,8 @@ def _cmd_zne(args, out):
     circuit = _load_circuit(args.circuit)
     model = _load_noise(args.noise)
     obs = _parse_observable(args.observable, circuit.n_qubits)
-    factors = pec._zne_factors(args.factors.split(","), args.order)
-    values = [pec.noisy_expectation(circuit, model.scaled(c), obs) for c in factors]
-    extrapolated = pec._zne_intercept(factors, values, args.order)
+    factors, values, extrapolated = pec._zne(circuit, model, obs, args.factors.split(","),
+                                             args.order)
     rows = [{"scale": c, "value": v} for c, v in zip(factors, values)]
     _emit(out, ["scale", "value"], rows, args.format)
     out.write("# extrapolated: %r\n" % extrapolated)

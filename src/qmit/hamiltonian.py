@@ -163,11 +163,17 @@ def commutator_norm_sum(obs: Observable) -> float:
 
 
 def choose_steps(chain: SpinChainHamiltonian, t: float, eps: float) -> int:
-    """Minimal step count with trotter_bound_order1 <= eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Minimal step count with trotter_bound_order1 <= eps. t must be finite,
+    eps finite and positive, and the count finite."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite, got %r" % t)
+    if not 0 < eps < math.inf:  # also false for NaN
+        raise ValueError("eps must be finite and positive, got %r" % eps)
     k = commutator_norm_sum(chain.observable())
     if k == 0.0:
         return 1
-    r = max(1, math.ceil(k * t * t / (2 * eps) - 1e-12))
-    return r
+    steps = k * t * t / (2 * eps)
+    if not math.isfinite(steps):  # k t^2 or 2 eps beyond the float range
+        raise ValueError("t = %r and eps = %r give a step count that is not finite"
+                         % (t, eps))
+    return max(1, math.ceil(steps - 1e-12))

@@ -61,6 +61,7 @@ from .circuits import QuantumCircuit
 from .noise import PauliLindbladModel, insertion_table, pauli_fidelities, sample_insertions
 from .pauli import Observable, PauliString
 from .resources import overhead_table, runtime_estimate  # re-exported
+from .resources import pec_instances
 from .simulator import (
     _apply_unitary,
     _check_density_size,
@@ -93,7 +94,7 @@ class QuasiProbabilityDecomposition:
 
     @property
     def gamma_total(self) -> float:
-        return float(np.exp(2.0 * self.model.total_rate))
+        return gamma_total([self.model])
 
 
 def invert_channel(model: PauliLindbladModel) -> QuasiProbabilityDecomposition:
@@ -105,7 +106,18 @@ def invert_channel(model: PauliLindbladModel) -> QuasiProbabilityDecomposition:
 
 
 def gamma_total(per_layer_models) -> float:
-    return float(np.exp(2.0 * sum(m.total_rate for m in per_layer_models)))
+    """e^(2 x the models' summed total rate); inf beyond the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(2.0 * sum(m.total_rate for m in per_layer_models)))
+
+
+def _finite_gamma(models: list) -> float:
+    """`gamma_total` of models, refused where it is beyond the float range:
+    the estimate would be inf or nan however many samples were drawn."""
+    gamma = gamma_total(models)
+    if gamma == np.inf:
+        raise ValueError("gamma_total = e^(2 x total rate) is beyond the float range")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,15 @@ def per_layer(circuit: QuantumCircuit, per_layer_models) -> list:
     if any(m.n_qubits != circuit.n_qubits for m in models):
         raise ValueError("circuit and noise model sizes differ")
     return models * count if single else models
+
+
+def _checked_models(circuit, per_layer_models, observable: Observable, check_size) -> list:
+    """Every estimator's input checks, in this order: `check_size` on the
+    qubit count, the observable's size, then `per_layer`, whose list it returns."""
+    check_size(circuit.n_qubits)
+    if observable.n_qubits != circuit.n_qubits:
+        raise ValueError("circuit and observable sizes differ")
+    return per_layer(circuit, per_layer_models)
 
 
 def _compile(circuit: QuantumCircuit, models: list):
@@ -230,12 +251,9 @@ def pec_estimate(
     if mode not in ("analytic", "shot"):
         raise ValueError("mode must be 'analytic' or 'shot'")
     n = circuit.n_qubits
-    _check_statevector_size(n)
-    if observable.n_qubits != n:
-        raise ValueError("circuit and observable sizes differ")
-    per_layer_models = per_layer(circuit, per_layer_models)
-    compiled = _compile(circuit, per_layer_models)
-    gamma = gamma_total(per_layer_models)
+    models = _checked_models(circuit, per_layer_models, observable, _check_statevector_size)
+    gamma = _finite_gamma(models)
+    compiled = _compile(circuit, models)
     chunks = [(compiled, n, observable, mode, seed, start // CHUNK_SIZE,
                min(CHUNK_SIZE, samples - start))
               for start in range(0, samples, CHUNK_SIZE)]
@@ -277,10 +295,8 @@ def enumerate_signed(
     prefix; the pattern count is still exponential in generator count, so it
     is capped at MAX_ENUMERATED_GENERATORS over all noisy layers."""
     n = circuit.n_qubits
-    _check_statevector_size(n)
-    if observable.n_qubits != n:
-        raise ValueError("circuit and observable sizes differ")
-    models = per_layer(circuit, per_layer_models)
+    models = _checked_models(circuit, per_layer_models, observable, _check_statevector_size)
+    gamma = _finite_gamma(models)
     compiled = _compile(circuit, models)
     # the insertion probability of each uniform in a row: per noisy layer,
     # the noise half and then the inverse half
@@ -297,15 +313,17 @@ def enumerate_signed(
         bits = np.arange(start, min(start + width, patterns))[:, None] >> np.arange(len(q)) & 1
         weights = np.where(bits, q, 1.0 - q).prod(axis=1)
         total += weights @ _sample_block(compiled, n, observable, "analytic", 1.0 - bits)
-    return float(gamma_total(models) * total)
+    return float(gamma * total)
 
 
 def sampling_overhead(per_layer_models, eps: float) -> float:
-    """Circuit instances needed for precision eps: gamma_total^2 / eps^2."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    eps2 = eps ** 2  # 0.0 below eps of about 1.5e-162: the count is then inf
-    return gamma_total(per_layer_models) ** 2 / eps2 if eps2 else np.inf
+    """Circuit instances needed for precision eps: `pec_instances` of
+    gamma_total^2, which is inf beyond the float range."""
+    try:
+        gamma_squared = gamma_total(per_layer_models) ** 2
+    except OverflowError:
+        gamma_squared = np.inf
+    return pec_instances(gamma_squared, eps)
 
 
 def noisy_expectation(
@@ -327,10 +345,7 @@ def noisy_expectation(
     fidelities over the 2n index bits, over 4^n, with the x and z halves of
     the index swapped, which leaves their minimum as it is. No rho is built."""
     n = circuit.n_qubits
-    _check_density_size(n)
-    if observable.n_qubits != n:
-        raise ValueError("circuit and observable sizes differ")
-    models = per_layer(circuit, per_layer_models)
+    models = _checked_models(circuit, per_layer_models, observable, _check_density_size)
     fidelities: dict = {}
     coeffs = np.zeros(1 << 2 * n)
     coeffs[::1 << n] = 1.0
@@ -368,9 +383,14 @@ def zne_estimate(
     """Richardson-style extrapolation: evaluate the noisy expectation with
     all rates scaled by c, fit a degree-`order` polynomial in c, return the
     c = 0 intercept."""
+    return _zne(circuit, model, observable, scale_factors, order)[2]
+
+
+def _zne(circuit, model, observable, scale_factors, order: int):
+    """(factors, values, intercept) of `zne_estimate`: one `noisy_expectation` per factor."""
     cs = _zne_factors(scale_factors, order)
     values = [noisy_expectation(circuit, model.scaled(c), observable) for c in cs]
-    return _zne_intercept(cs, values, order)
+    return cs, values, _zne_intercept(cs, values, order)
 
 
 def _zne_factors(scale_factors, order: int) -> list[float]:

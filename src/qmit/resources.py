@@ -126,13 +126,22 @@ def runtime_estimate(n: int, d: int, lambda_bar: float, beta: float) -> float:
         return math.inf
 
 
+def pec_instances(gamma_squared: float, eps: float) -> float:
+    """PEC circuit instances gamma^2 / eps^2 for precision eps, inf beyond
+    the float range; eps must be finite and positive."""
+    if not 0 < eps < math.inf:  # also false for NaN
+        raise ValueError("eps must be finite and positive, got %r" % eps)
+    eps2 = eps ** 2  # 0.0 below eps of about 1.5e-162: the count is then inf
+    return gamma_squared / eps2 if eps2 else math.inf
+
+
 # noisy layers per Trotter step: a step of the chain runs its even and its
 # odd bonds as two blocks
 LAYERS_PER_STEP = 2
 
 
 def overhead_table(n: int, trotter_steps_list, lambda_grid, eps: float = 1.0):
-    """PEC circuit instances e^{4 lambda d n} / eps^2 per (steps, lambda)
+    """`pec_instances` of gamma^2 = e^{4 lambda d n} per (steps, lambda)
     cell, with d = LAYERS_PER_STEP * steps: a fixed 2 layers per step.
     lambda is the per-qubit per-layer average rate."""
     steps_list = list(trotter_steps_list)
@@ -140,17 +149,14 @@ def overhead_table(n: int, trotter_steps_list, lambda_grid, eps: float = 1.0):
     if not steps_list or not grid:
         raise ValueError("grids must be nonempty")
     _check_nonnegative("n", n)
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be finite and positive, got %r" % eps)
     for steps in steps_list:
         _check_nonnegative("steps", steps)
     for lam in grid:
         _check_nonnegative("lambda", lam)
-    eps2 = eps ** 2  # 0.0 below eps of about 1.5e-162: the count is then inf
     rows = []
     for steps in steps_list:
         for lam in grid:
             d = LAYERS_PER_STEP * steps
-            instances = _exp(4.0 * lam * d * n) / eps2 if eps2 else math.inf
+            instances = pec_instances(_exp(4.0 * lam * d * n), eps)
             rows.append({"lambda": lam, "steps": steps, "layers": d, "instances": instances})
     return rows

@@ -246,21 +246,11 @@ _ALL = slice(None)
 _REVERSED = slice(None, None, -1)
 
 
-def pauli_gather(arr: np.ndarray, x, z) -> np.ndarray:
-    """out[j] = (-1)^popcount((j ^ x) & z) * arr[j ^ x] along axis 0: the
-    Pauli with masks (x, z) without its phase. Trailing axes are a batch.
-
-    For int masks, axis 0 is split at the set bits of x | z only, each X
-    bit's axis is reversed (a view), and one multiply by a broadcast +-1
-    tensor over the Z bits' axes writes a new C-contiguous array: no index
-    or sign vector of length 2^n. Every entry goes through the multiply, by
-    +1.0 too, so complex signed zeros come out as from the index formula
-    sign[j] * arr[j ^ x]. x and z may also be integer arrays holding one mask
-    per column of a (2^n, B) block, applied by that index formula."""
-    if isinstance(x, np.ndarray):
-        src = np.arange(arr.shape[0])[:, None] ^ x
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
-        return signs * np.take_along_axis(arr, src, axis=0)
+def _row_flip(arr: np.ndarray, x: int, z: int = 0):
+    """(view, flipped, signs): arr with axis 0 split at the set bits of x | z,
+    that view with the X bits' axes reversed, so flipped[j] = arr[j ^ x] in
+    the split indexing (both views: nothing is copied), and the +-1 tensor
+    (-1)^popcount((j ^ x) & z) over the Z bits' axes, 1.0 when z is 0."""
     shape, flip, signs = [], [], 1.0
     top, bits = arr.shape[0], x | z
     while bits:
@@ -272,10 +262,29 @@ def pauli_gather(arr: np.ndarray, x, z) -> np.ndarray:
         flip += (_ALL, _REVERSED if xk else _ALL)
         if z >> k & 1:  # (-1)^(source bit), the source bit being j_k ^ x_k
             signs = signs * _SIGNS[xk].reshape((2,) + (1,) * (2 * bits.bit_count() + arr.ndim))
+    view = arr.reshape((*shape, top, *arr.shape[1:]))
+    return view, view[tuple(flip)], signs
+
+
+def pauli_gather(arr: np.ndarray, x, z) -> np.ndarray:
+    """out[j] = (-1)^popcount((j ^ x) & z) * arr[j ^ x] along axis 0: the
+    Pauli with masks (x, z) without its phase. Trailing axes are a batch.
+
+    For int masks, `_row_flip` splits axis 0 at the set bits of x | z only
+    and reverses each X bit's axis (a view), and one multiply by its +-1
+    tensor over the Z bits' axes writes a new C-contiguous array: no index
+    or sign vector of length 2^n. Every entry goes through the multiply, by
+    +1.0 too, so complex signed zeros come out as from the index formula
+    sign[j] * arr[j ^ x]. x and z may also be integer arrays holding one mask
+    per column of a (2^n, B) block, applied by that index formula."""
+    if isinstance(x, np.ndarray):
+        src = np.arange(arr.shape[0])[:, None] ^ x
+        signs = 1.0 - 2.0 * (np.bitwise_count(src & z) & 1)
+        return signs * np.take_along_axis(arr, src, axis=0)
+    _, flipped, signs = _row_flip(arr, x, z)
     # the product is allocated in the view's axis order with its strides
     # made positive, i.e. C order, so the final reshape copies nothing
-    out = np.multiply(arr.reshape((*shape, top, *arr.shape[1:]))[tuple(flip)], signs)
-    return out.reshape(arr.shape)
+    return np.multiply(flipped, signs).reshape(arr.shape)
 
 
 def apply_pauli_array(arr: np.ndarray, p: PauliString) -> np.ndarray:
@@ -327,21 +336,6 @@ def apply_pauli_sum(arr: np.ndarray, groups: tuple[tuple[int, np.ndarray], ...])
     return np.zeros(arr.shape, dtype=complex) if out is None else out
 
 
-def _row_flip(arr: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """(view, flipped): arr with axis 0 split at the set bits of x, and that
-    view with those bits' axes reversed, so flipped[j] = arr[j ^ x] in the
-    split indexing. Both are views: nothing is copied."""
-    shape, flip, top = [], [], arr.shape[0]
-    while x:
-        k = x.bit_length() - 1
-        x ^= 1 << k
-        shape += (top >> k + 1, 2)
-        flip += (_ALL, _REVERSED)
-        top = 1 << k
-    view = arr.reshape((*shape, top, *arr.shape[1:]))
-    return view, view[tuple(flip)]
-
-
 def _block_expectation(block: np.ndarray, obs: Observable, norm: bool = False):
     """(Tr(A^dag O A), sum |A|^2 or None) for a (2^n, B) block A: Re sum_x
     <r_x, d_x> over O's groups, where r_x[j] = sum_b conj(A[j, b]) A[j ^ x, b]
@@ -354,7 +348,7 @@ def _block_expectation(block: np.ndarray, obs: Observable, norm: bool = False):
         raise ValueError("array and observable sizes differ")
     value, squared = 0j, None
     for x, d in pauli_sum(obs):
-        rows = np.vecdot(*_row_flip(block, x)).reshape(-1)
+        rows = np.vecdot(*_row_flip(block, x)[:2]).reshape(-1)
         value += np.vdot(rows, d)
         if x == 0:
             squared = float(rows.sum().real)

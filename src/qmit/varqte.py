@@ -191,18 +191,13 @@ def compute_mclachlan(derivs, state: Statevector, hamiltonian: Observable):
 
 @dataclass
 class VarQTETrajectory:
+    """`evolve`'s result. Its times (step + 1) * dt strictly increase and its
+    fidelities lie in [0, 1] by construction; a hand-built one is not checked."""
+
     times: np.ndarray
     thetas: np.ndarray  # shape (len(times), n_params)
     residuals: np.ndarray  # per-step ||A theta_dot - C|| at the step start
     fidelities: np.ndarray | None = None  # vs exact evolution, n <= MAX_EXACT_EVOLUTION_QUBITS
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        if self.fidelities is not None and np.any(
-            (self.fidelities < 0) | (self.fidelities > 1 + 1e-9)
-        ):
-            raise ValueError("fidelity outside [0, 1]")
 
 
 def _theta_dot(ansatz, theta, hamiltonian, method, regularization):

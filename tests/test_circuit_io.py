@@ -7,6 +7,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_circuit
 from qmit.circuit_io import ParseError, parse, serialize
 from qmit.circuits import Gate, Layer, QuantumCircuit
+from qmit.hamiltonian import SpinChainHamiltonian
+from qmit.noise import PauliLindbladModel, loads, pauli_fidelity
+from qmit.pauli import Observable, PauliString, parse_pauli
+from qmit.pec import pec_estimate
+from qmit.resources import overhead_table
 from qmit.simulator import DensityMatrix, Statevector, density_run, sample_counts
 
 
@@ -172,9 +177,27 @@ def test_malformed_text_is_refused_at_its_location(text, line, column, message):
     (lambda: sample_counts(Statevector.zero(1), 0, seed=0), "shots must be positive"),
     (lambda: density_run(QuantumCircuit(2), DensityMatrix.from_statevector(Statevector.zero(1))),
      "state and circuit sizes differ"),
+    (lambda: PauliString(0, 0, 0), "n_qubits must be positive"),
+    (lambda: parse_pauli("X").commutes(parse_pauli("XX")),
+     "Pauli strings act on different numbers of qubits"),
+    (lambda: parse_pauli("X").multiply(parse_pauli("XX")),
+     "Pauli strings act on different numbers of qubits"),
+    (lambda: Observable.from_label("X") + Observable.from_label("XX"),
+     "observables act on different numbers of qubits"),
+    (lambda: pauli_fidelity(PauliLindbladModel(2, ()), parse_pauli("X")),
+     "Pauli acts on wrong number of qubits"),
+    (lambda: loads("qubits two\n"), "bad qubit count in noise model header"),
+    (lambda: SpinChainHamiltonian(3, (0.0, 0.0)), "need one field per site"),
+    (lambda: pec_estimate(QuantumCircuit(1), [], Observable.from_label("Z"), 0, 0),
+     "samples must be >= 1"),
+    (lambda: pec_estimate(QuantumCircuit(1), [], Observable.from_label("Z"), 1, 0, mode="exact"),
+     "mode must be 'analytic' or 'shot'"),
+    (lambda: overhead_table(4, [], [0.01]), "grids must be nonempty"),
 ], ids=["u_without_matrix", "u_wrong_shape", "u_not_unitary", "unknown_name",
         "negative_qubit", "concat_sizes", "amplitudes_wrong_length", "density_wrong_shape",
-        "zero_shots", "density_run_sizes"])
+        "zero_shots", "density_run_sizes", "pauli_on_no_qubits", "commutes_sizes",
+        "multiply_sizes", "observable_sum_sizes", "fidelity_sizes", "noise_header_count",
+        "chain_fields", "pec_no_samples", "pec_mode", "overhead_empty_grid"])
 def test_circuit_api_refuses_what_no_text_can_say(build, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build()

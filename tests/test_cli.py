@@ -350,6 +350,7 @@ def test_package_exports_resolve_to_their_submodules():
         assert getattr(qmit, name) is expected
     assert namespace["ParseError"] is circuit_io.ParseError is qmit.ParseError
     assert not hasattr(qmit, "no_such_name")
+    assert qmit.__getattr__("knit") is knit  # the submodule lookup, run in this process too
     # a bare `import qmit` still reaches every submodule as an attribute
     code = "import qmit; print(qmit.knit.__name__, qmit.varqte.evolve.__module__)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -381,7 +382,7 @@ def test_numpy_free_commands_run_with_numpy_blocked(argv):
     assert blocked.stdout == run_cli(*argv).stdout
 
 
-def test_trotter_emits_the_same_circuit_with_numpy_blocked(tmp_path):
+def test_trotter_emits_the_same_circuit_with_numpy_blocked(tmp_path, capsys):
     argv = ["trotter", "--n", "5", "--steps", "2", "--order", "2", "--emit-circuit"]
     code = (
         "import sys\n"
@@ -392,8 +393,8 @@ def test_trotter_emits_the_same_circuit_with_numpy_blocked(tmp_path):
     blocked = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stderr == ""
-    plain = run_cli(*argv, str(tmp_path / "plain.qc"))
-    assert blocked.stdout.replace("blocked.qc", "plain.qc") == plain.stdout
+    assert cli.main(argv + [str(tmp_path / "plain.qc")]) == 0
+    assert blocked.stdout.replace("blocked.qc", "plain.qc") == capsys.readouterr().out
     assert (tmp_path / "blocked.qc").read_bytes() == (tmp_path / "plain.qc").read_bytes()
 
 
@@ -821,11 +822,15 @@ def test_cut_whose_fragment_exceeds_the_statevector_cap_is_a_validation_error(
     (["trotter", "--n", "3", "--steps", "1"], [], ["--random-fields"]),
     (["estimate-ft", "--n-cnot", "1e7", "--n-t", "1e9"],
      ["--circuit-size", "1e8"], ["--circuit-size", "1e12"]),
+    (["overhead-table", "--n", "100", "--steps", "100", "--lambdas", "1e-4"],
+     ["--eps", "1"], ["--eps", "0.01"]),
+    (["noise-learn", "--noise", "NOISE"], ["--shots", "1000"], ["--shots", "2000"]),
 ])
-def test_config_line_tells_apart_options_that_change_results(bell_file, capsys, base, a, b):
+def test_config_line_tells_apart_options_that_change_results(bell_file, noise_file, capsys,
+                                                             base, a, b):
     outputs = []
     for extra in (a, b):
-        argv = [bell_file if arg == "BELL" else arg for arg in base] + extra
+        argv = [{"BELL": bell_file, "NOISE": noise_file}.get(arg, arg) for arg in base] + extra
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0][3:] != outputs[1][3:]  # the option changes the results
@@ -873,6 +878,38 @@ def test_bad_environment_default_is_a_usage_error(name, value):
     assert result.returncode == 2
     assert "environment variable %s" % name in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pec", "--circuit", "{bell}", "--noise", "{noise}", "--observable", "ZZ",
+      "--workers", "two"], "argument --workers: must be an integer, got 'two'"),
+    (["simulate", "{bell}", "--shots", "0"], "argument --shots: must be >= 1, got '0'"),
+    (["simulate", "{bad}"],
+     "parse error: line 2, column 1: gate 'cx' is missing its second operand\n"),
+], ids=["workers_not_an_integer", "shots_below_1", "parse_error"])
+def test_usage_and_parse_errors_exit_2_in_process(bell_file, noise_file, tmp_path, capsys, argv,
+                                                  message):
+    bad = tmp_path / "bad.qc"
+    bad.write_text("qubits 2;\ncx 0;\n")
+    argv = [arg.format(bell=bell_file, noise=noise_file, bad=bad) for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exit:  # argparse's usage errors
+        code = exit.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_pec_with_a_gamma_beyond_the_float_range_is_a_validation_error(bell_file, tmp_path):
+    # gamma_total = e^800 used to print value inf and gamma_total inf, with
+    # numpy's overflow warning on stderr, and exit 0
+    noise = tmp_path / "huge.noise"
+    noise.write_text("qubits 2\nXI 400\n")
+    result = run_cli("pec", "--circuit", bell_file, "--noise", str(noise), "--observable", "ZZ")
+    assert result.returncode == 3
+    assert result.stderr == "validation error: gamma_total = e^(2 x total rate) is beyond the " \
+                            "float range\n"
+    assert result.stdout.count("\n") == 3  # the header alone
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -185,6 +188,23 @@ def test_choose_steps_minimal():
     assert trotter_bound_order1(chain, 1.0, r) <= eps
     if r > 1:
         assert trotter_bound_order1(chain, 1.0, r - 1) > eps
+    # XX, YY and ZZ on one bond all commute: no Trotter error at any step count
+    assert choose_steps(build(2), 1.0, eps) == 1
+
+
+@pytest.mark.parametrize("t, eps, message", [
+    (math.inf, 0.1, "t must be finite, got inf"),
+    (math.nan, 0.1, "t must be finite, got nan"),
+    (1.0, math.nan, "eps must be finite and positive, got nan"),
+    (1.0, math.inf, "eps must be finite and positive, got inf"),
+    (1.0, 0.0, "eps must be finite and positive, got 0.0"),
+    (1e200, 1e-200, "t = 1e+200 and eps = 1e-200 give a step count that is not finite"),
+    (1e200, 1e308, "t = 1e+200 and eps = 1e+308 give a step count that is not finite"),
+])
+def test_choose_steps_refuses_what_gives_no_finite_step_count(t, eps, message):
+    # these used to raise OverflowError or "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        choose_steps(build(4, seed=2), t, eps)
 
 
 def test_commutator_sum_skips_disjoint_and_commuting():

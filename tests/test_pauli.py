@@ -25,7 +25,7 @@ labels = st.text(alphabet="IXYZ", min_size=1, max_size=5)
 
 @given(labels)
 def test_parse_format_round_trip(label):
-    assert format_pauli(parse_pauli(label)) == label
+    assert format_pauli(parse_pauli(label)) == label == str(parse_pauli(label))
 
 
 @given(labels)

@@ -804,6 +804,40 @@ def test_sampling_overhead():
         sampling_overhead(models, 0.0)
 
 
+def test_a_gamma_beyond_the_float_range_is_inf_and_refused_before_sampling(monkeypatch):
+    circuit, _ = two_layer_instance()
+    huge = PauliLindbladModel(2, ((parse_pauli("XI"), 400.0),))  # gamma = e^800
+    half = PauliLindbladModel(2, ((parse_pauli("XI"), 100.0),))  # gamma = e^200
+    with np.errstate(over="ignore"):
+        decomposition = invert_channel(huge)  # its weights (1 +- e^800) / 2 overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_total([huge]) == np.inf
+        assert decomposition.gamma_total == np.inf
+        # gamma = e^400 is finite, and its square is not: this used to raise OverflowError
+        assert sampling_overhead([half, half], 1.0) == np.inf
+        assert sampling_overhead([huge], 1.0) == np.inf
+
+    def sampled(*args):
+        raise AssertionError("sampled before the gamma check")
+
+    monkeypatch.setattr(pec, "_pec_chunk", sampled)
+    monkeypatch.setattr(pec, "_sample_block", sampled)
+    obs = Observable.from_label("ZZ")
+    for mode in ("analytic", "shot"):
+        with pytest.raises(ValueError, match="^gamma_total .* beyond the float range"):
+            pec_estimate(circuit, huge, obs, 100, 0, mode=mode)
+    with pytest.raises(ValueError, match="^gamma_total .* beyond the float range"):
+        enumerate_signed(circuit, huge, obs)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_sampling_overhead_refuses_an_eps_that_is_not_finite_and_positive(eps):
+    # nan used to return nan, and inf 0.0
+    with pytest.raises(ValueError, match="^eps must be finite and positive, got %r$" % eps):
+        sampling_overhead([benchmark_model(0.05)] * 4, eps)
+
+
 @pytest.mark.parametrize("eps", [1e-200, 5e-324])
 def test_sampling_overhead_is_inf_where_eps_squared_underflows(eps):
     assert sampling_overhead([benchmark_model(0.05)] * 4, eps) == np.inf

@@ -260,7 +260,7 @@ def pauli_coefficients(rho, n):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_pauli_transfer_and_rebuild_match_dense_matrices(seed):
+def test_pauli_transfer_matches_dense_matrices(seed):
     rng = np.random.default_rng(seed)
     n = 3
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

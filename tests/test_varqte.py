@@ -299,6 +299,16 @@ def test_evolve_refuses_bad_inputs_before_any_stage(monkeypatch, t_final, dt, re
                regularization=regularization)
 
 
+def test_an_overflowing_parameter_vector_is_a_runtime_error():
+    # one RY on 13 qubits, past the fidelity reference's size cap: each stage
+    # sees theta_dot = 2c = 1e308, and the RK4 sum 6e308 overflows
+    ansatz = Ansatz(13, (RotationElement(PauliString.single(13, 0, "Y"), 0),))
+    hamiltonian = Observable.from_terms(13, [(5e307, PauliString.single(13, 0, "Y"))])
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError,
+                                                   match="^NaN in parameter vector at step 0$"):
+        evolve(ansatz, [0.3], hamiltonian, 1.0, 1.0)
+
+
 def test_step_cap_admits_the_largest_step_count(monkeypatch):
     monkeypatch.setattr(varqte, "MAX_VARQTE_STEPS", 4)
     with pytest.raises(ValueError, match="capped at 4"):

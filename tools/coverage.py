@@ -12,9 +12,14 @@ them for a simple statement, the header (decorators included) for a
 compound one. Tests that run qmit in a subprocess are not traced, so lines
 that only those tests reach count as missed.
 
+Every missed statement must be in ALLOWED_MISSES, keyed by module and the
+statement's first line of source, so that the key survives edits elsewhere.
+
 Run it from anywhere with `python tools/coverage.py` (stdlib and pytest
-only; not a CI step). It exports PYTHONPATH=src, as the tier-1 command
-does, so that the subprocess tests find qmit. Exit status is pytest's.
+only); CI runs it on Python 3.11, after the mutation census. It exports
+PYTHONPATH=src, as the tier-1 command does, so that the subprocess tests
+find qmit. Exit status is pytest's if that is not 0, else 1 if a statement
+outside ALLOWED_MISSES was missed, else 0.
 """
 from __future__ import annotations
 
@@ -29,6 +34,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qmit"
 _BODIES = ("body", "handlers", "orelse", "finalbody")
+
+# (module, first line of the statement, stripped): why no test runs it in process
+ALLOWED_MISSES = {
+    ("circuits.py", "import numpy as np"): "imported for type checkers only",
+    ("cli.py", "sys.exit(main())"): "the `python -m qmit.cli` entry, run by subprocess tests",
+    ("noise.py", 'raise ValueError("state purity too small for virtual distillation")'):
+        "Tr rho^2 >= (Tr rho)^2 / 2^n >= 2^-10 for any DensityMatrix",
+    ("noise.py", 'raise RuntimeError("nnls did not converge")'):
+        "the pivoting rule terminates (Portugal, Judice & Vicente); the cap only bounds the loop",
+}
 
 
 def statements(source: str) -> dict[int, range]:
@@ -82,17 +97,24 @@ def main(argv: list[str]) -> int:
         threading.settrace(None)
 
     total_run = total = 0
+    unexpected = []
     print("%-16s %5s %5s  %s" % ("module", "run", "stmts", "missed (first lines)"))
     for path in sorted(PACKAGE.glob("*.py")):
-        own = statements(path.read_text(encoding="utf-8"))
+        source = path.read_text(encoding="utf-8")
+        own = statements(source)
         lines = {n for f, n in hits if f == str(path)}
         missed = [first for first, span in sorted(own.items()) if lines.isdisjoint(span)]
+        text = source.splitlines()
+        unexpected += ["%s:%d" % (path.name, first) for first in missed
+                       if (path.name, text[first - 1].strip()) not in ALLOWED_MISSES]
         total_run += len(own) - len(missed)
         total += len(own)
         print("%-16s %5d %5d  %s" % (path.name, len(own) - len(missed), len(own),
                                     ", ".join(map(str, missed))))
     print("%-16s %5d %5d" % ("total", total_run, total))
-    return int(status)
+    if unexpected:
+        print("missed outside ALLOWED_MISSES: %s" % ", ".join(unexpected))
+    return int(status) or (1 if unexpected else 0)
 
 
 if __name__ == "__main__":

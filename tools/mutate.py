@@ -58,6 +58,21 @@ MUTANTS = {
         "amps = pauli_gather(amps[:, 0 * column[first]], ",
         ["tests/test_pec.py"],
     ),
+    # the printed scale factors each paired with another factor's value
+    "zne_driver_values_reversed": (
+        "src/qmit/pec.py",
+        "    return cs, values, _zne_intercept(cs, values, order)\n",
+        "    return cs, values[::-1], _zne_intercept(cs, values, order)\n",
+        ["tests/test_cli.py"],
+    ),
+    # an observable of another size reaches the estimators unchecked
+    "inputs_skip_observable_check": (
+        "src/qmit/pec.py",
+        "    if observable.n_qubits != circuit.n_qubits:\n"
+        "        raise ValueError(\"circuit and observable sizes differ\")\n",
+        "",
+        ["tests/test_pec.py"],
+    ),
     "zne_intercept_at_1e-3": (
         "src/qmit/pec.py",
         "    return float(np.polyval(coeffs, 0.0))\n",
@@ -212,9 +227,16 @@ MUTANTS = {
     # row products sum A[j, b] A[j ^ x, b], without conj(A[j, b])
     "row_products_without_conjugate": (
         "src/qmit/simulator.py",
-        "        rows = np.vecdot(*_row_flip(block, x)).reshape(-1)\n",
-        "        rows = np.sum(np.multiply(*_row_flip(block, x)), axis=-1).reshape(-1)\n",
+        "        rows = np.vecdot(*_row_flip(block, x)[:2]).reshape(-1)\n",
+        "        rows = np.sum(np.multiply(*_row_flip(block, x)[:2]), axis=-1).reshape(-1)\n",
         ["tests/test_simulator.py", "tests/test_noise.py"],
+    ),
+    # the Pauli split without its Z signs: every Pauli applied as its X part
+    "row_flip_without_signs": (
+        "src/qmit/simulator.py",
+        "        if z >> k & 1:  # (-1)^(source bit), the source bit being j_k ^ x_k\n",
+        "        if False:\n",
+        ["tests/test_simulator.py"],
     ),
     # the Hermitian check never reads the last row block
     "hermitian_check_skips_last_block": (
